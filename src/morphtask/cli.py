@@ -183,9 +183,17 @@ def cmd_gen_data(cfg: dict) -> int:
     return 0
 
 
+def _read_training_dataset(path: str):
+    """A dataset to train on: readable and holding at least one environment."""
+    ds = read_dataset(path)
+    if not ds.environments:
+        raise DataQualityError(f"dataset {path} holds no environments")
+    return ds
+
+
 def cmd_distill(cfg: dict, dataset_path: str) -> int:
     out = _out_dir(cfg)
-    ds = read_dataset(dataset_path)
+    ds = _read_training_dataset(dataset_path)
     obs_spec = ds.environments[0].obs_spec
     pc = _policy_config({**cfg, "obs_flags": ",".join(obs_spec.flags)}, obs_spec)
     params = init_params(pc.arch, pc, cfg["seed"])
@@ -255,7 +263,7 @@ def _read_report_aggregate(path: Path) -> float:
 
 def cmd_ablate(cfg: dict, dataset_path: str) -> int:
     out = _out_dir(cfg)
-    ds = read_dataset(dataset_path)
+    ds = _read_training_dataset(dataset_path)
     obs_sets = [s for s in cfg["ablate_obs_sets"].split(";") if s.strip()]
     pe_values = [s for s in cfg["ablate_pe"].split(",") if s.strip()]
     token_values = [s for s in cfg["ablate_token"].split(",") if s.strip()]

@@ -254,6 +254,8 @@ def read_dataset(path) -> TransitionDataset:
     if r.take(4) != DATASET_MAGIC:
         raise CorruptionError("not a dataset file (bad magic)")
     version = r.u32()
+    if version != FORMAT_VERSION:
+        raise CorruptionError(f"unsupported dataset version {version}")
     n_envs = r.u32()
     envs = []
     for _ in range(n_envs):

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .control_graph import ObservationSpec
+from .control_graph import FLAG_WIDTHS, ObservationSpec
 from .morphology import (
     MorphologyGraph,
     generate_morphology,
@@ -110,13 +110,17 @@ class EnvState:
     prev_positions: np.ndarray | None = None
     prev_orientations: np.ndarray | None = None
     rng_stream: int = 0                  # reset seed; kinematics has no noise
+    # Per-dof world rotation axes and anchors (A, 3) from the FK pass that
+    # produced ``positions``; the expert builds its Jacobians from them.
+    dof_axes: np.ndarray | None = None
+    dof_anchors: np.ndarray | None = None
 
 
 # --- quaternions (w, x, y, z), vectorized over leading dims ------------------
 
 def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = np.moveaxis(q1, -1, 0)
-    w2, x2, y2, z2 = np.moveaxis(q2, -1, 0)
+    w1, x1, y1, z1 = q1[..., 0], q1[..., 1], q1[..., 2], q1[..., 3]
+    w2, x2, y2, z2 = q2[..., 0], q2[..., 1], q2[..., 2], q2[..., 3]
     return np.stack([
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
@@ -159,6 +163,40 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
 
 # --- forward kinematics -------------------------------------------------------
 
+class _Kinematics:
+    """Per-graph constants of the single-state hot path, computed once."""
+
+    def __init__(self, graph: MorphologyGraph):
+        self.n = graph.n_nodes
+        self.A = graph.action_dimension()
+        # FK recipe per edge: parent, child, attach offset, actuator axes, length.
+        self.edges = tuple(
+            (e.parent_id, e.child_id, graph.nodes[e.child_id].attach_offset,
+             tuple(act.axis for act in e.actuators), graph.nodes[e.child_id].length)
+            for e in graph.edges)
+        acts = [act for _, act in graph.dof_actuators()]
+        self.gears = np.array([a.gear for a in acts])
+        self.lo = np.array([a.range_lo for a in acts])
+        self.hi = np.array([a.range_hi for a in acts])
+        # Reset draws theta = mid + RESET_ANGLE_FRACTION * half * U(-1, 1).
+        self.reset_mid = 0.5 * (self.lo + self.hi)
+        self.reset_span = RESET_ANGLE_FRACTION * (0.5 * (self.hi - self.lo))
+        self.radii = np.array([n.radius for n in graph.nodes])
+        _freeze_arrays(self)
+
+
+def _freeze_arrays(tables) -> None:
+    """Make a cached table's arrays read-only: every caller shares them."""
+    for value in vars(tables).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+
+
+@lru_cache(maxsize=1024)
+def _kinematics(graph: MorphologyGraph) -> _Kinematics:
+    return _Kinematics(graph)
+
+
 def forward_kinematics(graph: MorphologyGraph, joint_angles) -> tuple[np.ndarray, np.ndarray]:
     """Node tip positions and orientations for the given joint angles.
 
@@ -173,7 +211,7 @@ def forward_kinematics(graph: MorphologyGraph, joint_angles) -> tuple[np.ndarray
     if theta.shape[-1] != A:
         raise ShapeError(f"expected {A} joint angles, got {theta.shape[-1]}")
     if theta.ndim == 1:
-        return _fk_scalar(graph, theta)
+        return fk_frames(graph, theta)[:2]
     batch = theta.shape[:-1]
     n = graph.n_nodes
     pos = np.zeros(batch + (n, 3), dtype=np.float64)
@@ -215,69 +253,46 @@ def _qrot_s(q, v):
             vz + w * tz + x * ty - y * tx)
 
 
-def _fk_scalar(graph: MorphologyGraph, theta: np.ndarray):
-    """Single-state FK on plain floats; ~30x faster than the array path."""
-    n = graph.n_nodes
-    pos = [(0.0, 0.0, 0.0)] * n
-    quat = [(1.0, 0.0, 0.0, 0.0)] * n
-    dof = 0
-    for e in graph.edges:
-        child = graph.nodes[e.child_id]
-        px, py, pz = pos[e.parent_id]
-        q = quat[e.parent_id]
-        ox, oy, oz = _qrot_s(q, child.attach_offset)
-        ax, ay, az = px + ox, py + oy, pz + oz
-        for act in e.actuators:
-            half = 0.5 * theta[dof]
-            s = math.sin(half)
-            ux, uy, uz = act.axis
-            q = _qmul_s(q, (math.cos(half), s * ux, s * uy, s * uz))
-            dof += 1
-        tx, ty, tz = _qrot_s(q, (child.length, 0.0, 0.0))
-        pos[e.child_id] = (ax + tx, ay + ty, az + tz)
-        quat[e.child_id] = q
-    return np.array(pos), np.array(quat)
-
-
 def fk_frames(graph: MorphologyGraph, joint_angles):
-    """FK plus, per dof, the world-frame rotation axis and anchor point.
+    """Single-state FK on plain floats, plus per dof the world-frame rotation
+    axis and anchor point that the analytic Jacobian needs.
 
-    Single-state only; used by the analytic Jacobian.
+    Returns positions (n, 3), orientations (n, 4), axes (A, 3), anchors (A, 3).
     """
     theta = np.asarray(joint_angles, dtype=np.float64)
-    A = graph.action_dimension()
-    if theta.shape != (A,):
-        raise ShapeError(f"expected shape ({A},), got {theta.shape}")
-    n = graph.n_nodes
-    pos = [(0.0, 0.0, 0.0)] * n
-    quat = [(1.0, 0.0, 0.0, 0.0)] * n
-    axes = np.zeros((A, 3))
-    anchors = np.zeros((A, 3))
+    kin = _kinematics(graph)
+    if theta.shape != (kin.A,):
+        raise ShapeError(f"expected shape ({kin.A},), got {theta.shape}")
+    angles = theta.tolist()
+    pos = [(0.0, 0.0, 0.0)] * kin.n
+    quat = [(1.0, 0.0, 0.0, 0.0)] * kin.n
+    axes = []
+    anchors = []
     dof = 0
-    for e in graph.edges:
-        child = graph.nodes[e.child_id]
-        px, py, pz = pos[e.parent_id]
-        q = quat[e.parent_id]
-        ox, oy, oz = _qrot_s(q, child.attach_offset)
+    for parent, child, offset, act_axes, length in kin.edges:
+        px, py, pz = pos[parent]
+        q = quat[parent]
+        ox, oy, oz = _qrot_s(q, offset)
         anchor = (px + ox, py + oy, pz + oz)
-        for act in e.actuators:
-            axes[dof] = _qrot_s(q, act.axis)
-            anchors[dof] = anchor
-            half = 0.5 * theta[dof]
+        for axis in act_axes:
+            axes.append(_qrot_s(q, axis))
+            anchors.append(anchor)
+            half = 0.5 * angles[dof]
             s = math.sin(half)
-            ux, uy, uz = act.axis
+            ux, uy, uz = axis
             q = _qmul_s(q, (math.cos(half), s * ux, s * uy, s * uz))
             dof += 1
-        tx, ty, tz = _qrot_s(q, (child.length, 0.0, 0.0))
-        pos[e.child_id] = (anchor[0] + tx, anchor[1] + ty, anchor[2] + tz)
-        quat[e.child_id] = q
-    return np.array(pos), np.array(quat), axes, anchors
+        tx, ty, tz = _qrot_s(q, (length, 0.0, 0.0))
+        pos[child] = (anchor[0] + tx, anchor[1] + ty, anchor[2] + tz)
+        quat[child] = q
+    return (np.array(pos), np.array(quat),
+            np.array(axes).reshape(-1, 3), np.array(anchors).reshape(-1, 3))
 
 
 @lru_cache(maxsize=4096)
 def _root_path_dofs(graph: MorphologyGraph, node_id: int) -> tuple[int, ...]:
     """Global dof indices of every actuator on the root -> node path."""
-    parent = {e.child_id: e for e in graph.edges}
+    parent = graph.parent_map
     dof_start = {}
     dof = 0
     for e in graph.edges:
@@ -292,29 +307,39 @@ def _root_path_dofs(graph: MorphologyGraph, node_id: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=1024)
-def _dof_arrays(graph: MorphologyGraph) -> tuple[np.ndarray, ...]:
-    """Per-dof gear / range arrays for vectorized integration."""
-    acts = [act for _, act in graph.dof_actuators()]
-    gears = np.array([a.gear for a in acts])
-    lo = np.array([a.range_lo for a in acts])
-    hi = np.array([a.range_hi for a in acts])
-    return gears, lo, hi
+def _jacobian(p: np.ndarray, axes: np.ndarray, anchors: np.ndarray,
+              dofs: tuple[int, ...], A: int) -> np.ndarray:
+    """(3, A) position Jacobian of point p: axis x (p - anchor) per path dof.
+
+    The cross product is spelled out per component in np.cross's order, so
+    the columns match it bit for bit.
+    """
+    J = np.zeros((3, A))
+    if dofs:
+        idx = list(dofs)
+        u = axes[idx].T
+        r = (p - anchors[idx]).T
+        J[:, idx] = (u[1] * r[2] - u[2] * r[1],
+                     u[2] * r[0] - u[0] * r[2],
+                     u[0] * r[1] - u[1] * r[0])
+    return J
 
 
 def position_jacobian(graph: MorphologyGraph, joint_angles, node_id: int) -> np.ndarray:
     """Analytic d(position of node)/d(theta), zero outside the root path."""
     pos, _, axes, anchors = fk_frames(graph, joint_angles)
-    A = graph.action_dimension()
-    J = np.zeros((3, A))
-    p = pos[node_id]
-    for dof in _root_path_dofs(graph, node_id):
-        J[:, dof] = np.cross(axes[dof], p - anchors[dof])
-    return J
+    return _jacobian(pos[node_id], axes, anchors, _root_path_dofs(graph, node_id),
+                     graph.action_dimension())
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a short vector; same arithmetic as np.linalg.norm."""
+    return math.sqrt(float(v @ v))
 
 
 # --- target resolution and task construction ---------------------------------
 
+@lru_cache(maxsize=4096)
 def resolve_target(graph: MorphologyGraph, selector: str) -> int:
     if selector == "torso":
         trunk = [n.node_id for n in graph.nodes if n.kind in ("torso", "body")]
@@ -344,18 +369,18 @@ def chain_anchor(graph: MorphologyGraph, node_id: int) -> np.ndarray:
 
 def chain_length(graph: MorphologyGraph, node_id: int) -> float:
     """Summed module lengths from the chain anchor out to the node."""
-    parent = {e.child_id: e.parent_id for e in graph.edges}
+    parent = graph.parent_map
     total = 0.0
     cur = node_id
     while cur in parent:
         total += graph.nodes[cur].length
-        cur = parent[cur]
+        cur = parent[cur].parent_id
     return total
 
 
 def pitch_reach(graph: MorphologyGraph, node_id: int) -> float:
     """Summed lengths from the first pitch-capable joint outward: max tip height."""
-    parent = {e.child_id: e for e in graph.edges}
+    parent = graph.parent_map
     chain = []
     cur = node_id
     while cur in parent:
@@ -394,12 +419,8 @@ def reset(spec: EnvSpec, seed: int) -> EnvState:
     """Sample goals, scene objects, and initial joint angles for one episode."""
     goals = sample_goals(spec.task, spec.graph, seed)
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(1))
-    A = spec.graph.action_dimension()
-    theta = np.zeros(A)
-    for dof, (_, act) in enumerate(spec.graph.dof_actuators()):
-        mid = 0.5 * (act.range_lo + act.range_hi)
-        half = 0.5 * (act.range_hi - act.range_lo)
-        theta[dof] = mid + RESET_ANGLE_FRACTION * half * rng.uniform(-1.0, 1.0)
+    kin = _kinematics(spec.graph)
+    theta = kin.reset_mid + kin.reset_span * rng.uniform(-1.0, 1.0, size=kin.A)
     ball = None
     box = None
     for g, tmpl in enumerate(spec.task.goals):
@@ -411,10 +432,11 @@ def reset(spec: EnvSpec, seed: int) -> EnvState:
             angle = rng.uniform(0.0, 2.0 * math.pi)
             radius = rng.uniform(1.3 * tmpl.r_lo, 1.3 * tmpl.r_hi)
             box = center + radius * np.array([math.cos(angle), math.sin(angle), 0.0])
-    pos, quat = forward_kinematics(spec.graph, theta)
+    pos, quat, axes, anchors = fk_frames(spec.graph, theta)
     return EnvState(graph=spec.graph, task=spec.task, joint_angles=theta,
                     goals=tuple(goals), positions=pos, orientations=quat,
-                    ball_pos=ball, box_pos=box, rng_stream=seed)
+                    ball_pos=ball, box_pos=box, rng_stream=seed,
+                    dof_axes=axes, dof_anchors=anchors)
 
 
 def step(state: EnvState, actions, dt: float = DT) -> EnvState:
@@ -423,18 +445,18 @@ def step(state: EnvState, actions, dt: float = DT) -> EnvState:
         raise EpisodeOverError(
             f"episode already finished after {state.step_count} steps")
     a = np.asarray(actions, dtype=np.float64)
-    A = state.graph.action_dimension()
-    if a.shape != (A,):
-        raise ShapeError(f"expected {A} actions, got shape {a.shape}")
+    kin = _kinematics(state.graph)
+    if a.shape != (kin.A,):
+        raise ShapeError(f"expected {kin.A} actions, got shape {a.shape}")
     a = np.clip(a, -1.0, 1.0)
-    gears, lo, hi = _dof_arrays(state.graph)
-    theta = np.clip(state.joint_angles + gears * a * OMEGA_MAX * dt, lo, hi)
-    pos, quat = forward_kinematics(state.graph, theta)
+    theta = np.clip(state.joint_angles + kin.gears * a * OMEGA_MAX * dt,
+                    kin.lo, kin.hi)
+    pos, quat, axes, anchors = fk_frames(state.graph, theta)
     box = state.box_pos
     if box is not None:
-        radii = np.array([n.radius for n in state.graph.nodes])
-        box = resolve_box_push(pos, radii, box)
+        box = resolve_box_push(pos, kin.radii, box)
     return replace(state, joint_angles=theta, positions=pos, orientations=quat,
+                   dof_axes=axes, dof_anchors=anchors,
                    step_count=state.step_count + 1, box_pos=box,
                    prev_joint_angles=state.joint_angles,
                    prev_positions=state.positions,
@@ -449,11 +471,11 @@ def resolve_box_push(node_positions: np.ndarray, node_radii: np.ndarray,
     box = np.asarray(box_pos, dtype=np.float64).copy()
     for i in range(node_positions.shape[0]):
         delta = box - node_positions[i]
-        dist = float(np.linalg.norm(delta))
+        dist = _norm(delta)
         overlap = float(node_radii[i]) + box_radius - dist
         if overlap > 0.0:
             normal = np.array([delta[0], delta[1], 0.0])
-            norm = float(np.linalg.norm(normal))
+            norm = _norm(normal)
             if norm > 1e-12:
                 box = box + (normal / norm) * overlap
     return box
@@ -466,14 +488,14 @@ def goal_distance(state: EnvState, goal_index: int) -> float:
     target = resolve_target(state.graph, tmpl.target_selector)
     p = state.positions[target]
     if tmpl.goal_kind == "xy_position":
-        return float(np.linalg.norm(p[:2] - value[:2]))
+        return _norm(p[:2] - value[:2])
     if tmpl.goal_kind == "z_height":
         return float(abs(p[2] - value[2]))
     if tmpl.goal_kind == "ball_contact":
-        gap = float(np.linalg.norm(p - state.ball_pos))
+        gap = _norm(p - state.ball_pos)
         return max(0.0, gap - state.graph.nodes[target].radius - BALL_RADIUS)
     if tmpl.goal_kind == "box_to_target":
-        return float(np.linalg.norm(state.box_pos[:2] - value[:2]))
+        return _norm(state.box_pos[:2] - value[:2])
     raise ValueError(f"unknown goal kind {tmpl.goal_kind!r}")
 
 
@@ -490,7 +512,7 @@ def _goal_error_vector(state: EnvState, goal_index: int,
         return target, np.array([0.0, 0.0, p[2] - value[2]])
     if tmpl.goal_kind == "ball_contact":
         delta = p - state.ball_pos
-        gap = float(np.linalg.norm(delta))
+        gap = _norm(delta)
         if gap < 1e-12:
             return target, np.zeros(3)
         d = max(0.0, gap - state.graph.nodes[target].radius - BALL_RADIUS)
@@ -500,7 +522,7 @@ def _goal_error_vector(state: EnvState, goal_index: int,
         # transit cannot shove it off line, then drive through its center and
         # let overlap resolution translate it toward the goal.
         to_goal = value[:2] - state.box_pos[:2]
-        dist = float(np.linalg.norm(to_goal))
+        dist = _norm(to_goal)
         if dist < 1e-12:
             return target, np.zeros(3)
         u = to_goal / dist
@@ -523,7 +545,7 @@ def _stable_gain(graph: MorphologyGraph, node_id: int) -> float:
     r * d(theta), so the descent map contracts whenever
     gain * omega * dt * sum(r_j^2) <= 1.
     """
-    parent = {e.child_id: e for e in graph.edges}
+    parent = graph.parent_map
     reach_sq = 0.0
     acc = 0.0
     cur = node_id
@@ -544,14 +566,19 @@ def scripted_expert(state: EnvState, gain: float = 1.0) -> np.ndarray:
     ``gain`` multiplies that base.  Goals already within d_min contribute
     nothing, so the action is exactly zero once every goal is satisfied.
     """
-    A = state.graph.action_dimension()
+    graph = state.graph
+    A = graph.action_dimension()
+    axes, anchors = state.dof_axes, state.dof_anchors
+    if axes is None:
+        _, _, axes, anchors = fk_frames(graph, state.joint_angles)
     tau = np.zeros(A)
     for g in range(len(state.task.goals)):
         if goal_distance(state, g) <= state.task.d_min[g]:
             continue
         target, err = _goal_error_vector(state, g, state.positions)
-        J = position_jacobian(state.graph, state.joint_angles, target)
-        tau += _stable_gain(state.graph, target) * (J.T @ err)
+        J = _jacobian(state.positions[target], axes, anchors,
+                      _root_path_dofs(graph, target), A)
+        tau += _stable_gain(graph, target) * (J.T @ err)
     return np.clip(-gain * tau, -1.0, 1.0)
 
 
@@ -560,81 +587,93 @@ def scripted_expert(state: EnvState, gain: float = 1.0) -> np.ndarray:
 _KIND_SLOTS = {"torso": (1.0, 0.0), "body": (0.0, 1.0), "limb_segment": (0.0, 0.0)}
 
 
+class _ObservationTables:
+    """Static per-graph inputs of local_observations, computed once."""
+
+    def __init__(self, graph: MorphologyGraph):
+        n = graph.n_nodes
+        A = graph.action_dimension()
+        parent = graph.parent_map
+        self.n = n
+        # Rows of jointed (non-root) nodes and of their parents; the root's
+        # relative slots stay zero.
+        self.child = np.array([node.node_id for node in graph.nodes
+                               if node.node_id in parent], dtype=np.intp)
+        self.parent = np.array([parent[i].parent_id for i in self.child.tolist()],
+                               dtype=np.intp)
+        # Gather index of the 3 joint slots into theta padded with one zero
+        # (index A) for missing actuators and the root.
+        self.joint_index = np.full((n, 3), A, dtype=np.intp)
+        self.jr = np.zeros((n, 6))
+        self.m = np.zeros((n, 8))
+        self.id = np.zeros((n, 1))
+        for node in graph.nodes:
+            i = node.node_id
+            self.id[i] = i / n
+            edge = parent.get(i)
+            gear = dof = 0.0
+            if edge is not None:
+                k = len(edge.actuators)
+                self.joint_index[i, :k] = range(node.dof_index, node.dof_index + k)
+                for j, act in enumerate(edge.actuators):
+                    self.jr[i, 2 * j] = act.range_lo
+                    self.jr[i, 2 * j + 1] = act.range_hi
+                gear = edge.actuators[0].gear
+                dof = node.dof_index / A
+            self.m[i] = (node.radius, node.length, node.mass, node.inertia,
+                         gear, dof, *_KIND_SLOTS[node.kind])
+        _freeze_arrays(self)
+
+
+@lru_cache(maxsize=1024)
+def _observation_tables(graph: MorphologyGraph) -> _ObservationTables:
+    return _ObservationTables(graph)
+
+
 def local_observations(state: EnvState, spec: ObservationSpec,
                        dt: float = DT) -> np.ndarray:
     """Per-node feature rows in canonical flag order.
 
     Velocity-like slots (v, a, jv) are one-step finite differences and are
-    exactly zero at reset; joint-derived slots are zero for the root.
+    exactly zero at reset; joint-derived slots are zero for the root.  Each
+    flag is one array operation over all nodes.
     """
-    graph = state.graph
-    n = graph.n_nodes
-    A = graph.action_dimension()
-    at_reset = state.prev_joint_angles is None
-    rows = np.zeros((n, spec.width), dtype=np.float64)
-    parent = {e.child_id: e for e in graph.edges}
-    for node in graph.nodes:
-        i = node.node_id
-        cols = []
-        edge = parent.get(i)
-        for flag in spec.flags:
-            if flag == "p":
-                cols.append(state.positions[i])
-            elif flag == "v":
-                if at_reset:
-                    cols.append(np.zeros(3))
-                else:
-                    cols.append((state.positions[i] - state.prev_positions[i]) / dt)
-            elif flag == "q":
-                cols.append(state.orientations[i])
-            elif flag == "a":
-                if at_reset:
-                    cols.append(np.zeros(3))
-                else:
-                    dq = quat_mul(state.orientations[i],
-                                  quat_conj(state.prev_orientations[i]))
-                    cols.append(quat_to_rotvec(dq) / dt)
-            elif flag == "ja":
-                slot = np.zeros(3)
-                if edge is not None:
-                    k = len(edge.actuators)
-                    slot[:k] = state.joint_angles[node.dof_index: node.dof_index + k]
-                cols.append(slot)
-            elif flag == "jr":
-                slot = np.zeros(6)
-                if edge is not None:
-                    for j, act in enumerate(edge.actuators):
-                        slot[2 * j] = act.range_lo
-                        slot[2 * j + 1] = act.range_hi
-                cols.append(slot)
-            elif flag == "jv":
-                slot = np.zeros(3)
-                if edge is not None and not at_reset:
-                    k = len(edge.actuators)
-                    sl = slice(node.dof_index, node.dof_index + k)
-                    slot[:k] = (state.joint_angles[sl]
-                                - state.prev_joint_angles[sl]) / dt
-                cols.append(slot)
-            elif flag == "id":
-                cols.append(np.array([i / n]))
-            elif flag == "rp":
-                if edge is None:
-                    cols.append(np.zeros(3))
-                else:
-                    cols.append(state.positions[i] - state.positions[edge.parent_id])
-            elif flag == "rr":
-                if edge is None:
-                    cols.append(np.zeros(4))
-                else:
-                    cols.append(quat_mul(quat_conj(state.orientations[edge.parent_id]),
-                                         state.orientations[i]))
-            elif flag == "m":
-                gear = edge.actuators[0].gear if edge is not None else 0.0
-                dof = node.dof_index / A if edge is not None else 0.0
-                k1, k2 = _KIND_SLOTS[node.kind]
-                cols.append(np.array([node.radius, node.length, node.mass,
-                                      node.inertia, gear, dof, k1, k2]))
-        rows[i] = np.concatenate(cols)
+    tables = _observation_tables(state.graph)
+    moving = state.prev_joint_angles is not None
+    rows = np.zeros((tables.n, spec.width), dtype=np.float64)
+    col = 0
+    for flag in spec.flags:
+        out = rows[:, col: col + FLAG_WIDTHS[flag]]
+        col += FLAG_WIDTHS[flag]
+        if flag == "p":
+            out[...] = state.positions
+        elif flag == "q":
+            out[...] = state.orientations
+        elif flag == "ja":
+            out[...] = np.append(state.joint_angles, 0.0)[tables.joint_index]
+        elif flag == "jr":
+            out[...] = tables.jr
+        elif flag == "id":
+            out[...] = tables.id
+        elif flag == "rp":
+            pos = state.positions
+            out[tables.child] = pos[tables.child] - pos[tables.parent]
+        elif flag == "rr":
+            quat = state.orientations
+            out[tables.child] = quat_mul(quat_conj(quat[tables.parent]),
+                                         quat[tables.child])
+        elif flag == "m":
+            out[...] = tables.m
+        elif not moving:
+            continue                     # v, a, jv stay zero at reset
+        elif flag == "v":
+            out[...] = (state.positions - state.prev_positions) / dt
+        elif flag == "a":
+            dq = quat_mul(state.orientations, quat_conj(state.prev_orientations))
+            out[...] = quat_to_rotvec(dq) / dt
+        elif flag == "jv":
+            rate = (state.joint_angles - state.prev_joint_angles) / dt
+            out[...] = np.append(rate, 0.0)[tables.joint_index]
     return rows
 
 

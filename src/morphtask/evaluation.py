@@ -66,14 +66,6 @@ class SplitPlan:
     kind: str
 
 
-def _cg_for_state(params: PolicyParams, spec: EnvSpec, state) -> "ControlGraph":
-    obs_spec = build_observation_spec(params.config.obs_flags)
-    obs = local_observations(state, obs_spec)
-    variant = "v1" if params.arch == "gnn" else params.config.cg_variant
-    goals_flat = np.concatenate(state.goals) if state.goals else np.zeros(0)
-    return build_cg(spec, obs, goals_flat, obs_spec, variant)
-
-
 def _adjacency_for(spec: EnvSpec) -> np.ndarray:
     n = spec.graph.n_nodes
     A = np.zeros((n, n))
@@ -101,7 +93,12 @@ def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
     """Lockstep rollouts over several seeds; the policy runs batched."""
     horizon = spec.task.episode_length if T is None else min(T, spec.task.episode_length)
     H = params.config.history
+    obs_spec = build_observation_spec(params.config.obs_flags)
+    variant = "v1" if params.arch == "gnn" else params.config.cg_variant
     states = [reset(spec, s) for s in seeds]
+    # Goals are fixed for an episode, so each seed's goal vector is built once.
+    goals_flat = [np.concatenate(st.goals) if st.goals else np.zeros(0)
+                  for st in states]
     frames: list[list] = [[] for _ in seeds]
     n_goals = len(spec.task.goals)
     actions = [[] for _ in seeds]
@@ -113,7 +110,8 @@ def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
     for _ in range(horizon):
         cgs = []
         for i, st in enumerate(states):
-            cg = _cg_for_state(params, spec, st)
+            cg = build_cg(spec, local_observations(st, obs_spec), goals_flat[i],
+                          obs_spec, variant)
             if H > 1:
                 frames[i] = (frames[i] + [cg])[-H:]
                 cg = stack_history(frames[i], H)

@@ -8,7 +8,10 @@ mass, and size randomization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 # Default module geometry. The numbers are chosen so that limb workspaces are
 # O(1) m; they are shared by every blueprint.
@@ -87,6 +90,22 @@ class MorphologyGraph:
     # kept on the graph so variations and task construction agree on leg order.
     legs: tuple[tuple[int, ...], ...] = field(default=())
 
+    def __hash__(self) -> int:
+        # Graphs key the per-graph caches of the environment, and hashing
+        # recurses through every node and edge, so the hash is kept once
+        # computed.  Derived values live in __dict__ beside the fields.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.nodes, self.edges, self.blueprint_tag,
+                      self.variation, self.legs))
+            self.__dict__["_hash"] = h
+        return h
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only: string hashes are salted per process, so a
+        # kept hash would be stale in the process that loads the graph.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def variation_dict(self) -> dict:
         return dict(self.variation or ())
@@ -95,14 +114,21 @@ class MorphologyGraph:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def action_dimension(self) -> int:
+    @cached_property
+    def _action_dimension(self) -> int:
         return sum(len(e.actuators) for e in self.edges)
 
+    def action_dimension(self) -> int:
+        return self._action_dimension
+
+    @cached_property
+    def parent_map(self) -> Mapping[int, JointEdge]:
+        """Parent edge of every non-root node, keyed by child id (read-only,
+        computed once per graph)."""
+        return MappingProxyType({e.child_id: e for e in self.edges})
+
     def parent_edge(self, node_id: int) -> JointEdge | None:
-        for e in self.edges:
-            if e.child_id == node_id:
-                return e
-        return None
+        return self.parent_map.get(node_id)
 
     def children(self, node_id: int) -> list[int]:
         return [e.child_id for e in self.edges if e.parent_id == node_id]

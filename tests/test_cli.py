@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from morphtask.cli import main
-from morphtask.distill import load_checkpoint, read_dataset
+from morphtask.distill import (
+    TransitionDataset,
+    load_checkpoint,
+    read_dataset,
+    write_dataset,
+)
 from morphtask.evaluation import read_tensor_table
 
 
@@ -173,6 +178,27 @@ def test_corrupt_checkpoint_is_data_error(workspace, tmp_path):
     rc = run(["eval", "--config", str(cfg), "--checkpoint", str(bad),
               "--out", str(tmp_path / "e")])
     assert rc == 2
+
+
+def test_distill_unknown_dataset_version_is_data_error(workspace, tmp_path):
+    root, cfg, gen_dir = workspace
+    raw = bytearray((gen_dir / "dataset.cgds").read_bytes())
+    raw[4:8] = (99).to_bytes(4, "little")
+    bad = tmp_path / "v99.cgds"
+    bad.write_bytes(bytes(raw))
+    rc = run(["distill", "--config", str(cfg), "--dataset", str(bad),
+              "--out", str(tmp_path / "d")])
+    assert rc == 2
+
+
+def test_distill_empty_dataset_is_data_error(workspace, tmp_path, capsys):
+    root, cfg, gen_dir = workspace
+    empty = tmp_path / "empty.cgds"
+    write_dataset(TransitionDataset(environments=[]), empty)
+    rc = run(["distill", "--config", str(cfg), "--dataset", str(empty),
+              "--out", str(tmp_path / "d")])
+    assert rc == 2
+    assert "holds no environments" in capsys.readouterr().err
 
 
 def test_ablate_cross_product(workspace, tmp_path):

@@ -297,6 +297,16 @@ def test_history_training_path():
     assert np.isfinite(curve[-1][1])
 
 
+def test_dataset_unknown_version_raises(tmp_path):
+    ds, _ = small_dataset(n=10)
+    raw = bytearray(dataset_bytes(ds))
+    raw[4:8] = (99).to_bytes(4, "little")
+    path = tmp_path / "v99.cgds"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptionError, match="version 99"):
+        read_dataset(path)
+
+
 # --- checkpoints -----------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):

@@ -444,3 +444,150 @@ def test_twister_goals_on_distinct_effectors():
     sels = [g.target_selector for g in spec.task.goals]
     assert sels == ["ee0", "ee1", "ee2"]
     assert spec.task.task_kind == "twister"
+
+
+# --- array-op observations and stored Jacobian frames ----------------------------
+
+ALL_FLAGS = build_observation_spec(["p", "v", "q", "a", "ja", "jr", "jv", "id",
+                                    "rp", "rr", "m"])
+EQUIVALENCE_ENVS = ("ant_reach_3", "claw_reach_3", "centipede_touch_3",
+                    "worm_touch_4", "ant_reach_4_missing_1",
+                    "ant_reach_hard_4_mass_0.5_1.0_3.0")
+
+
+def reference_local_observations(state, spec, dt=menv.DT):
+    """Per-node, per-flag loop: the arithmetic local_observations must match."""
+    graph = state.graph
+    n = graph.n_nodes
+    A = graph.action_dimension()
+    at_reset = state.prev_joint_angles is None
+    rows = np.zeros((n, spec.width), dtype=np.float64)
+    parent = {e.child_id: e for e in graph.edges}
+    for node in graph.nodes:
+        i = node.node_id
+        cols = []
+        edge = parent.get(i)
+        for flag in spec.flags:
+            if flag == "p":
+                cols.append(state.positions[i])
+            elif flag == "v":
+                cols.append(np.zeros(3) if at_reset else
+                            (state.positions[i] - state.prev_positions[i]) / dt)
+            elif flag == "q":
+                cols.append(state.orientations[i])
+            elif flag == "a":
+                if at_reset:
+                    cols.append(np.zeros(3))
+                else:
+                    dq = menv.quat_mul(state.orientations[i],
+                                       menv.quat_conj(state.prev_orientations[i]))
+                    cols.append(menv.quat_to_rotvec(dq) / dt)
+            elif flag == "ja":
+                slot = np.zeros(3)
+                if edge is not None:
+                    k = len(edge.actuators)
+                    slot[:k] = state.joint_angles[node.dof_index: node.dof_index + k]
+                cols.append(slot)
+            elif flag == "jr":
+                slot = np.zeros(6)
+                if edge is not None:
+                    for j, act in enumerate(edge.actuators):
+                        slot[2 * j] = act.range_lo
+                        slot[2 * j + 1] = act.range_hi
+                cols.append(slot)
+            elif flag == "jv":
+                slot = np.zeros(3)
+                if edge is not None and not at_reset:
+                    k = len(edge.actuators)
+                    sl = slice(node.dof_index, node.dof_index + k)
+                    slot[:k] = (state.joint_angles[sl]
+                                - state.prev_joint_angles[sl]) / dt
+                cols.append(slot)
+            elif flag == "id":
+                cols.append(np.array([i / n]))
+            elif flag == "rp":
+                cols.append(np.zeros(3) if edge is None else
+                            state.positions[i] - state.positions[edge.parent_id])
+            elif flag == "rr":
+                cols.append(np.zeros(4) if edge is None else
+                            menv.quat_mul(menv.quat_conj(state.orientations[edge.parent_id]),
+                                          state.orientations[i]))
+            elif flag == "m":
+                gear = edge.actuators[0].gear if edge is not None else 0.0
+                dof = node.dof_index / A if edge is not None else 0.0
+                k1, k2 = menv._KIND_SLOTS[node.kind]
+                cols.append(np.array([node.radius, node.length, node.mass,
+                                      node.inertia, gear, dof, k1, k2]))
+        rows[i] = np.concatenate(cols)
+    return rows
+
+
+def reference_expert(state, gain=1.0):
+    """Jacobian-transpose expert with a fresh FK per goal via position_jacobian."""
+    tau = np.zeros(state.graph.action_dimension())
+    for g in range(len(state.task.goals)):
+        if goal_distance(state, g) <= state.task.d_min[g]:
+            continue
+        target, err = menv._goal_error_vector(state, g, state.positions)
+        J = position_jacobian(state.graph, state.joint_angles, target)
+        tau += menv._stable_gain(state.graph, target) * (J.T @ err)
+    return np.clip(-gain * tau, -1.0, 1.0)
+
+
+def _expert_states(env_id, seed, n_steps=5):
+    spec = make_env(env_id)
+    s = reset(spec, seed)
+    states = [s]
+    for _ in range(n_steps):
+        s = step(s, scripted_expert(s))
+        states.append(s)
+    return states
+
+
+@pytest.mark.parametrize("env_id", EQUIVALENCE_ENVS)
+def test_observations_equal_per_node_reference(env_id):
+    for seed in (0, 3):
+        states = _expert_states(env_id, seed)
+        for s in (states[0], states[-1]):
+            assert np.array_equal(local_observations(s, ALL_FLAGS),
+                                  reference_local_observations(s, ALL_FLAGS))
+        for flags in (["p", "v", "q", "a", "ja", "jr", "m"], ["jv", "rr"], ["id"]):
+            spec = build_observation_spec(flags)
+            assert np.array_equal(local_observations(states[-1], spec),
+                                  reference_local_observations(states[-1], spec))
+
+
+@pytest.mark.parametrize("env_id", EQUIVALENCE_ENVS + ("ant_push_3",
+                                                       "ant_reach_handsup_4"))
+def test_jacobian_from_stored_frames_equals_position_jacobian(env_id):
+    for s in _expert_states(env_id, 1):
+        g = s.graph
+        A = g.action_dimension()
+        pos, quat, axes, anchors = menv.fk_frames(g, s.joint_angles)
+        assert np.array_equal(s.positions, pos)
+        assert np.array_equal(s.orientations, quat)
+        assert np.array_equal(s.dof_axes, axes)
+        assert np.array_equal(s.dof_anchors, anchors)
+        for node in range(g.n_nodes):
+            path = menv._root_path_dofs(g, node)
+            J = menv._jacobian(s.positions[node], s.dof_axes, s.dof_anchors, path, A)
+            ref = position_jacobian(g, s.joint_angles, node)
+            assert np.array_equal(J, ref)
+            for dof in path:
+                assert np.array_equal(ref[:, dof], np.cross(
+                    axes[dof], pos[node] - anchors[dof]))
+        assert np.array_equal(scripted_expert(s), reference_expert(s))
+        bare = EnvState(**{**s.__dict__, "dof_axes": None, "dof_anchors": None})
+        assert np.array_equal(scripted_expert(bare), scripted_expert(s))
+
+
+def test_cached_graph_tables_are_read_only():
+    g = make_env("ant_reach_3").graph
+    for tables in (menv._kinematics(g), menv._observation_tables(g)):
+        arrays = [v for v in vars(tables).values() if isinstance(v, np.ndarray)]
+        assert arrays
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[...] = 0
+    with pytest.raises(TypeError):
+        g.parent_map[0] = None

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,3 +263,57 @@ def test_round_trip_structural_equality(bc):
     assert p.edges == g.edges
     assert p.legs == g.legs
     assert p.blueprint_tag == g.blueprint_tag
+
+
+# --- cached graph hash ------------------------------------------------------------
+
+def _field_hash(g):
+    return hash(tuple(getattr(g, f.name) for f in dataclasses.fields(g)))
+
+
+def test_equal_graphs_hash_equal():
+    for blueprint, count in (("ant", 4), ("claw", 3), ("centipede", 3), ("worm", 5)):
+        g = generate_morphology(blueprint, count)
+        hash(g)
+        back = parse_morphology(serialize_morphology(g))
+        assert back == g
+        assert hash(back) == hash(g) == _field_hash(g)
+
+
+def test_replace_carries_no_stale_hash():
+    g = generate_morphology("ant", 3)
+    h = hash(g)
+    g.action_dimension()
+    g.parent_map
+    same = dataclasses.replace(g)
+    assert same == g and hash(same) == h
+    other = dataclasses.replace(g, blueprint_tag="ant_3_renamed")
+    assert hash(other) == _field_hash(other) != h
+    trimmed = apply_missing(g, 0)
+    assert hash(trimmed) == _field_hash(trimmed)
+    assert trimmed.action_dimension() == g.action_dimension() - 1
+
+
+def test_pickle_drops_cached_values(tmp_path):
+    g = apply_mass_scaling(generate_morphology("claw", 3), (0.5, 1.0, 2.0))
+    hash(g)
+    g.action_dimension()
+    g.parent_map
+    back = pickle.loads(pickle.dumps(g))
+    assert set(back.__dict__) == {f.name for f in dataclasses.fields(g)}
+    assert back == g and hash(back) == hash(g)
+    # String hashes are salted per process: a graph pickled here must hash
+    # from its fields in a process with another salt.
+    path = tmp_path / "g.pkl"
+    path.write_bytes(pickle.dumps(g))
+    code = ("import dataclasses, pickle, sys\n"
+            "g = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "carried = '_hash' in g.__dict__\n"
+            "fields = tuple(getattr(g, f.name) for f in dataclasses.fields(g))\n"
+            "print(carried, hash(g) == hash(fields))\n")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
