@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data or numeric error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -158,6 +159,14 @@ def _policy_config(cfg, obs_spec) -> PolicyConfig:
         obs_flags=obs_spec.flags)
 
 
+def _train_policy(cfg, ds):
+    """Initialize the configured policy and behavior-clone it on ds."""
+    pc = _policy_config(cfg, ds.environments[0].obs_spec)
+    train_cfg = TrainConfig(**{f.name: cfg[f.name]
+                               for f in dataclasses.fields(TrainConfig)})
+    return train(init_params(pc.arch, pc, cfg["seed"]), ds, train_cfg)
+
+
 def _out_dir(cfg) -> Path:
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -194,15 +203,7 @@ def _read_training_dataset(path: str):
 def cmd_distill(cfg: dict, dataset_path: str) -> int:
     out = _out_dir(cfg)
     ds = _read_training_dataset(dataset_path)
-    obs_spec = ds.environments[0].obs_spec
-    pc = _policy_config({**cfg, "obs_flags": ",".join(obs_spec.flags)}, obs_spec)
-    params = init_params(pc.arch, pc, cfg["seed"])
-    train_cfg = TrainConfig(learning_rate=cfg["learning_rate"],
-                            batch_size=cfg["batch_size"],
-                            grad_clip=cfg["grad_clip"], steps=cfg["steps"],
-                            seed=cfg["seed"],
-                            mix_morphologies=cfg["mix_morphologies"])
-    params, curve = train(params, ds, train_cfg)
+    params, curve = _train_policy(cfg, ds)
     save_checkpoint(params, out / "checkpoint.cgck")
     (out / "loss.csv").write_text(
         "step,loss\n" + "\n".join(f"{s},{v!r}" for s, v in curve) + "\n")
@@ -287,15 +288,7 @@ def cmd_ablate(cfg: dict, dataset_path: str) -> int:
                 for history in axes["history"]:
                     cell = dict(cfg, obs_flags=flags, use_pe=pe,
                                 token_variant=token, history=history)
-                    obs_spec = sliced.environments[0].obs_spec
-                    pc = _policy_config(cell, obs_spec)
-                    params = init_params(pc.arch, pc, cell["seed"])
-                    tc = TrainConfig(learning_rate=cell["learning_rate"],
-                                     batch_size=cell["batch_size"],
-                                     grad_clip=cell["grad_clip"],
-                                     steps=cell["steps"], seed=cell["seed"],
-                                     mix_morphologies=cell["mix_morphologies"])
-                    params, curve = train(params, sliced, tc)
+                    params, curve = _train_policy(cell, sliced)
                     envs = [e.env_id for e in sliced.environments]
                     result = meval.evaluate_policy(
                         params, envs, list(range(cell["eval_seeds"])),
@@ -312,7 +305,6 @@ def cmd_ablate(cfg: dict, dataset_path: str) -> int:
 
 def _subset_dataset(ds, flags: str):
     """Slice a dataset generated with a superset of observation flags."""
-    import dataclasses
     want = build_observation_spec([f.strip() for f in flags.split(",")])
     out_envs = []
     for envd in ds.environments:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .control_graph import (
     build_cg_v2,
     build_observation_spec,
     detokenize,
-    mu_law,
-    quantize,
     spec_from_bitmask,
     stack_history,
     tokenize_cg,
@@ -35,9 +33,12 @@ from .nn.policies import (
     ConfigError,
     PolicyConfig,
     PolicyParams,
+    adjacency,
     flatten_cg,
     gnn_grid,
     mlp_vector,
+    param_shapes,
+    tokenize_actions,
     tokenized_logits,
     transformer_grid,
 )
@@ -299,8 +300,6 @@ def build_cg(envd_spec: EnvSpec, obs: np.ndarray, goals_flat: np.ndarray,
 
 @dataclass
 class _EnvArrays:
-    env_id: str
-    spec: EnvSpec
     feats: np.ndarray          # (N, n, F) or flat (N, W_in) for the MLP
     target_grid: np.ndarray    # (N, n, 3) masked targets, or (N, max_action)
     mask: np.ndarray           # (n, 3) or (max_action,)
@@ -349,40 +348,38 @@ def prepare_training_data(ds: TransitionDataset,
                 frames = frames[-config.history:]
                 stacked.append(stack_history(frames, config.history))
             cgs = stacked
-        n_act = len(cgs[0].actuator_map)
-        target_grid = np.zeros((len(cgs),) + cgs[0].action_mask.shape)
-        for i, (cg, act) in enumerate(zip(cgs, envd.actions)):
-            for dof, (node, slot) in enumerate(cg.actuator_map):
-                target_grid[i, node, slot] = act[dof]
-        feats = np.stack([cg.node_features for cg in cgs])
-        mask = cgs[0].action_mask
-        adjacency = None
-        token_targets = None
-        if config.arch == "gnn":
-            n = cgs[0].n_nodes
-            adjacency = np.zeros((n, n))
-            for p, c in cgs[0].edges:
-                adjacency[p, c] = 1.0
-                adjacency[c, p] = 1.0
-        if config.arch == "transformer_tokenized":
-            tokens = np.stack([tokenize_cg(cg, config.n_bins) for cg in cgs])
-            feats = detokenize(tokens, "center", config.n_bins)
-            if config.token_variant in ("d", "da"):
-                token_targets = quantize(mu_law(target_grid), config.n_bins)
-        if config.arch == "mlp":
-            flat = np.stack([flatten_cg(cg, config.max_nodes) for cg in cgs])
-            vec_targets = np.zeros((len(cgs), config.max_action))
-            vec_mask = np.zeros(config.max_action)
-            vec_mask[:n_act] = 1.0
-            for i, act in enumerate(envd.actions):
-                vec_targets[i, :n_act] = act
-            out.append(_EnvArrays(envd.env_id, spec, flat, vec_targets,
-                                  vec_mask, n_act))
-        else:
-            out.append(_EnvArrays(envd.env_id, spec, feats, target_grid, mask,
-                                  n_act, adjacency=adjacency,
-                                  token_targets=token_targets))
+        out.append(_pack_env_arrays(cgs, envd.actions, config))
     return out
+
+
+def _pack_env_arrays(cgs, actions, config: PolicyConfig) -> _EnvArrays:
+    """Training arrays of control graphs that share one shape and edge set,
+    paired with their expert actions, for the configured architecture."""
+    n_act = len(cgs[0].actuator_map)
+    if config.arch == "mlp":
+        flat = np.stack([flatten_cg(cg, config.max_nodes) for cg in cgs])
+        vec_targets = np.zeros((len(cgs), config.max_action))
+        vec_mask = np.zeros(config.max_action)
+        vec_mask[:n_act] = 1.0
+        for i, act in enumerate(actions):
+            vec_targets[i, :n_act] = act
+        return _EnvArrays(flat, vec_targets, vec_mask, n_act)
+    target_grid = np.zeros((len(cgs),) + cgs[0].action_mask.shape)
+    for i, (cg, act) in enumerate(zip(cgs, actions)):
+        for dof, (node, slot) in enumerate(cg.actuator_map):
+            target_grid[i, node, slot] = act[dof]
+    feats = np.stack([cg.node_features for cg in cgs])
+    adj = None
+    token_targets = None
+    if config.arch == "gnn":
+        adj = adjacency(cgs[0].edges, cgs[0].n_nodes)
+    if config.arch == "transformer_tokenized":
+        tokens = np.stack([tokenize_cg(cg, config.n_bins) for cg in cgs])
+        feats = detokenize(tokens, "center", config.n_bins)
+        if config.token_variant in ("d", "da"):
+            token_targets = tokenize_actions(target_grid, config.n_bins)
+    return _EnvArrays(feats, target_grid, cgs[0].action_mask, n_act,
+                      adjacency=adj, token_targets=token_targets)
 
 
 # --- behavior-cloning loss -------------------------------------------------------
@@ -392,14 +389,11 @@ def _group_loss_sum(params: PolicyParams, arrays: _EnvArrays,
     """Sum over the selected samples of per-sample mean error."""
     cfg = params.config
     feats = arrays.feats[idx]
+    mask_b = np.broadcast_to(arrays.mask, feats.shape[:1] + arrays.mask.shape)
     if cfg.arch == "mlp":
         pred = mlp_vector(params, feats)
-        diff = ad.sub(pred, arrays.target_grid[idx])
-        per = ad.tsum(ad.mul(ad.mul(diff, diff), arrays.mask[None]))
-        return ad.mul(per, 1.0 / arrays.n_act)
-    mask_b = np.broadcast_to(arrays.mask, feats.shape[:1] + arrays.mask.shape)
-    if cfg.arch == "gnn":
-        grid = gnn_grid(params, feats, mask_b, arrays.adjacency)
+    elif cfg.arch == "gnn":
+        pred = gnn_grid(params, feats, mask_b, arrays.adjacency)
     elif cfg.arch == "transformer_tokenized" and cfg.token_variant in ("d", "da"):
         logits, _ = tokenized_logits(params, feats, mask_b)
         logp = ad.log_softmax(logits)
@@ -410,8 +404,8 @@ def _group_loss_sum(params: PolicyParams, arrays: _EnvArrays,
         nll = ad.mul(ad.tsum(ad.mul(logp, onehot)), -1.0 / arrays.n_act)
         return nll
     else:
-        grid, _ = transformer_grid(params, feats, mask_b)
-    diff = ad.sub(grid, arrays.target_grid[idx])
+        pred, _ = transformer_grid(params, feats, mask_b)
+    diff = ad.sub(pred, arrays.target_grid[idx])
     per = ad.tsum(ad.mul(ad.mul(diff, diff), mask_b))
     return ad.mul(per, 1.0 / arrays.n_act)
 
@@ -443,42 +437,10 @@ def bc_loss(params: PolicyParams, batch) -> Tensor:
         groups.setdefault(key, []).append((cg, np.asarray(action)))
     packed = []
     for _, items in sorted(groups.items(), key=lambda kv: str(kv[0])):
-        cg0 = items[0][0]
-        n_act = len(cg0.actuator_map)
-        if params.config.arch == "mlp":
-            feats = np.stack([flatten_cg(cg, params.config.max_nodes)
-                              for cg, _ in items])
-            targets = np.zeros((len(items), params.config.max_action))
-            for i, (_, act) in enumerate(items):
-                targets[i, :n_act] = act
-            vec_mask = np.zeros(params.config.max_action)
-            vec_mask[:n_act] = 1.0
-            arrays = _EnvArrays("batch", None, feats, targets, vec_mask, n_act)
-        else:
-            feats = np.stack([cg.node_features for cg, _ in items])
-            if params.config.arch == "transformer_tokenized":
-                tokens = np.stack([tokenize_cg(cg, params.config.n_bins)
-                                   for cg, _ in items])
-                feats = detokenize(tokens, "center", params.config.n_bins)
-            grid = np.zeros((len(items),) + cg0.action_mask.shape)
-            for i, (cg, act) in enumerate(items):
-                for dof, (node, slot) in enumerate(cg.actuator_map):
-                    grid[i, node, slot] = act[dof]
-            adjacency = None
-            if params.config.arch == "gnn":
-                n = cg0.n_nodes
-                adjacency = np.zeros((n, n))
-                for p, c in cg0.edges:
-                    adjacency[p, c] = 1.0
-                    adjacency[c, p] = 1.0
-            token_targets = None
-            if params.config.arch == "transformer_tokenized" \
-                    and params.config.token_variant in ("d", "da"):
-                token_targets = quantize(mu_law(grid), params.config.n_bins)
-            arrays = _EnvArrays("batch", None, feats, grid, cg0.action_mask,
-                                n_act, adjacency=adjacency,
-                                token_targets=token_targets)
-        packed.append((arrays, np.arange(len(items))))
+        cgs = [cg for cg, _ in items]
+        actions = [act for _, act in items]
+        packed.append((_pack_env_arrays(cgs, actions, params.config),
+                       np.arange(len(items))))
     return loss_from_groups(params, packed)
 
 
@@ -603,19 +565,56 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def checkpoint_bytes(params: PolicyParams) -> bytes:
+def _tensor_table_bytes(arch: str, config: PolicyConfig, tensors) -> bytes:
+    """The CGCK container: magic, version, arch tag, JSON config, the
+    (name, array) tensors as float64, then the FNV-1a of all of that."""
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", FORMAT_VERSION),
-             _pack_str(params.arch),
-             _pack_str(json.dumps(asdict(params.config), sort_keys=True)),
-             struct.pack("<I", len(params.tensors))]
-    for name, t in params.tensors.items():
+             _pack_str(arch),
+             _pack_str(json.dumps(asdict(config), sort_keys=True)),
+             struct.pack("<I", len(tensors))]
+    for name, data in tensors:
+        data = np.ascontiguousarray(data, dtype="<f8")
         parts.append(_pack_str(name))
-        parts.append(struct.pack("<I", t.data.ndim))
-        for d in t.data.shape:
+        parts.append(struct.pack("<I", data.ndim))
+        for d in data.shape:
             parts.append(struct.pack("<I", d))
-        parts.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        parts.append(data.tobytes())
     payload = b"".join(parts)
     return payload + struct.pack("<Q", fnv1a64(payload))
+
+
+def _read_tensor_table(buf: bytes) -> tuple[str, str, dict[str, np.ndarray]]:
+    """(arch, config JSON, {name: array}) of a CGCK container.
+
+    Raises CorruptionError on a bad magic, version or checksum, a truncated
+    table, or bytes left over after the last tensor.
+    """
+    if len(buf) < 12 or buf[:4] != CHECKPOINT_MAGIC:
+        raise CorruptionError("not a tensor-table file (bad magic)")
+    payload, tail = buf[:-8], buf[-8:]
+    if struct.unpack("<Q", tail)[0] != fnv1a64(payload):
+        raise CorruptionError("tensor-table checksum mismatch")
+    r = _Reader(payload)
+    r.take(4)
+    version = r.u32()
+    if version != FORMAT_VERSION:
+        raise CorruptionError(f"unsupported tensor-table version {version}")
+    arch = r.string()
+    config_json = r.string()
+    tensors = {}
+    for _ in range(r.u32()):
+        name = r.string()
+        shape = tuple(r.u32() for _ in range(r.u32()))
+        size = int(np.prod(shape)) if shape else 1
+        tensors[name] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape).copy()
+    if r.off != len(payload):
+        raise CorruptionError("trailing bytes after the tensor table")
+    return arch, config_json, tensors
+
+
+def checkpoint_bytes(params: PolicyParams) -> bytes:
+    return _tensor_table_bytes(params.arch, params.config,
+                               [(k, t.data) for k, t in params.tensors.items()])
 
 
 def save_checkpoint(params: PolicyParams, path) -> None:
@@ -624,30 +623,24 @@ def save_checkpoint(params: PolicyParams, path) -> None:
 
 
 def load_checkpoint(path, expect_arch: str | None = None) -> PolicyParams:
+    """Parameters of a checkpoint whose config and tensors are exactly those
+    init_params would build; anything else raises CorruptionError."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 12 or buf[:4] != CHECKPOINT_MAGIC:
-        raise CorruptionError("not a checkpoint file (bad magic)")
-    payload, tail = buf[:-8], buf[-8:]
-    if struct.unpack("<Q", tail)[0] != fnv1a64(payload):
-        raise CorruptionError("checkpoint checksum mismatch")
-    r = _Reader(payload)
-    r.take(4)
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise CorruptionError(f"unsupported checkpoint version {version}")
-    arch = r.string()
+        arch, config_json, tensors = _read_tensor_table(fh.read())
     if expect_arch is not None and arch != expect_arch:
         raise ConfigError(
             f"checkpoint holds a {arch!r} policy, expected {expect_arch!r}")
-    config = PolicyConfig(**json.loads(r.string()))
-    n = r.u32()
-    params = PolicyParams(arch=arch, config=config)
-    for _ in range(n):
-        name = r.string()
-        ndim = r.u32()
-        shape = tuple(r.u32() for _ in range(ndim))
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
-        params.tensors[name] = ad.parameter(data.copy())
-    return params
+    try:
+        values = json.loads(config_json)
+        if set(values) != {f.name for f in fields(PolicyConfig)}:
+            raise CorruptionError("checkpoint config keys differ from PolicyConfig")
+        config = PolicyConfig(**values)
+        expect = [(name, shape) for name, (shape, _) in param_shapes(config).items()]
+    except (TypeError, ValueError) as exc:
+        raise CorruptionError(f"unreadable checkpoint config: {exc}") from exc
+    if config.arch != arch or \
+            expect != [(name, data.shape) for name, data in tensors.items()]:
+        raise CorruptionError(
+            "checkpoint tensors differ from what its config builds")
+    return PolicyParams(arch=arch, config=config, tensors={
+        name: ad.parameter(data) for name, data in tensors.items()})

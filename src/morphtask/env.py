@@ -118,37 +118,36 @@ class EnvState:
 
 # --- quaternions (w, x, y, z), vectorized over leading dims ------------------
 
+def _qmul_s(a, b):
+    """Hamilton product of (w, x, y, z) quaternions given as 4-sequences of
+    floats or of equally broadcastable arrays."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+
+
+def _qrot_s(q, v):
+    """Rotate the 3-sequence v by the 4-sequence quaternion q."""
+    w, x, y, z = q
+    vx, vy, vz = v
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return (vx + w * tx + y * tz - z * ty,
+            vy + w * ty + z * tx - x * tz,
+            vz + w * tz + x * ty - y * tx)
+
+
 def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = q1[..., 0], q1[..., 1], q1[..., 2], q1[..., 3]
-    w2, x2, y2, z2 = q2[..., 0], q2[..., 1], q2[..., 2], q2[..., 3]
-    return np.stack([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ], axis=-1)
+    return np.stack(_qmul_s([q1[..., i] for i in range(4)],
+                            [q2[..., i] for i in range(4)]), axis=-1)
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vectors v (..., 3) by quaternions q (..., 4)."""
-    u = q[..., 1:]
-    w = q[..., :1]
-    t = 2.0 * np.cross(u, v)
-    return v + w * t + np.cross(u, t)
-
-
-def quat_about(axis, angle) -> np.ndarray:
-    axis = np.asarray(axis, dtype=np.float64)
-    angle = np.asarray(angle, dtype=np.float64)
-    half = angle / 2.0
-    return np.concatenate([
-        np.cos(half)[..., None],
-        np.sin(half)[..., None] * axis,
-    ], axis=-1)
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
@@ -204,53 +203,17 @@ def forward_kinematics(graph: MorphologyGraph, joint_angles) -> tuple[np.ndarray
     (..., n, 3) and orientations (..., n, 4).  The root stays at the origin
     with identity orientation; each child frame is the parent frame composed
     with the attach offset, the per-actuator rotations, then a translation by
-    (length, 0, 0).
+    (length, 0, 0).  Batches run fk_frames once per flattened batch row.
     """
     theta = np.asarray(joint_angles, dtype=np.float64)
     A = graph.action_dimension()
     if theta.shape[-1] != A:
         raise ShapeError(f"expected {A} joint angles, got {theta.shape[-1]}")
-    if theta.ndim == 1:
-        return fk_frames(graph, theta)[:2]
-    batch = theta.shape[:-1]
-    n = graph.n_nodes
-    pos = np.zeros(batch + (n, 3), dtype=np.float64)
-    quat = np.zeros(batch + (n, 4), dtype=np.float64)
-    quat[..., :, 0] = 1.0
-    dof = 0
-    for e in graph.edges:
-        child = graph.nodes[e.child_id]
-        p_parent = pos[..., e.parent_id, :]
-        q_parent = quat[..., e.parent_id, :]
-        anchor = p_parent + quat_rotate(q_parent, np.asarray(child.attach_offset))
-        q = q_parent
-        for act in e.actuators:
-            q = quat_mul(q, quat_about(act.axis, theta[..., dof]))
-            dof += 1
-        tip = anchor + quat_rotate(q, np.array([child.length, 0.0, 0.0]))
-        pos[..., e.child_id, :] = tip
-        quat[..., e.child_id, :] = q
-    return pos, quat
-
-
-def _qmul_s(a, b):
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
-
-
-def _qrot_s(q, v):
-    w, x, y, z = q
-    vx, vy, vz = v
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return (vx + w * tx + y * tz - z * ty,
-            vy + w * ty + z * tx - x * tz,
-            vz + w * tz + x * ty - y * tx)
+    frames = [fk_frames(graph, th)
+              for th in theta.reshape(math.prod(theta.shape[:-1]), A)]
+    batch = theta.shape[:-1] + (graph.n_nodes,)
+    return (np.array([f[0] for f in frames]).reshape(batch + (3,)),
+            np.array([f[1] for f in frames]).reshape(batch + (4,)))
 
 
 def fk_frames(graph: MorphologyGraph, joint_angles):

@@ -2,20 +2,19 @@
 percentages, environment splits, and attention exports."""
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import env as menv
 from .control_graph import build_observation_spec, stack_history
-from .distill import CHECKPOINT_MAGIC, FORMAT_VERSION, _pack_str, _Reader, fnv1a64
+from .distill import _read_tensor_table, _tensor_table_bytes, build_cg
 from .env import EnvSpec, local_observations, parse_env_id, reset, step
-from .distill import build_cg
 from .nn.policies import (
     PolicyParams,
     UnsupportedVariantError,
     actions_from_grid,
+    adjacency,
     batch_grids,
     flatten_cg,
     mlp_vector,
@@ -66,15 +65,6 @@ class SplitPlan:
     kind: str
 
 
-def _adjacency_for(spec: EnvSpec) -> np.ndarray:
-    n = spec.graph.n_nodes
-    A = np.zeros((n, n))
-    for e in spec.graph.edges:
-        A[e.parent_id, e.child_id] = 1.0
-        A[e.child_id, e.parent_id] = 1.0
-    return A
-
-
 def rollout(params: PolicyParams, spec: EnvSpec, seed: int,
             T: int | None = None, keep_cgs: bool = True) -> Trajectory:
     """Deterministic policy rollout of min(T, episode_length) steps.
@@ -106,7 +96,8 @@ def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
     all_cgs: list[list] = [[] for _ in seeds]
     all_states: list[list] = [[st] for st in states] if keep_states \
         else [[] for _ in seeds]
-    adjacency = _adjacency_for(spec) if params.arch == "gnn" else None
+    adj = adjacency([(e.parent_id, e.child_id) for e in spec.graph.edges],
+                    spec.graph.n_nodes) if params.arch == "gnn" else None
     for _ in range(horizon):
         cgs = []
         for i, st in enumerate(states):
@@ -126,7 +117,7 @@ def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
         else:
             feats = np.stack([cg.node_features for cg in cgs])
             mask = np.stack([cg.action_mask for cg in cgs])
-            grids = batch_grids(params, feats, mask, adjacency)
+            grids = batch_grids(params, feats, mask, adj)
             acts = [actions_from_grid(grids[i], cgs[i]) for i in range(len(states))]
         for i, act in enumerate(acts):
             states[i] = step(states[i], act)
@@ -278,8 +269,6 @@ def write_attention_export(path, params: PolicyParams, attn: np.ndarray,
                            goal_mass: np.ndarray | None = None) -> None:
     """Attention tensors in the checkpoint tensor-table format,
     named attn/<step>/<layer>/<head>."""
-    import json
-    from dataclasses import asdict
     entries = []
     T, L, H = attn.shape[:3]
     for t in range(T):
@@ -288,44 +277,13 @@ def write_attention_export(path, params: PolicyParams, attn: np.ndarray,
                 entries.append((f"attn/{t}/{l}/{h}", attn[t, l, h]))
     if goal_mass is not None:
         entries.append(("goal_mass", goal_mass))
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", FORMAT_VERSION),
-             _pack_str(params.arch),
-             _pack_str(json.dumps(asdict(params.config), sort_keys=True)),
-             struct.pack("<I", len(entries))]
-    for name, data in entries:
-        data = np.ascontiguousarray(data, dtype="<f8")
-        parts.append(_pack_str(name))
-        parts.append(struct.pack("<I", data.ndim))
-        for d in data.shape:
-            parts.append(struct.pack("<I", d))
-        parts.append(data.tobytes())
-    payload = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(payload + struct.pack("<Q", fnv1a64(payload)))
+        fh.write(_tensor_table_bytes(params.arch, params.config, entries))
 
 
 def read_tensor_table(path) -> dict[str, np.ndarray]:
-    from .distill import CorruptionError
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 12 or buf[:4] != CHECKPOINT_MAGIC:
-        raise CorruptionError("bad tensor-table magic")
-    payload, tail = buf[:-8], buf[-8:]
-    if struct.unpack("<Q", tail)[0] != fnv1a64(payload):
-        raise CorruptionError("tensor-table checksum mismatch")
-    r = _Reader(payload)
-    r.take(4)
-    r.u32()
-    r.string()
-    r.string()
-    out = {}
-    for _ in range(r.u32()):
-        name = r.string()
-        ndim = r.u32()
-        shape = tuple(r.u32() for _ in range(ndim))
-        size = int(np.prod(shape)) if shape else 1
-        out[name] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape).copy()
-    return out
+        return _read_tensor_table(fh.read())[2]
 
 
 # --- report files ------------------------------------------------------------------

@@ -91,74 +91,84 @@ def parameter_count(params: PolicyParams) -> int:
     return sum(t.data.size for t in params.tensors.values())
 
 
+def param_shapes(config: PolicyConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Name -> (shape, init) of every parameter tensor, in creation order.
+
+    init is "glorot" (shape is (fan_in, fan_out)), "zeros", "ones" or
+    "normal"; init_params draws from its RNG in this order, and
+    load_checkpoint checks a file's tensors against the same table.
+    """
+    shapes: dict[str, tuple[tuple[int, ...], str]] = {}
+
+    def add(name, shape, init):
+        shapes[name] = (shape, init)
+
+    F = config.feature_width
+    if config.arch == "mlp":
+        add("fc0/W", (config.max_nodes * F, config.mlp_hidden), "glorot")
+        add("fc0/b", (config.mlp_hidden,), "zeros")
+        for i in range(1, config.mlp_layers):
+            add(f"fc{i}/W", (config.mlp_hidden, config.mlp_hidden), "glorot")
+            add(f"fc{i}/b", (config.mlp_hidden,), "zeros")
+        add("out/W", (config.mlp_hidden, config.max_action), "glorot")
+        add("out/b", (config.max_action,), "zeros")
+        return shapes
+    if config.arch == "gnn":
+        width = F
+        for i in range(config.gnn_layers):
+            add(f"round{i}/self/W", (width, config.gnn_hidden), "glorot")
+            add(f"round{i}/msg/W", (width, config.gnn_hidden), "glorot")
+            add(f"round{i}/b", (config.gnn_hidden,), "zeros")
+            width = config.gnn_hidden
+        add("decode/W", (width, 3), "glorot")
+        add("decode/b", (3,), "zeros")
+        return shapes
+
+    E = config.embed
+    add("embed/W", (F, E), "glorot")
+    add("embed/b", (E,), "zeros")
+    if config.use_pe:
+        add("pe", (config.max_nodes, E), "normal")
+    if config.use_embed_ln:
+        add("embed_ln/gamma", (E,), "ones")
+        add("embed_ln/beta", (E,), "zeros")
+    for layer in range(config.layers):
+        p = f"layer{layer}"
+        for w in ("Wq", "Wk", "Wv", "Wo"):
+            add(f"{p}/attn/{w}", (E, E), "glorot")
+        for b in ("bq", "bk", "bv", "bo"):
+            add(f"{p}/attn/{b}", (E,), "zeros")
+        add(f"{p}/ln1/gamma", (E,), "ones")
+        add(f"{p}/ln1/beta", (E,), "zeros")
+        add(f"{p}/ffn/W1", (E, config.attn_hidden), "glorot")
+        add(f"{p}/ffn/b1", (config.attn_hidden,), "zeros")
+        add(f"{p}/ffn/W2", (config.attn_hidden, E), "glorot")
+        add(f"{p}/ffn/b2", (E,), "zeros")
+        add(f"{p}/ln2/gamma", (E,), "ones")
+        add(f"{p}/ln2/beta", (E,), "zeros")
+    add("decode/W", (E + F, 3), "glorot")
+    add("decode/b", (3,), "zeros")
+    if config.arch == "transformer_tokenized" and config.token_variant in ("d", "da"):
+        add("logits/W", (E + F, 3 * config.n_bins), "glorot")
+        add("logits/b", (3 * config.n_bins,), "zeros")
+    return shapes
+
+
 def init_params(arch: str, config: PolicyConfig, seed: int) -> PolicyParams:
     """Glorot-uniform weights, zero biases, N(0, 0.02) position table."""
     if config.arch != arch:
         config = replace(config, arch=arch)
     rng = np.random.Generator(np.random.PCG64(seed))
     params = PolicyParams(arch=arch, config=config)
-
-    def glorot(name, fan_in, fan_out, shape=None):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        shape = shape or (fan_in, fan_out)
-        params.tensors[name] = ad.parameter(rng.uniform(-bound, bound, size=shape))
-
-    def zeros(name, shape):
-        params.tensors[name] = ad.parameter(np.zeros(shape))
-
-    def ones(name, shape):
-        params.tensors[name] = ad.parameter(np.ones(shape))
-
-    F = config.feature_width
-    if arch == "mlp":
-        w_in = config.max_nodes * F
-        glorot("fc0/W", w_in, config.mlp_hidden)
-        zeros("fc0/b", (config.mlp_hidden,))
-        for i in range(1, config.mlp_layers):
-            glorot(f"fc{i}/W", config.mlp_hidden, config.mlp_hidden)
-            zeros(f"fc{i}/b", (config.mlp_hidden,))
-        glorot("out/W", config.mlp_hidden, config.max_action)
-        zeros("out/b", (config.max_action,))
-        return params
-    if arch == "gnn":
-        width = F
-        for i in range(config.gnn_layers):
-            glorot(f"round{i}/self/W", width, config.gnn_hidden)
-            glorot(f"round{i}/msg/W", width, config.gnn_hidden)
-            zeros(f"round{i}/b", (config.gnn_hidden,))
-            width = config.gnn_hidden
-        glorot("decode/W", width, 3)
-        zeros("decode/b", (3,))
-        return params
-
-    E = config.embed
-    glorot("embed/W", F, E)
-    zeros("embed/b", (E,))
-    if config.use_pe:
-        params.tensors["pe"] = ad.parameter(
-            rng.normal(0.0, 0.02, size=(config.max_nodes, E)))
-    if config.use_embed_ln:
-        ones("embed_ln/gamma", (E,))
-        zeros("embed_ln/beta", (E,))
-    for layer in range(config.layers):
-        p = f"layer{layer}"
-        for w in ("Wq", "Wk", "Wv", "Wo"):
-            glorot(f"{p}/attn/{w}", E, E)
-        for b in ("bq", "bk", "bv", "bo"):
-            zeros(f"{p}/attn/{b}", (E,))
-        ones(f"{p}/ln1/gamma", (E,))
-        zeros(f"{p}/ln1/beta", (E,))
-        glorot(f"{p}/ffn/W1", E, config.attn_hidden)
-        zeros(f"{p}/ffn/b1", (config.attn_hidden,))
-        glorot(f"{p}/ffn/W2", config.attn_hidden, E)
-        zeros(f"{p}/ffn/b2", (E,))
-        ones(f"{p}/ln2/gamma", (E,))
-        zeros(f"{p}/ln2/beta", (E,))
-    glorot("decode/W", E + F, 3)
-    zeros("decode/b", (3,))
-    if arch == "transformer_tokenized" and config.token_variant in ("d", "da"):
-        glorot("logits/W", E + F, 3 * config.n_bins)
-        zeros("logits/b", (3 * config.n_bins,))
+    for name, (shape, init) in param_shapes(config).items():
+        if init == "glorot":
+            bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+            data = rng.uniform(-bound, bound, size=shape)
+        elif init == "normal":
+            data = rng.normal(0.0, 0.02, size=shape)
+        else:
+            data = np.zeros(shape) if init == "zeros" else np.ones(shape)
+        params.tensors[name] = ad.parameter(data)
     return params
 
 
@@ -229,11 +239,13 @@ def _trunk(params: PolicyParams, feats_c: np.ndarray,
     return z, np.stack(attn_stack, axis=1)           # attn (B, L, H, n, n)
 
 
-def transformer_grid(params: PolicyParams, feats: np.ndarray, mask: np.ndarray):
-    """Batched forward: (B, n, F) -> masked tanh grid (B, n, 3) + attention.
+def _canonical_forward(params: PolicyParams, feats: np.ndarray,
+                       mask: np.ndarray, decode):
+    """Canonicalize nodes per sample, run the trunk, decode, scatter back.
 
-    Nodes are canonicalized per sample; outputs and attention maps are
-    scattered back to the caller's order.
+    decode(dec, mask_c) maps the canonical (B, n, E + F) decoder input and
+    mask to a (B, n, ...) output; that output and the attention maps
+    (B, L, H, n, n) are returned in the caller's node order.
     """
     cfg = params.config
     B, n, F = feats.shape
@@ -245,27 +257,35 @@ def transformer_grid(params: PolicyParams, feats: np.ndarray, mask: np.ndarray):
     perm = _canonical_perm(feats, mask)
     binx = np.arange(B)[:, None]
     feats_c = feats[binx, perm]
-    mask_c = mask[binx, perm]
-    pe_rows = perm if cfg.use_pe else None
-    z, attn_c = _trunk(params, feats_c, pe_rows)
-    dec = ad.concat([z, Tensor(feats_c)], axis=-1)
-    grid_c = ad.tanh(ad.linear(dec, params.tensors["decode/W"],
-                               params.tensors["decode/b"]))
-    grid_c = ad.mul(grid_c, Tensor(mask_c))
-    # scatter back to caller order
+    z, attn_c = _trunk(params, feats_c, perm if cfg.use_pe else None)
+    out_c = decode(ad.concat([z, Tensor(feats_c)], axis=-1), mask[binx, perm])
     cpos = np.argsort(perm, axis=1)                  # original i -> canonical slot
-    grid = _scatter_rows(grid_c, cpos)
     attn = np.take_along_axis(attn_c, cpos[:, None, None, :, None], axis=3)
     attn = np.take_along_axis(attn, cpos[:, None, None, None, :], axis=4)
-    return grid, attn
+    return _scatter_rows(out_c, cpos), attn
 
 
-def _scatter_rows(grid_c: Tensor, cpos: np.ndarray) -> Tensor:
-    """Reorder (B, n, k) rows by per-sample index map, keeping gradients."""
-    B, n, k = grid_c.shape
+def _scatter_rows(x_c: Tensor, cpos: np.ndarray) -> Tensor:
+    """Reorder (B, n, ...) rows by per-sample index map, keeping gradients."""
+    B, n = x_c.shape[:2]
     flat_index = (np.arange(B)[:, None] * n + cpos).reshape(-1)
-    flat = ad.reshape(grid_c, (B * n, k))
-    return ad.reshape(ad.gather_rows(flat, flat_index), (B, n, k))
+    flat = ad.reshape(x_c, (B * n, -1))
+    return ad.reshape(ad.gather_rows(flat, flat_index), x_c.shape)
+
+
+def transformer_grid(params: PolicyParams, feats: np.ndarray, mask: np.ndarray):
+    """Batched forward: (B, n, F) -> masked tanh grid (B, n, 3) + attention.
+
+    Nodes are canonicalized per sample; outputs and attention maps are
+    scattered back to the caller's order.
+    """
+    t = params.tensors
+
+    def decode(dec, mask_c):
+        grid_c = ad.tanh(ad.linear(dec, t["decode/W"], t["decode/b"]))
+        return ad.mul(grid_c, Tensor(mask_c))
+
+    return _canonical_forward(params, feats, mask, decode)
 
 
 def actions_from_grid(grid: np.ndarray, cg: ControlGraph) -> np.ndarray:
@@ -283,10 +303,10 @@ def transformer_forward(params: PolicyParams, cg: ControlGraph):
 
 # --- gnn ------------------------------------------------------------------------
 
-def _adjacency(cg: ControlGraph) -> np.ndarray:
-    n = cg.n_nodes
+def adjacency(edges, n: int) -> np.ndarray:
+    """Symmetric (n, n) 0/1 matrix of the undirected (parent, child) edges."""
     A = np.zeros((n, n))
-    for p, c in cg.edges:
+    for p, c in edges:
         A[p, c] = 1.0
         A[c, p] = 1.0
     return A
@@ -312,7 +332,7 @@ def gnn_forward(params: PolicyParams, cg: ControlGraph) -> np.ndarray:
     if cg.variant != "v1":
         raise UnsupportedVariantError("gnn_forward requires control graph v1")
     grid = gnn_grid(params, cg.node_features[None], cg.action_mask[None],
-                    _adjacency(cg))
+                    adjacency(cg.edges, cg.n_nodes))
     return actions_from_grid(grid.data[0], cg)
 
 
@@ -363,42 +383,36 @@ def tokenized_head_forward(params: PolicyParams, token_grid: np.ndarray,
     mu-law -> the trunk's linear node embedding.  With variant c the result
     therefore coincides with transformer_forward on detokenized features.
     """
+    feats = detokenize(token_grid, "center", params.config.n_bins)
+    grid, attn = _tokenized_grid(params, feats[None], cg.action_mask[None])
+    return actions_from_grid(grid[0], cg), attn[0]
+
+
+def _tokenized_grid(params: PolicyParams, feats: np.ndarray, mask: np.ndarray):
+    """Inference action grid (B, n, 3) and attention of a tokenized policy on
+    detokenized features: the tanh head for variant c, else the argmax bin's
+    value (bin center for d, window average for da)."""
     cfg = params.config
-    tokens = np.asarray(token_grid)
-    if tokens.min() < 0 or tokens.max() >= cfg.n_bins:
-        raise IndexError(f"token outside [0, {cfg.n_bins})")
-    feats = detokenize(tokens, "center", cfg.n_bins)
     if cfg.token_variant == "c":
-        grid, attn = transformer_grid(params, feats[None], cg.action_mask[None])
-        return actions_from_grid(grid.data[0], cg), attn[0]
-    logits, attn = tokenized_logits(params, feats[None], cg.action_mask[None])
-    bins = np.argmax(logits.data[0], axis=-1)        # (n, 3)
+        grid, attn = transformer_grid(params, feats, mask)
+        return grid.data, attn
+    logits, attn = tokenized_logits(params, feats, mask)
+    bins = np.argmax(logits.data, axis=-1)
     mode = "center" if cfg.token_variant == "d" else "average_window"
-    values = detokenize(bins, mode, cfg.n_bins) * cg.action_mask
-    return actions_from_grid(values, cg), attn[0]
+    return detokenize(bins, mode, cfg.n_bins) * mask, attn
 
 
 def tokenized_logits(params: PolicyParams, feats: np.ndarray, mask: np.ndarray):
-    """Per-slot bin logits for the discretized heads (training path)."""
-    cfg = params.config
-    B, n, F = feats.shape
-    perm = _canonical_perm(feats, mask)
-    binx = np.arange(B)[:, None]
-    feats_c = feats[binx, perm]
-    pe_rows = perm if cfg.use_pe else None
-    z, attn_c = _trunk(params, feats_c, pe_rows)
-    dec = ad.concat([z, Tensor(feats_c)], axis=-1)
-    logits_c = ad.linear(dec, params.tensors["logits/W"],
-                         params.tensors["logits/b"])
-    logits_c = ad.reshape(logits_c, (B, n, 3, cfg.n_bins))
-    cpos = np.argsort(perm, axis=1)
-    Bn = B * n
-    flat = ad.reshape(logits_c, (Bn, 3 * cfg.n_bins))
-    flat_index = (np.arange(B)[:, None] * n + cpos).reshape(-1)
-    logits = ad.reshape(ad.gather_rows(flat, flat_index), (B, n, 3, cfg.n_bins))
-    attn = np.take_along_axis(attn_c, cpos[:, None, None, :, None], axis=3)
-    attn = np.take_along_axis(attn, cpos[:, None, None, None, :], axis=4)
-    return logits, attn
+    """Per-slot bin logits (B, n, 3, n_bins) for the discretized heads
+    (training path), plus attention."""
+    t = params.tensors
+    B, n = feats.shape[:2]
+
+    def decode(dec, mask_c):
+        logits_c = ad.linear(dec, t["logits/W"], t["logits/b"])
+        return ad.reshape(logits_c, (B, n, 3, params.config.n_bins))
+
+    return _canonical_forward(params, feats, mask, decode)
 
 
 def tokenize_actions(actions_grid: np.ndarray, n_bins: int = 1024) -> np.ndarray:
@@ -416,13 +430,8 @@ def batch_grids(params: PolicyParams, feats: np.ndarray, mask: np.ndarray,
         return transformer_grid(params, feats, mask)[0].data
     if cfg.arch == "transformer_tokenized":
         tokens = quantize(mu_law(feats), cfg.n_bins)
-        detok = detokenize(tokens, "center", cfg.n_bins)
-        if cfg.token_variant == "c":
-            return transformer_grid(params, detok, mask)[0].data
-        logits, _ = tokenized_logits(params, detok, mask)
-        bins = np.argmax(logits.data, axis=-1)
-        mode = "center" if cfg.token_variant == "d" else "average_window"
-        return detokenize(bins, mode, cfg.n_bins) * mask
+        return _tokenized_grid(params, detokenize(tokens, "center", cfg.n_bins),
+                               mask)[0]
     raise ConfigError(f"batch_grids does not handle arch {cfg.arch!r}")
 
 

@@ -1,9 +1,14 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from morphtask.cli import main
 from morphtask.distill import (
     TransitionDataset,
+    checkpoint_bytes,
+    fnv1a64,
     load_checkpoint,
     read_dataset,
     write_dataset,
@@ -178,6 +183,46 @@ def test_corrupt_checkpoint_is_data_error(workspace, tmp_path):
     rc = run(["eval", "--config", str(cfg), "--checkpoint", str(bad),
               "--out", str(tmp_path / "e")])
     assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(workspace, tmp_path_factory):
+    root, cfg, gen_dir = workspace
+    out = tmp_path_factory.mktemp("ckpt")
+    assert run(["distill", "--config", str(cfg), "--dataset",
+                str(gen_dir / "dataset.cgds"), "--out", str(out),
+                "--steps", "0"]) == 0
+    return out / "checkpoint.cgck"
+
+
+def test_eval_checkpoint_missing_tensor_is_data_error(workspace, trained_checkpoint,
+                                                       tmp_path, capsys):
+    root, cfg, _ = workspace
+    params = load_checkpoint(trained_checkpoint)
+    del params.tensors["decode/W"]
+    bad = tmp_path / "missing.cgck"
+    bad.write_bytes(checkpoint_bytes(params))
+    rc = run(["eval", "--config", str(cfg), "--checkpoint", str(bad),
+              "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert "tensors differ" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_unknown_config_key_is_data_error(workspace, trained_checkpoint,
+                                                           tmp_path, capsys):
+    root, cfg, _ = workspace
+    raw = trained_checkpoint.read_bytes()
+    off = 12 + struct.unpack("<I", raw[8:12])[0]
+    size = struct.unpack("<I", raw[off:off + 4])[0]
+    config = json.loads(raw[off + 4: off + 4 + size])
+    text = json.dumps({**config, "dropout": 0.1}, sort_keys=True).encode()
+    payload = raw[:off] + struct.pack("<I", len(text)) + text + raw[off + 4 + size:-8]
+    bad = tmp_path / "extra.cgck"
+    bad.write_bytes(payload + struct.pack("<Q", fnv1a64(payload)))
+    rc = run(["eval", "--config", str(cfg), "--checkpoint", str(bad),
+              "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert "config keys" in capsys.readouterr().err
 
 
 def test_distill_unknown_dataset_version_is_data_error(workspace, tmp_path):

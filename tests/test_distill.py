@@ -1,5 +1,9 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphtask import distill
 from morphtask.control_graph import build_observation_spec
@@ -15,6 +19,8 @@ from morphtask.distill import (
     clip_global_norm,
     dataset_bytes,
     finetune,
+    fnv1a64,
+    loss_from_groups,
     generate_dataset,
     load_checkpoint,
     prepare_training_data,
@@ -149,6 +155,29 @@ def test_bc_loss_empty_batch():
     params = tf_params(33)
     with pytest.raises(ValueError):
         bc_loss(params, [])
+
+
+@pytest.mark.parametrize("arch,variant,extra", [
+    ("mlp", "v2", dict(mlp_hidden=8, max_action=24)),
+    ("gnn", "v1", dict(gnn_hidden=8, gnn_layers=2, cg_variant="v1")),
+    ("transformer", "v2", {}),
+    ("transformer_tokenized", "v2", dict(token_variant="d", n_bins=64)),
+])
+def test_bc_loss_equals_training_loss_on_same_rows(arch, variant, extra):
+    # bc_loss packs its pairs with the same code as prepare_training_data, so
+    # on the same rows the two losses are the same float.
+    ds, _ = small_dataset(n=30)
+    spec = make_env("ant_reach_2")
+    k = 6
+    params = tf_params(distill.cg_feature_width(OBS, variant), seed=3,
+                       arch=arch, **extra)
+    env = ds.environments[0]
+    pairs = [(distill.build_cg(spec, env.features[i].astype(np.float64),
+                               env.goals[i], env.obs_spec, variant),
+              env.actions[i]) for i in range(k)]
+    arrays = prepare_training_data(ds, params.config)
+    expect = loss_from_groups(params, [(arrays[0], np.arange(k))])
+    assert float(bc_loss(params, pairs).data) == float(expect.data)
 
 
 # --- adam -------------------------------------------------------------------
@@ -347,6 +376,93 @@ def test_arch_mismatch_raises(tmp_path):
     save_checkpoint(params, path)
     with pytest.raises(ConfigError):
         load_checkpoint(path, expect_arch="mlp")
+
+
+def _sealed(payload: bytes) -> bytes:
+    """A tensor-table file with a valid checksum over the given payload."""
+    return payload + struct.pack("<Q", fnv1a64(payload))
+
+
+def _tiny_checkpoint() -> bytes:
+    return checkpoint_bytes(tf_params(_width(), seed=4, embed=4, attn_hidden=4,
+                                      max_nodes=4))
+
+
+def test_checkpoint_unknown_version_raises(tmp_path):
+    raw = bytearray(_tiny_checkpoint()[:-8])
+    raw[4:8] = (99).to_bytes(4, "little")
+    path = tmp_path / "v99.cgck"
+    path.write_bytes(_sealed(bytes(raw)))
+    with pytest.raises(CorruptionError, match="version 99"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailing_payload_bytes_raise(tmp_path):
+    path = tmp_path / "tail.cgck"
+    path.write_bytes(_sealed(_tiny_checkpoint()[:-8] + b"\0" * 8))
+    with pytest.raises(CorruptionError, match="trailing"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_tensors_must_match_config(tmp_path):
+    params = tf_params(_width(), seed=4, embed=4, attn_hidden=4, max_nodes=4)
+    path = tmp_path / "t.cgck"
+    cases = {
+        "missing": lambda t: t.pop("decode/W"),
+        "extra": lambda t: t.__setitem__("spare", t["decode/b"]),
+        "reshaped": lambda t: t.__setitem__(
+            "decode/b", ad.parameter(np.zeros((1, 3)))),
+    }
+    for name, edit in cases.items():
+        broken = params.clone()
+        edit(broken.tensors)
+        path.write_bytes(checkpoint_bytes(broken))
+        with pytest.raises(CorruptionError, match="tensors differ"):
+            load_checkpoint(path)
+
+
+def _with_config(raw: bytes, edit) -> bytes:
+    """Re-seal a checkpoint after editing its JSON config dict."""
+    off = 8 + 4 + struct.unpack("<I", raw[8:12])[0]
+    size = struct.unpack("<I", raw[off:off + 4])[0]
+    config = edit(json.loads(raw[off + 4: off + 4 + size]))
+    text = json.dumps(config, sort_keys=True).encode()
+    return _sealed(raw[:off] + struct.pack("<I", len(text)) + text
+                   + raw[off + 4 + size:-8])
+
+
+def test_checkpoint_config_keys_must_match(tmp_path):
+    raw = _tiny_checkpoint()
+    path = tmp_path / "c.cgck"
+    path.write_bytes(_with_config(raw, lambda c: c))
+    assert load_checkpoint(path).config.embed == 4
+    edits = [lambda c: {**c, "dropout": 0.1},
+             lambda c: {k: v for k, v in c.items() if k != "embed"},
+             lambda c: {**c, "arch": "perceiver"},
+             lambda c: {**c, "layers": "three"},
+             lambda c: [1, 2]]
+    for edit in edits:
+        path.write_bytes(_with_config(raw, edit))
+        with pytest.raises(CorruptionError):
+            load_checkpoint(path)
+
+
+def _damaged(raw: bytes, data) -> bytes:
+    if data.draw(st.booleans()):
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    out = bytearray(raw)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_damaged_checkpoint_raises_only_corruption(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "d.cgck"
+    path.write_bytes(_damaged(_tiny_checkpoint(), data))
+    with pytest.raises(CorruptionError):
+        load_checkpoint(path)
 
 
 # --- finetune ------------------------------------------------------------------------

@@ -167,6 +167,19 @@ def test_fk_batched_matches_loop():
         p, q = forward_kinematics(g, thetas[i])
         np.testing.assert_array_equal(batch_pos[i], p)
         np.testing.assert_array_equal(batch_q[i], q)
+    # Two leading batch dims, on bodies where a separate batched recursion
+    # could round differently from the single-state FK.
+    for env_id in ("ant_reach_3", "centipede_reach_3", "claw_reach_3", "worm_touch_4"):
+        g = make_env(env_id).graph
+        rng = np.random.default_rng(0)
+        thetas = rng.uniform(-1, 1, size=(2, 3, g.action_dimension()))
+        batch_pos, batch_q = forward_kinematics(g, thetas)
+        assert batch_pos.shape == (2, 3, g.n_nodes, 3)
+        for i in range(2):
+            for j in range(3):
+                p, q = forward_kinematics(g, thetas[i, j])
+                np.testing.assert_array_equal(batch_pos[i, j], p)
+                np.testing.assert_array_equal(batch_q[i, j], q)
 
 
 # --- stepping -------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from morphtask.distill import cg_feature_width
+from morphtask.distill import CorruptionError, cg_feature_width, fnv1a64
 from morphtask.control_graph import build_observation_spec
 from morphtask.env import make_env
 from morphtask.evaluation import (
@@ -225,6 +228,48 @@ def test_attention_report_shapes_and_mass(tmp_path):
     table = read_tensor_table(path)
     assert len(table) == 4 * 2 * 2 + 1
     np.testing.assert_array_equal(table["attn/0/1/0"], attn[0, 1, 0])
+
+
+def _attention_export(tmp_path) -> bytes:
+    params = tf_params(1, embed=4, attn_hidden=4, layers=1)
+    attn = np.random.default_rng(0).uniform(size=(2, 1, 2, 3, 3))
+    path = tmp_path / "a.cgat"
+    write_attention_export(path, params, attn, np.array([0.25, 0.5]))
+    return path.read_bytes()
+
+
+def _sealed(payload: bytes) -> bytes:
+    return payload + struct.pack("<Q", fnv1a64(payload))
+
+
+def test_attention_export_version_and_trailing_bytes_checked(tmp_path):
+    raw = _attention_export(tmp_path)
+    path = tmp_path / "bad.cgat"
+    v99 = bytearray(raw[:-8])
+    v99[4:8] = (99).to_bytes(4, "little")
+    path.write_bytes(_sealed(bytes(v99)))
+    with pytest.raises(CorruptionError, match="version 99"):
+        read_tensor_table(path)
+    path.write_bytes(_sealed(raw[:-8] + b"\0"))
+    with pytest.raises(CorruptionError, match="trailing"):
+        read_tensor_table(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_damaged_attention_export_raises_only_corruption(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("fuzz")
+    raw = _attention_export(root)
+    if data.draw(st.booleans()):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        raw = bytearray(raw)
+        raw[bit // 8] ^= 1 << (bit % 8)
+    path = root / "d.cgat"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptionError):
+        read_tensor_table(path)
 
 
 def test_attention_v1_has_no_goal_mass():

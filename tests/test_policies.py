@@ -18,15 +18,18 @@ from morphtask.nn.policies import (
     ShapeError,
     UnsupportedVariantError,
     actions_from_grid,
+    adjacency,
     gnn_forward,
     gnn_grid,
     init_params,
     mlp_forward,
     mlp_vector,
     flatten_cg,
+    param_shapes,
     parameter_count,
     policy_action,
     tokenized_head_forward,
+    tokenized_logits,
     transformer_forward,
     transformer_grid,
 )
@@ -72,6 +75,20 @@ def test_biases_zero_at_init():
         if name.endswith("/b") or name.endswith("beta") \
                 or name.split("/")[-1].startswith("b"):
             np.testing.assert_array_equal(t.data, 0.0)
+
+
+@pytest.mark.parametrize("arch,extra", [
+    ("mlp", dict(mlp_layers=3)),
+    ("gnn", {}),
+    ("transformer", dict(use_embed_ln=True)),
+    ("transformer_tokenized", dict(token_variant="da", n_bins=16)),
+    ("transformer_tokenized", dict(token_variant="c", use_pe=False)),
+])
+def test_param_shapes_describe_init_params(arch, extra):
+    cfg = tf_config(sample_cg(), arch=arch, **extra)
+    params = init_params(arch, cfg, 0)
+    assert [(k, t.data.shape) for k, t in params.tensors.items()] == \
+        [(k, shape) for k, (shape, _) in param_shapes(cfg).items()]
 
 
 def test_embed_not_divisible_by_heads():
@@ -247,6 +264,20 @@ def test_node_count_exceeding_pe_table():
     params = init_params("transformer", tf_config(cg, max_nodes=4), 0)
     with pytest.raises(ShapeError):
         transformer_forward(params, cg)
+    tok = init_params("transformer_tokenized",
+                      tf_config(cg, max_nodes=4, token_variant="d", n_bins=16), 0)
+    with pytest.raises(ShapeError):
+        tokenized_logits(tok, cg.node_features[None], cg.action_mask[None])
+
+
+def test_feature_width_mismatch_is_shape_error():
+    cg = sample_cg()
+    for arch, head in (("transformer", transformer_grid),
+                       ("transformer_tokenized", tokenized_logits)):
+        params = init_params(arch, tf_config(cg, feature_width=cg.width + 1,
+                                             token_variant="d", n_bins=16), 0)
+        with pytest.raises(ShapeError):
+            head(params, cg.node_features[None], cg.action_mask[None])
 
 
 def test_forward_independent_of_batch_composition():
@@ -379,8 +410,7 @@ def test_gnn_gradcheck():
     cfg = PolicyConfig(arch="gnn", feature_width=cg.width, gnn_hidden=6,
                        gnn_layers=2)
     params = init_params("gnn", cfg, 2)
-    from morphtask.nn.policies import _adjacency
-    adj = _adjacency(cg)
+    adj = adjacency(cg.edges, cg.n_nodes)
     target = np.random.default_rng(3).uniform(-1, 1, cg.action_mask.shape)
 
     def loss_fn(p):
