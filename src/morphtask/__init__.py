@@ -1,8 +1,8 @@
 """Morphology/task suite: procedural agents, control-graph policies,
 behavior distillation, and goal-distance evaluation."""
 
-from . import control_graph, distill, env, evaluation, morphology, nn
+from . import artifacts, control_graph, distill, env, evaluation, morphology, nn
 
 __version__ = "0.1.0"
 
-__all__ = ["control_graph", "distill", "env", "evaluation", "morphology", "nn"]
+__all__ = ["artifacts", "control_graph", "distill", "env", "evaluation", "morphology", "nn"]

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import env as menv
 from . import evaluation as meval
+from .artifacts import replacing
 from .control_graph import build_observation_spec
 from .distill import (
     CorruptionError,
@@ -123,9 +124,15 @@ def resolve_config(args) -> dict:
     return cfg
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write an output file atomically (temp file, then os.replace)."""
+    with replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def write_resolved_config(cfg: dict, out_dir: Path) -> None:
     lines = [f"{k} = {cfg[k]}" for k in sorted(cfg)]
-    (out_dir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
+    _write_text(out_dir / "resolved_config.txt", "\n".join(lines) + "\n")
 
 
 def _obs_spec(cfg):
@@ -186,7 +193,7 @@ def cmd_gen_data(cfg: dict) -> int:
         lines.append(f"{r.env_id},{r.transitions},{r.attempts},"
                      f"{r.episodes_kept},{r.success_rate!r},"
                      f"{r.mean_normalized_final!r}")
-    (out / "manifest.csv").write_text("\n".join(lines) + "\n")
+    _write_text(out / "manifest.csv", "\n".join(lines) + "\n")
     write_resolved_config(cfg, out)
     print(f"wrote {out / 'dataset.cgds'} ({ds.n_transitions()} transitions)")
     return 0
@@ -205,8 +212,8 @@ def cmd_distill(cfg: dict, dataset_path: str) -> int:
     ds = _read_training_dataset(dataset_path)
     params, curve = _train_policy(cfg, ds)
     save_checkpoint(params, out / "checkpoint.cgck")
-    (out / "loss.csv").write_text(
-        "step,loss\n" + "\n".join(f"{s},{v!r}" for s, v in curve) + "\n")
+    _write_text(out / "loss.csv",
+                "step,loss\n" + "\n".join(f"{s},{v!r}" for s, v in curve) + "\n")
     write_resolved_config(cfg, out)
     print(f"wrote {out / 'checkpoint.cgck'} "
           f"(init loss {curve[0][1]:.6f}, final loss {curve[-1][1]:.6f})")
@@ -230,7 +237,7 @@ def cmd_eval(cfg: dict, checkpoint_path: str, compare: str | None) -> int:
     seeds = list(range(cfg["eval_seeds"]))
     horizon = cfg["eval_horizon"] or None
     result = meval.evaluate_policy(params, plan.test, seeds, horizon)
-    (out / "report.csv").write_text(meval.metric_report_csv(result, seeds))
+    _write_text(out / "report.csv", meval.metric_report_csv(result, seeds))
     summary = [f"split={plan.kind}",
                f"train_envs={','.join(plan.train)}",
                f"test_envs={','.join(plan.test)}",
@@ -247,7 +254,7 @@ def cmd_eval(cfg: dict, checkpoint_path: str, compare: str | None) -> int:
             pct = 0.0
         summary.append(f"baseline_env_mean={baseline!r}")
         summary.append(f"improvement_pct={pct!r}")
-    (out / "summary.txt").write_text("\n".join(summary) + "\n")
+    _write_text(out / "summary.txt", "\n".join(summary) + "\n")
     write_resolved_config(cfg, out)
     print("\n".join(summary))
     return 0
@@ -297,7 +304,7 @@ def cmd_ablate(cfg: dict, dataset_path: str) -> int:
                         f"{flags.replace(',', '+')},{pe},{token},{history},"
                         f"{cell['seed']},{curve[0][1]!r},{curve[-1][1]!r},"
                         f"{result.aggregate!r}")
-    (out / "ablation.csv").write_text("\n".join(rows) + "\n")
+    _write_text(out / "ablation.csv", "\n".join(rows) + "\n")
     write_resolved_config(cfg, out)
     print(f"wrote {out / 'ablation.csv'} ({len(rows) - 1} cells)")
     return 0
@@ -318,7 +325,7 @@ def _subset_dataset(ds, flags: str):
                                for f in want.flags])
         out_envs.append(dataclasses.replace(
             envd, obs_spec=want,
-            features=[f[:, cols] for f in envd.features]))
+            features=envd.features[:, :, cols]))
     return dataclasses.replace(ds, environments=out_envs)
 
 
@@ -379,7 +386,7 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     except (DataQualityError, NumericError, CorruptionError, ConfigError,
             meval.OrderingError, meval.SplitConfigError, ValueError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

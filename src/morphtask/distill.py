@@ -1,28 +1,27 @@
 """Expert dataset generation, behavior-cloning objective, training loop,
 checkpointing, and fine-tuning warm starts.
 
-Dataset files (magic ``CGDS``) store raw per-node observations plus expert
-actions and goal values per transition, so the same file can be replayed
-through any control-graph variant or architecture.  Checkpoints (``CGCK``)
-carry the architecture tag, the full config, every parameter tensor, and a
-trailing FNV-1a checksum.
+Datasets (magic ``CGDS``) store raw per-node observations plus expert
+actions, goal values and episode ids per transition, so the same file can be
+replayed through any control-graph variant or architecture.  Checkpoints
+(``CGCK``) carry the architecture tag, the full config and every parameter
+tensor.  Both are tables of the ``artifacts`` container.
 """
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass, field, asdict, fields
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
+from . import artifacts
 from . import env as menv
+from .artifacts import CorruptionError, fnv1a64  # noqa: F401  (fnv1a64: public name)
 from .control_graph import (
     ObservationSpec,
     build_cg_v1,
     build_cg_v2,
     build_observation_spec,
     detokenize,
-    spec_from_bitmask,
     stack_history,
     tokenize_cg,
 )
@@ -45,19 +44,11 @@ from .nn.policies import (
 
 DATASET_MAGIC = b"CGDS"
 CHECKPOINT_MAGIC = b"CGCK"
-FORMAT_VERSION = 1
 DEFAULT_TRANSITIONS = 12_000
 HOLD_TAIL_STEPS = 25
 
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-
 
 class DataQualityError(RuntimeError):
-    pass
-
-
-class CorruptionError(RuntimeError):
     pass
 
 
@@ -67,9 +58,10 @@ class EnvDataset:
     morphology_text: str
     task_text: str
     obs_spec: ObservationSpec
-    features: list[np.ndarray] = field(default_factory=list)   # (n, W) f32
-    actions: list[np.ndarray] = field(default_factory=list)    # (A,) f32
-    goals: list[np.ndarray] = field(default_factory=list)      # (3G,) f32
+    features: np.ndarray     # (N, n, W) float32 per-node observations
+    actions: np.ndarray      # (N, A) float32 expert actions
+    goals: np.ndarray        # (N, 3G) float32 goal values
+    episodes: np.ndarray     # (N,) int32 episode id: from 0, never decreasing
 
     def env_spec(self) -> EnvSpec:
         return menv.env_from_texts(self.env_id, self.morphology_text,
@@ -79,7 +71,6 @@ class EnvDataset:
 @dataclass
 class TransitionDataset:
     environments: list[EnvDataset]
-    format_version: int = FORMAT_VERSION
 
     def n_transitions(self) -> int:
         return sum(len(e.actions) for e in self.environments)
@@ -132,27 +123,25 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
     envs: list[EnvDataset] = []
     reports: list[GenReport] = []
     for env_index, spec in enumerate(env_specs):
-        morph_text, task_text = menv.serialize_env(spec)
-        record = EnvDataset(env_id=spec.env_id, morphology_text=morph_text,
-                            task_text=task_text, obs_spec=obs_spec)
         task = spec.task
         attempts = 0
         kept = 0
         finals: list[float] = []
+        rows: list[tuple] = []     # (features, action, goals, episode id)
         max_attempts = 20 + 4 * (n_transitions // max(task.episode_length // 4, 1) + 1)
-        while len(record.actions) < n_transitions:
+        while len(rows) < n_transitions:
             if attempts >= max_attempts:
                 break
             state = reset(spec, _episode_seed(seed, env_index, attempts))
             attempts += 1
-            rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+            episode: list[tuple] = []
             satisfied_at = None
             goal_flat = np.concatenate(state.goals).astype(np.float32)
             for t in range(task.episode_length):
                 obs = local_observations(state, obs_spec)
                 action = scripted_expert(state, expert_gain)
-                rows.append((obs.astype(np.float32),
-                             action.astype(np.float32), goal_flat))
+                episode.append((obs.astype(np.float32),
+                                action.astype(np.float32), goal_flat, kept))
                 state = step(state, action)
                 done = all(menv.goal_distance(state, g) <= task.d_min[g]
                            for g in range(len(task.goals)))
@@ -167,116 +156,104 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
                 (menv.goal_distance(state, g) - task.d_min[g])
                 / (task.d_max[g] - task.d_min[g])
                 for g in range(len(task.goals))))
-            room = n_transitions - len(record.actions)
-            for obs, act, gl in rows[:room]:
-                record.features.append(obs)
-                record.actions.append(act)
-                record.goals.append(gl)
+            rows += episode[:n_transitions - len(rows)]
         rate = kept / attempts if attempts else 0.0
         if rate < 0.5:
             raise DataQualityError(
                 f"scripted expert proficient on only {kept}/{attempts} "
                 f"episodes for env {spec.env_id!r}")
-        if len(record.actions) < n_transitions:
+        if len(rows) < n_transitions:
             raise DataQualityError(
                 f"could not accumulate {n_transitions} transitions for "
                 f"env {spec.env_id!r}")
-        envs.append(record)
+        morph_text, task_text = menv.serialize_env(spec)
+        feats, acts, goals, episodes = zip(*rows)
+        envs.append(EnvDataset(
+            env_id=spec.env_id, morphology_text=morph_text, task_text=task_text,
+            obs_spec=obs_spec, features=np.stack(feats), actions=np.stack(acts),
+            goals=np.stack(goals), episodes=np.array(episodes, dtype=np.int32)))
         reports.append(GenReport(
             env_id=spec.env_id, attempts=attempts, episodes_kept=kept,
-            transitions=len(record.actions), success_rate=rate,
+            transitions=len(rows), success_rate=rate,
             mean_normalized_final=float(np.mean(finals))))
     return TransitionDataset(environments=envs), reports
 
 
-# --- binary dataset format ----------------------------------------------------
+# --- dataset file ---------------------------------------------------------------
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-def _pack_f32(a: np.ndarray) -> bytes:
-    flat = np.ascontiguousarray(a, dtype="<f4").reshape(-1)
-    return struct.pack("<I", flat.size) + flat.tobytes()
+_DATASET_TAG = "dataset"
+_ENV_KEYS = ("env_id", "morphology", "task", "obs_flags")
+_ENV_ARRAYS = (("features", np.float32), ("actions", np.float32),
+               ("goals", np.float32), ("episodes", np.int32))
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.off = 0
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.buf):
-            raise CorruptionError("unexpected end of file")
-        out = self.buf[self.off: self.off + n]
-        self.off += n
-        return out
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
-
-    def f32(self) -> np.ndarray:
-        n = self.u32()
-        return np.frombuffer(self.take(4 * n), dtype="<f4").copy()
+def _dataset_table(ds: TransitionDataset):
+    """(JSON header, tensors) of a dataset: per env i the arrays
+    ``<i>/features``, ``<i>/actions``, ``<i>/goals`` and ``<i>/episodes``."""
+    meta = {"environments": [
+        {"env_id": e.env_id, "morphology": e.morphology_text,
+         "task": e.task_text, "obs_flags": list(e.obs_spec.flags)}
+        for e in ds.environments]}
+    tensors = [(f"{i}/{key}", np.asarray(getattr(e, key), dtype))
+               for i, e in enumerate(ds.environments)
+               for key, dtype in _ENV_ARRAYS]
+    return meta, tensors
 
 
 def dataset_bytes(ds: TransitionDataset) -> bytes:
-    parts = [DATASET_MAGIC, struct.pack("<I", ds.format_version),
-             struct.pack("<I", len(ds.environments))]
-    for envd in ds.environments:
-        parts.append(_pack_str(envd.morphology_text))
-        parts.append(_pack_str(envd.task_text))
-        parts.append(struct.pack("<H", envd.obs_spec.bitmask()))
-        parts.append(struct.pack("<I", len(envd.actions)))
-        parts.append(_pack_str(envd.env_id))
-        for feats, acts, goals in zip(envd.features, envd.actions, envd.goals):
-            parts.append(_pack_f32(feats))
-            parts.append(_pack_f32(acts))
-            parts.append(_pack_f32(goals))
-    return b"".join(parts)
+    return artifacts.to_bytes(DATASET_MAGIC, _DATASET_TAG, *_dataset_table(ds))
 
 
 def write_dataset(ds: TransitionDataset, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dataset_bytes(ds))
+    artifacts.save(path, DATASET_MAGIC, _DATASET_TAG, *_dataset_table(ds))
+
+
+def _env_dataset(header, arrays: dict[str, np.ndarray]) -> EnvDataset:
+    """One environment of a dataset file; CorruptionError unless the header
+    is well formed and every array has the dtype and shape it implies."""
+    if not (isinstance(header, dict) and set(header) == set(_ENV_KEYS)
+            and all(isinstance(header[k], str) for k in _ENV_KEYS[:3])
+            and isinstance(header["obs_flags"], list)
+            and all(isinstance(f, str) for f in header["obs_flags"])):
+        raise CorruptionError("dataset environment header is malformed")
+    env_id, morph_text, task_text, flags = (header[k] for k in _ENV_KEYS)
+    try:
+        obs_spec = build_observation_spec(flags)
+        spec = menv.env_from_texts(env_id, morph_text, task_text)
+    except (ValueError, LookupError) as exc:
+        raise CorruptionError(f"unreadable header for env {env_id!r}: {exc}") from exc
+    if list(obs_spec.flags) != flags:
+        raise CorruptionError(f"observation flags of env {env_id!r} are not canonical")
+    n = arrays["episodes"].size
+    shapes = {"features": (n, spec.graph.n_nodes, obs_spec.width),
+              "actions": (n, spec.graph.action_dimension()),
+              "goals": (n, 3 * len(spec.task.goals)), "episodes": (n,)}
+    for key, dtype in _ENV_ARRAYS:
+        if arrays[key].dtype != dtype or arrays[key].shape != shapes[key]:
+            raise CorruptionError(
+                f"{key} of env {env_id!r}: {arrays[key].dtype} {arrays[key].shape}, "
+                f"expected {np.dtype(dtype)} {shapes[key]}")
+    episodes = arrays["episodes"]
+    if n == 0:
+        raise CorruptionError(f"env {env_id!r} holds no transitions")
+    if episodes[0] != 0 or np.any(episodes[1:] < episodes[:-1]):
+        raise CorruptionError(
+            f"episode ids of env {env_id!r} must start at 0 and never decrease")
+    return EnvDataset(env_id=env_id, morphology_text=morph_text,
+                      task_text=task_text, obs_spec=obs_spec, **arrays)
 
 
 def read_dataset(path) -> TransitionDataset:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf)
-    if r.take(4) != DATASET_MAGIC:
-        raise CorruptionError("not a dataset file (bad magic)")
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise CorruptionError(f"unsupported dataset version {version}")
-    n_envs = r.u32()
-    envs = []
-    for _ in range(n_envs):
-        morph_text = r.string()
-        task_text = r.string()
-        obs_spec = spec_from_bitmask(r.u16())
-        count = r.u32()
-        env_id = r.string()
-        envd = EnvDataset(env_id=env_id, morphology_text=morph_text,
-                          task_text=task_text, obs_spec=obs_spec)
-        width = obs_spec.width
-        for _ in range(count):
-            feats = r.f32()
-            envd.features.append(feats.reshape(-1, width))
-            envd.actions.append(r.f32())
-            envd.goals.append(r.f32())
-        envs.append(envd)
-    if r.off != len(buf):
-        raise CorruptionError("trailing bytes after dataset payload")
-    return TransitionDataset(environments=envs, format_version=version)
+    """The dataset in a version-2 ``CGDS`` file.  Version-1 datasets are not
+    read: ``gen-data`` remakes one from its ``resolved_config.txt``."""
+    tag, meta, tensors = artifacts.load(path, DATASET_MAGIC)
+    headers = meta.get("environments") if isinstance(meta, dict) and len(meta) == 1 else None
+    if tag != _DATASET_TAG or not isinstance(headers, list) or list(tensors) != [
+            f"{i}/{key}" for i in range(len(headers)) for key, _ in _ENV_ARRAYS]:
+        raise CorruptionError("dataset header and tensors do not match")
+    return TransitionDataset(environments=[
+        _env_dataset(h, {key: tensors[f"{i}/{key}"] for key, _ in _ENV_ARRAYS})
+        for i, h in enumerate(headers)])
 
 
 # --- control-graph preparation -------------------------------------------------
@@ -308,17 +285,6 @@ class _EnvArrays:
     token_targets: np.ndarray | None = None   # (N, n, 3) bin indices
 
 
-def _episode_starts(envd: EnvDataset) -> np.ndarray:
-    """Episode boundaries inferred from goal-value changes between rows."""
-    starts = np.zeros(len(envd.goals), dtype=bool)
-    if len(envd.goals):
-        starts[0] = True
-        for i in range(1, len(envd.goals)):
-            if not np.array_equal(envd.goals[i], envd.goals[i - 1]):
-                starts[i] = True
-    return starts
-
-
 def prepare_training_data(ds: TransitionDataset,
                           config: PolicyConfig) -> list[_EnvArrays]:
     """Build per-environment tensors for the configured architecture."""
@@ -338,7 +304,7 @@ def prepare_training_data(ds: TransitionDataset,
         cgs = [build_cg(spec, f.astype(np.float64), g, envd.obs_spec, variant)
                for f, g in zip(envd.features, envd.goals)]
         if config.history > 1:
-            starts = _episode_starts(envd)
+            starts = np.concatenate([[True], envd.episodes[1:] != envd.episodes[:-1]])
             stacked = []
             frames: list = []
             for i, cg in enumerate(cgs):
@@ -557,89 +523,36 @@ def finetune(checkpoint: PolicyParams, dataset: TransitionDataset,
 
 # --- checkpoint format ----------------------------------------------------------------
 
-def fnv1a64(data: bytes) -> int:
-    h = FNV_OFFSET
-    for b in data:
-        h ^= b
-        h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def _tensor_table_bytes(arch: str, config: PolicyConfig, tensors) -> bytes:
-    """The CGCK container: magic, version, arch tag, JSON config, the
-    (name, array) tensors as float64, then the FNV-1a of all of that."""
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", FORMAT_VERSION),
-             _pack_str(arch),
-             _pack_str(json.dumps(asdict(config), sort_keys=True)),
-             struct.pack("<I", len(tensors))]
-    for name, data in tensors:
-        data = np.ascontiguousarray(data, dtype="<f8")
-        parts.append(_pack_str(name))
-        parts.append(struct.pack("<I", data.ndim))
-        for d in data.shape:
-            parts.append(struct.pack("<I", d))
-        parts.append(data.tobytes())
-    payload = b"".join(parts)
-    return payload + struct.pack("<Q", fnv1a64(payload))
-
-
-def _read_tensor_table(buf: bytes) -> tuple[str, str, dict[str, np.ndarray]]:
-    """(arch, config JSON, {name: array}) of a CGCK container.
-
-    Raises CorruptionError on a bad magic, version or checksum, a truncated
-    table, or bytes left over after the last tensor.
-    """
-    if len(buf) < 12 or buf[:4] != CHECKPOINT_MAGIC:
-        raise CorruptionError("not a tensor-table file (bad magic)")
-    payload, tail = buf[:-8], buf[-8:]
-    if struct.unpack("<Q", tail)[0] != fnv1a64(payload):
-        raise CorruptionError("tensor-table checksum mismatch")
-    r = _Reader(payload)
-    r.take(4)
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise CorruptionError(f"unsupported tensor-table version {version}")
-    arch = r.string()
-    config_json = r.string()
-    tensors = {}
-    for _ in range(r.u32()):
-        name = r.string()
-        shape = tuple(r.u32() for _ in range(r.u32()))
-        size = int(np.prod(shape)) if shape else 1
-        tensors[name] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape).copy()
-    if r.off != len(payload):
-        raise CorruptionError("trailing bytes after the tensor table")
-    return arch, config_json, tensors
+def _checkpoint_table(params: PolicyParams):
+    return (CHECKPOINT_MAGIC, params.arch, asdict(params.config),
+            [(k, t.data) for k, t in params.tensors.items()])
 
 
 def checkpoint_bytes(params: PolicyParams) -> bytes:
-    return _tensor_table_bytes(params.arch, params.config,
-                               [(k, t.data) for k, t in params.tensors.items()])
+    return artifacts.to_bytes(*_checkpoint_table(params))
 
 
 def save_checkpoint(params: PolicyParams, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(params))
+    artifacts.save(path, *_checkpoint_table(params))
 
 
 def load_checkpoint(path, expect_arch: str | None = None) -> PolicyParams:
     """Parameters of a checkpoint whose config and tensors are exactly those
     init_params would build; anything else raises CorruptionError."""
-    with open(path, "rb") as fh:
-        arch, config_json, tensors = _read_tensor_table(fh.read())
+    arch, values, tensors = artifacts.load(path, CHECKPOINT_MAGIC, versions=(1, 2))
     if expect_arch is not None and arch != expect_arch:
         raise ConfigError(
             f"checkpoint holds a {arch!r} policy, expected {expect_arch!r}")
     try:
-        values = json.loads(config_json)
         if set(values) != {f.name for f in fields(PolicyConfig)}:
             raise CorruptionError("checkpoint config keys differ from PolicyConfig")
         config = PolicyConfig(**values)
-        expect = [(name, shape) for name, (shape, _) in param_shapes(config).items()]
+        expect = [(name, shape, np.dtype(np.float64))
+                  for name, (shape, _) in param_shapes(config).items()]
     except (TypeError, ValueError) as exc:
         raise CorruptionError(f"unreadable checkpoint config: {exc}") from exc
     if config.arch != arch or \
-            expect != [(name, data.shape) for name, data in tensors.items()]:
+            expect != [(name, data.shape, data.dtype) for name, data in tensors.items()]:
         raise CorruptionError(
             "checkpoint tensors differ from what its config builds")
     return PolicyParams(arch=arch, config=config, tensors={

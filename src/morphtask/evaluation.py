@@ -2,13 +2,14 @@
 percentages, environment splits, and attention exports."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from . import env as menv
 from .control_graph import build_observation_spec, stack_history
-from .distill import _read_tensor_table, _tensor_table_bytes, build_cg
+from .distill import CHECKPOINT_MAGIC, build_cg
 from .env import EnvSpec, local_observations, parse_env_id, reset, step
 from .nn.policies import (
     PolicyParams,
@@ -269,21 +270,16 @@ def write_attention_export(path, params: PolicyParams, attn: np.ndarray,
                            goal_mass: np.ndarray | None = None) -> None:
     """Attention tensors in the checkpoint tensor-table format,
     named attn/<step>/<layer>/<head>."""
-    entries = []
-    T, L, H = attn.shape[:3]
-    for t in range(T):
-        for l in range(L):
-            for h in range(H):
-                entries.append((f"attn/{t}/{l}/{h}", attn[t, l, h]))
+    entries = [(f"attn/{t}/{l}/{h}", attn[t, l, h])
+               for t, l, h in np.ndindex(attn.shape[:3])]
     if goal_mass is not None:
         entries.append(("goal_mass", goal_mass))
-    with open(path, "wb") as fh:
-        fh.write(_tensor_table_bytes(params.arch, params.config, entries))
+    artifacts.save(path, CHECKPOINT_MAGIC, params.arch, asdict(params.config),
+                   entries)
 
 
 def read_tensor_table(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        return _read_tensor_table(fh.read())[2]
+    return artifacts.load(path, CHECKPOINT_MAGIC, versions=(1, 2))[2]
 
 
 # --- report files ------------------------------------------------------------------

@@ -1,14 +1,15 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from morphtask.artifacts import seal
 from morphtask.cli import main
 from morphtask.distill import (
     TransitionDataset,
     checkpoint_bytes,
-    fnv1a64,
     load_checkpoint,
     read_dataset,
     write_dataset,
@@ -216,9 +217,9 @@ def test_eval_checkpoint_unknown_config_key_is_data_error(workspace, trained_che
     size = struct.unpack("<I", raw[off:off + 4])[0]
     config = json.loads(raw[off + 4: off + 4 + size])
     text = json.dumps({**config, "dropout": 0.1}, sort_keys=True).encode()
-    payload = raw[:off] + struct.pack("<I", len(text)) + text + raw[off + 4 + size:-8]
+    payload = raw[:off] + struct.pack("<I", len(text)) + text + raw[off + 4 + size:-4]
     bad = tmp_path / "extra.cgck"
-    bad.write_bytes(payload + struct.pack("<Q", fnv1a64(payload)))
+    bad.write_bytes(seal(payload))
     rc = run(["eval", "--config", str(cfg), "--checkpoint", str(bad),
               "--out", str(tmp_path / "e")])
     assert rc == 2
@@ -234,6 +235,27 @@ def test_distill_unknown_dataset_version_is_data_error(workspace, tmp_path):
     rc = run(["distill", "--config", str(cfg), "--dataset", str(bad),
               "--out", str(tmp_path / "d")])
     assert rc == 2
+
+
+def test_distill_v1_dataset_is_data_error(workspace, tmp_path, capsys):
+    root, cfg, _ = workspace
+    v1 = Path(__file__).parent / "data" / "v1_dataset.cgds"
+    rc = run(["distill", "--config", str(cfg), "--dataset", str(v1),
+              "--out", str(tmp_path / "d")])
+    assert rc == 2
+    assert "version 1" in capsys.readouterr().err
+
+
+def test_directory_paths_are_data_errors(workspace, tmp_path, capsys):
+    root, cfg, _ = workspace
+    rc = run(["distill", "--config", str(cfg), "--dataset", str(tmp_path),
+              "--out", str(tmp_path / "d")])
+    assert rc == 2
+    assert "Is a directory" in capsys.readouterr().err
+    rc = run(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path),
+              "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert "Is a directory" in capsys.readouterr().err
 
 
 def test_distill_empty_dataset_is_data_error(workspace, tmp_path, capsys):

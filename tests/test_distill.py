@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphtask import distill
+from morphtask import artifacts, distill
+from morphtask.artifacts import seal
 from morphtask.control_graph import build_observation_spec
 from morphtask.distill import (
     CorruptionError,
@@ -19,7 +21,6 @@ from morphtask.distill import (
     clip_global_norm,
     dataset_bytes,
     finetune,
-    fnv1a64,
     loss_from_groups,
     generate_dataset,
     load_checkpoint,
@@ -336,6 +337,96 @@ def test_dataset_unknown_version_raises(tmp_path):
         read_dataset(path)
 
 
+def test_episode_ids_mark_goal_changes():
+    ds, _ = small_dataset(envs=("ant_reach_2", "worm_touch_2"), n=250)
+    for env in ds.environments:
+        ids = env.episodes
+        assert ids.dtype == np.int32 and ids[0] == 0 and ids[-1] >= 1
+        assert np.all(ids[1:] >= ids[:-1])
+        # a new episode draws new goals: the rule the stored ids replace
+        changed = np.concatenate([[True], np.any(env.goals[1:] != env.goals[:-1], axis=1)])
+        np.testing.assert_array_equal(
+            np.concatenate([[True], ids[1:] != ids[:-1]]), changed)
+
+
+def test_history_restarts_at_stored_episode_ids():
+    ds, _ = small_dataset(n=250)
+    env = ds.environments[0]
+    start = int(np.flatnonzero(env.episodes[1:] != env.episodes[:-1])[0]) + 1
+    width = distill.cg_feature_width(OBS, "v2", history=2)
+    config = PolicyConfig(arch="transformer", feature_width=width, history=2)
+    split = prepare_training_data(ds, config)[0].feats
+    merged = prepare_training_data(TransitionDataset([dataclasses.replace(
+        env, episodes=np.zeros_like(env.episodes))]), config)[0].feats
+    np.testing.assert_array_equal(split[:start], merged[:start])
+    assert not np.array_equal(split[start], merged[start])
+
+
+@pytest.fixture(scope="module")
+def dataset_raw():
+    ds, _ = small_dataset(n=12)
+    return dataset_bytes(ds)
+
+
+def _rewritten(raw: bytes, edit) -> bytes:
+    """A sealed dataset file whose tag, header or tensors edit() changed."""
+    tag, meta, tensors = edit(*artifacts.parse(raw, distill.DATASET_MAGIC))
+    return artifacts.to_bytes(distill.DATASET_MAGIC, tag, meta, list(tensors.items()))
+
+
+def _env0(meta, **fields):
+    return {"environments": [{**meta["environments"][0], **fields}]}
+
+
+_MALFORMED = {
+    "features width": lambda tag, m, t: (tag, m, {**t, "0/features": t["0/features"][:, :, :-1]}),
+    "node count": lambda tag, m, t: (tag, m, {**t, "0/features": t["0/features"][:, :-1]}),
+    "action width": lambda tag, m, t: (tag, m, {**t, "0/actions": t["0/actions"][:, :-1]}),
+    "goal width": lambda tag, m, t: (tag, m, {**t, "0/goals": t["0/goals"][:, :-1]}),
+    "row count": lambda tag, m, t: (tag, m, {**t, "0/actions": t["0/actions"][:-1]}),
+    "decreasing ids": lambda tag, m, t: (tag, m, {
+        **t, "0/episodes": np.r_[0, 1, 0, np.ones(len(t["0/episodes"]) - 3)].astype(np.int32)}),
+    "ids from 1": lambda tag, m, t: (tag, m, {**t, "0/episodes": t["0/episodes"] + 1}),
+    "no rows": lambda tag, m, t: (tag, m, {k: v[:0] for k, v in t.items()}),
+    "f8 features": lambda tag, m, t: (tag, m, {**t, "0/features": t["0/features"].astype(np.float64)}),
+    "missing tensor": lambda tag, m, t: (tag, m, {k: v for k, v in t.items() if k != "0/episodes"}),
+    "reordered": lambda tag, m, t: (tag, m, dict(reversed(list(t.items())))),
+    "tag": lambda tag, m, t: ("checkpoint", m, t),
+    "header type": lambda tag, m, t: (tag, [m], t),
+    "extra key": lambda tag, m, t: (tag, {**m, "spare": 1}, t),
+    "env key": lambda tag, m, t: (tag, _env0(m, spare=1), t),
+    "morphology": lambda tag, m, t: (tag, _env0(m, morphology="morphology x"), t),
+    "task": lambda tag, m, t: (tag, _env0(m, task=7), t),
+    "unknown flag": lambda tag, m, t: (tag, _env0(m, obs_flags=["p", "zz"]), t),
+    "flag order": lambda tag, m, t: (tag, _env0(m, obs_flags=m["environments"][0]["obs_flags"][::-1]), t),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_sealed_malformed_dataset_raises_corruption(tmp_path, dataset_raw, case):
+    path = tmp_path / "m.cgds"
+    path.write_bytes(_rewritten(dataset_raw, lambda tag, m, t: (tag, m, t)))
+    assert read_dataset(path).n_transitions() == 12
+    path.write_bytes(_rewritten(dataset_raw, _MALFORMED[case]))
+    with pytest.raises(CorruptionError):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("edit", ["utf8", "dtype code", "retyped"])
+def test_sealed_malformed_dataset_bytes_raise_corruption(tmp_path, dataset_raw, edit):
+    raw = bytearray(dataset_raw[:-4])
+    if edit == "utf8":
+        raw[raw.index(b"ant_reach_2")] = 0xFF
+    else:
+        code = raw.index(b"0/features") + len(b"0/features")
+        assert raw[code] == ord("f")
+        raw[code] = ord("q") if edit == "dtype code" else ord("i")
+    path = tmp_path / "m.cgds"
+    path.write_bytes(seal(bytes(raw)))
+    with pytest.raises(CorruptionError):
+        read_dataset(path)
+
+
 # --- checkpoints -----------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
@@ -378,28 +469,23 @@ def test_arch_mismatch_raises(tmp_path):
         load_checkpoint(path, expect_arch="mlp")
 
 
-def _sealed(payload: bytes) -> bytes:
-    """A tensor-table file with a valid checksum over the given payload."""
-    return payload + struct.pack("<Q", fnv1a64(payload))
-
-
 def _tiny_checkpoint() -> bytes:
     return checkpoint_bytes(tf_params(_width(), seed=4, embed=4, attn_hidden=4,
                                       max_nodes=4))
 
 
 def test_checkpoint_unknown_version_raises(tmp_path):
-    raw = bytearray(_tiny_checkpoint()[:-8])
+    raw = bytearray(_tiny_checkpoint()[:-4])
     raw[4:8] = (99).to_bytes(4, "little")
     path = tmp_path / "v99.cgck"
-    path.write_bytes(_sealed(bytes(raw)))
+    path.write_bytes(seal(bytes(raw)))
     with pytest.raises(CorruptionError, match="version 99"):
         load_checkpoint(path)
 
 
 def test_checkpoint_trailing_payload_bytes_raise(tmp_path):
     path = tmp_path / "tail.cgck"
-    path.write_bytes(_sealed(_tiny_checkpoint()[:-8] + b"\0" * 8))
+    path.write_bytes(seal(_tiny_checkpoint()[:-4] + b"\0" * 8))
     with pytest.raises(CorruptionError, match="trailing"):
         load_checkpoint(path)
 
@@ -419,6 +505,13 @@ def test_checkpoint_tensors_must_match_config(tmp_path):
         path.write_bytes(checkpoint_bytes(broken))
         with pytest.raises(CorruptionError, match="tensors differ"):
             load_checkpoint(path)
+    # a float32 tensor where init_params builds float64
+    retyped = [(k, t.data.astype(np.float32) if k == "decode/b" else t.data)
+               for k, t in params.tensors.items()]
+    path.write_bytes(artifacts.to_bytes(distill.CHECKPOINT_MAGIC, params.arch,
+                                        dataclasses.asdict(params.config), retyped))
+    with pytest.raises(CorruptionError, match="tensors differ"):
+        load_checkpoint(path)
 
 
 def _with_config(raw: bytes, edit) -> bytes:
@@ -427,8 +520,8 @@ def _with_config(raw: bytes, edit) -> bytes:
     size = struct.unpack("<I", raw[off:off + 4])[0]
     config = edit(json.loads(raw[off + 4: off + 4 + size]))
     text = json.dumps(config, sort_keys=True).encode()
-    return _sealed(raw[:off] + struct.pack("<I", len(text)) + text
-                   + raw[off + 4 + size:-8])
+    return seal(raw[:off] + struct.pack("<I", len(text)) + text
+                + raw[off + 4 + size:-4])
 
 
 def test_checkpoint_config_keys_must_match(tmp_path):
@@ -463,6 +556,15 @@ def test_damaged_checkpoint_raises_only_corruption(tmp_path_factory, data):
     path.write_bytes(_damaged(_tiny_checkpoint(), data))
     with pytest.raises(CorruptionError):
         load_checkpoint(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_damaged_dataset_raises_only_corruption(tmp_path_factory, dataset_raw, data):
+    path = tmp_path_factory.mktemp("fuzz") / "d.cgds"
+    path.write_bytes(_damaged(dataset_raw, data))
+    with pytest.raises(CorruptionError):
+        read_dataset(path)
 
 
 # --- finetune ------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphtask.distill import CorruptionError, cg_feature_width, fnv1a64
+from morphtask.artifacts import seal
+from morphtask.distill import CorruptionError, cg_feature_width
 from morphtask.control_graph import build_observation_spec
 from morphtask.env import make_env
 from morphtask.evaluation import (
@@ -238,19 +237,15 @@ def _attention_export(tmp_path) -> bytes:
     return path.read_bytes()
 
 
-def _sealed(payload: bytes) -> bytes:
-    return payload + struct.pack("<Q", fnv1a64(payload))
-
-
 def test_attention_export_version_and_trailing_bytes_checked(tmp_path):
     raw = _attention_export(tmp_path)
     path = tmp_path / "bad.cgat"
-    v99 = bytearray(raw[:-8])
+    v99 = bytearray(raw[:-4])
     v99[4:8] = (99).to_bytes(4, "little")
-    path.write_bytes(_sealed(bytes(v99)))
+    path.write_bytes(seal(bytes(v99)))
     with pytest.raises(CorruptionError, match="version 99"):
         read_tensor_table(path)
-    path.write_bytes(_sealed(raw[:-8] + b"\0"))
+    path.write_bytes(seal(raw[:-4] + b"\0"))
     with pytest.raises(CorruptionError, match="trailing"):
         read_tensor_table(path)
 
