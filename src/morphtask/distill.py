@@ -25,7 +25,7 @@ from .control_graph import (
     stack_history,
     tokenize_cg,
 )
-from .env import EnvSpec, local_observations, reset, scripted_expert, step
+from .env import EnvSpec, local_observations, reset, step
 from .nn import autodiff as ad
 from .nn.autodiff import NumericError, Tensor
 from .nn.policies import (
@@ -116,7 +116,11 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
 
     Episodes that never reach d <= d_min within the horizon are discarded
     (proficiency filter); kept episodes run until shortly after every goal is
-    satisfied so the data includes hold-at-goal behavior.
+    satisfied so the data includes hold-at-goal behavior.  At least half of
+    the attempted episodes must be kept: DataQualityError is raised as soon
+    as no later outcome can bring the keep rate to 50%, and its message
+    gives the kept/attempted counts at that moment.  Observations are built
+    only for the rows that reach the dataset.
     """
     obs_spec = obs_spec or build_observation_spec(
         ["p", "v", "q", "a", "ja", "jr", "m"])
@@ -129,34 +133,36 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
         finals: list[float] = []
         rows: list[tuple] = []     # (features, action, goals, episode id)
         max_attempts = 20 + 4 * (n_transitions // max(task.episode_length // 4, 1) + 1)
-        while len(rows) < n_transitions:
-            if attempts >= max_attempts:
-                break
+        while len(rows) < n_transitions and attempts < max_attempts:
+            if 2 * (attempts - kept) > max_attempts:
+                break              # keep rate below 0.5 whatever comes next
             state = reset(spec, _episode_seed(seed, env_index, attempts))
             attempts += 1
-            episode: list[tuple] = []
+            distances = menv.goal_distances(state)
+            room = n_transitions - len(rows)
+            episode: list[tuple] = []  # (pre-step state, expert action) of storable rows
             satisfied_at = None
-            goal_flat = np.concatenate(state.goals).astype(np.float32)
             for t in range(task.episode_length):
-                obs = local_observations(state, obs_spec)
-                action = scripted_expert(state, expert_gain)
-                episode.append((obs.astype(np.float32),
-                                action.astype(np.float32), goal_flat, kept))
+                action = menv._expert_action(state, expert_gain, distances)
+                if t < room:
+                    episode.append((state, action))
                 state = step(state, action)
-                done = all(menv.goal_distance(state, g) <= task.d_min[g]
-                           for g in range(len(task.goals)))
-                if done and satisfied_at is None:
+                distances = menv.goal_distances(state)
+                if satisfied_at is None and all(
+                        d <= d_min for d, d_min in zip(distances, task.d_min)):
                     satisfied_at = t
                 if satisfied_at is not None and t >= satisfied_at + HOLD_TAIL_STEPS:
                     break
             if satisfied_at is None:
                 continue
-            kept += 1
             finals.append(sum(
-                (menv.goal_distance(state, g) - task.d_min[g])
-                / (task.d_max[g] - task.d_min[g])
-                for g in range(len(task.goals))))
-            rows += episode[:n_transitions - len(rows)]
+                (d - d_min) / (d_max - d_min)
+                for d, d_min, d_max in zip(distances, task.d_min, task.d_max)))
+            goal_flat = np.concatenate(state.goals).astype(np.float32)
+            rows += [(local_observations(s, obs_spec).astype(np.float32),
+                      a.astype(np.float32), goal_flat, kept)
+                     for s, a in episode]
+            kept += 1
         rate = kept / attempts if attempts else 0.0
         if rate < 0.5:
             raise DataQualityError(
@@ -189,14 +195,18 @@ _ENV_ARRAYS = (("features", np.float32), ("actions", np.float32),
 
 def _dataset_table(ds: TransitionDataset):
     """(JSON header, tensors) of a dataset: per env i the arrays
-    ``<i>/features``, ``<i>/actions``, ``<i>/goals`` and ``<i>/episodes``."""
+    ``<i>/features``, ``<i>/actions``, ``<i>/goals`` and ``<i>/episodes``.
+    Each environment passes the checks read_dataset makes, so no file is
+    written that it would reject."""
     meta = {"environments": [
         {"env_id": e.env_id, "morphology": e.morphology_text,
          "task": e.task_text, "obs_flags": list(e.obs_spec.flags)}
         for e in ds.environments]}
-    tensors = [(f"{i}/{key}", np.asarray(getattr(e, key), dtype))
-               for i, e in enumerate(ds.environments)
-               for key, dtype in _ENV_ARRAYS]
+    tensors = []
+    for i, (header, e) in enumerate(zip(meta["environments"], ds.environments)):
+        arrays = {key: np.asarray(getattr(e, key), dtype) for key, dtype in _ENV_ARRAYS}
+        _env_dataset(header, arrays)
+        tensors += [(f"{i}/{key}", data) for key, data in arrays.items()]
     return meta, tensors
 
 
@@ -209,8 +219,9 @@ def write_dataset(ds: TransitionDataset, path) -> None:
 
 
 def _env_dataset(header, arrays: dict[str, np.ndarray]) -> EnvDataset:
-    """One environment of a dataset file; CorruptionError unless the header
-    is well formed and every array has the dtype and shape it implies."""
+    """One environment of a dataset; CorruptionError unless the header is
+    well formed and every array has the dtype and shape it implies, with at
+    least one row and episode ids that start at 0 and never decrease."""
     if not (isinstance(header, dict) and set(header) == set(_ENV_KEYS)
             and all(isinstance(header[k], str) for k in _ENV_KEYS[:3])
             and isinstance(header["obs_flags"], list)

@@ -27,6 +27,7 @@ DT = 0.01                # s
 EPISODE_LENGTH = 500
 BALL_RADIUS = 0.15
 BOX_RADIUS = 0.15
+_CONTACT_MARGIN = 1e-9   # m: resolve_box_push's no-contact test
 D_MIN_DEFAULT = 0.01
 RESET_ANGLE_FRACTION = 0.15  # initial angles within this fraction of range
 D_MAX_PROBE_SEED = 1000003
@@ -418,12 +419,15 @@ def step(state: EnvState, actions, dt: float = DT) -> EnvState:
     box = state.box_pos
     if box is not None:
         box = resolve_box_push(pos, kin.radii, box)
-    return replace(state, joint_angles=theta, positions=pos, orientations=quat,
-                   dof_axes=axes, dof_anchors=anchors,
-                   step_count=state.step_count + 1, box_pos=box,
-                   prev_joint_angles=state.joint_angles,
-                   prev_positions=state.positions,
-                   prev_orientations=state.orientations)
+    # Built field by field, which is cheaper than dataclasses.replace; a new
+    # EnvState field must be added here too.
+    return EnvState(graph=state.graph, task=state.task, joint_angles=theta,
+                    goals=state.goals, positions=pos, orientations=quat,
+                    step_count=state.step_count + 1, ball_pos=state.ball_pos,
+                    box_pos=box, prev_joint_angles=state.joint_angles,
+                    prev_positions=state.positions,
+                    prev_orientations=state.orientations,
+                    rng_stream=state.rng_stream, dof_axes=axes, dof_anchors=anchors)
 
 
 def resolve_box_push(node_positions: np.ndarray, node_radii: np.ndarray,
@@ -432,7 +436,16 @@ def resolve_box_push(node_positions: np.ndarray, node_radii: np.ndarray,
     the horizontal contact normal by the overlap depth.  Nodes are processed
     in id order so the result is deterministic."""
     box = np.asarray(box_pos, dtype=np.float64).copy()
-    for i in range(node_positions.shape[0]):
+    # Clearances from the unmoved box in one array op.  Each push moves the
+    # box by its overlap, so a node whose clearance exceeds the pushes so far
+    # plus a margin (far above the rounding gap between this norm and _norm)
+    # cannot overlap the box and is skipped: it would not move it.
+    delta = box - node_positions
+    gaps = np.sqrt(np.einsum("ij,ij->i", delta, delta)) - node_radii - box_radius
+    moved = 0.0
+    for i, gap in enumerate(gaps.tolist()):
+        if gap > moved + _CONTACT_MARGIN:
+            continue
         delta = box - node_positions[i]
         dist = _norm(delta)
         overlap = float(node_radii[i]) + box_radius - dist
@@ -441,6 +454,7 @@ def resolve_box_push(node_positions: np.ndarray, node_radii: np.ndarray,
             norm = _norm(normal)
             if norm > 1e-12:
                 box = box + (normal / norm) * overlap
+                moved += overlap
     return box
 
 
@@ -460,6 +474,11 @@ def goal_distance(state: EnvState, goal_index: int) -> float:
     if tmpl.goal_kind == "box_to_target":
         return _norm(state.box_pos[:2] - value[:2])
     raise ValueError(f"unknown goal kind {tmpl.goal_kind!r}")
+
+
+def goal_distances(state: EnvState) -> list[float]:
+    """goal_distance of every goal, in goal order."""
+    return [goal_distance(state, g) for g in range(len(state.task.goals))]
 
 
 def _goal_error_vector(state: EnvState, goal_index: int,
@@ -529,14 +548,22 @@ def scripted_expert(state: EnvState, gain: float = 1.0) -> np.ndarray:
     ``gain`` multiplies that base.  Goals already within d_min contribute
     nothing, so the action is exactly zero once every goal is satisfied.
     """
+    return _expert_action(state, gain, goal_distances(state))
+
+
+def _expert_action(state: EnvState, gain: float,
+                   distances: list[float]) -> np.ndarray:
+    """scripted_expert given the state's goal_distances, which a caller that
+    has just checked them for its done test passes on instead of
+    recomputing."""
     graph = state.graph
     A = graph.action_dimension()
     axes, anchors = state.dof_axes, state.dof_anchors
     if axes is None:
         _, _, axes, anchors = fk_frames(graph, state.joint_angles)
     tau = np.zeros(A)
-    for g in range(len(state.task.goals)):
-        if goal_distance(state, g) <= state.task.d_min[g]:
+    for g, d in enumerate(distances):
+        if d <= state.task.d_min[g]:
             continue
         target, err = _goal_error_vector(state, g, state.positions)
         J = _jacobian(state.positions[target], axes, anchors,
@@ -651,8 +678,7 @@ def goal_bindings(state: EnvState) -> list[tuple[int, np.ndarray]]:
 def _goal_distance_at_reset(spec_like: tuple[MorphologyGraph, TaskSpec],
                             seed: int) -> list[float]:
     graph, task = spec_like
-    st = reset(EnvSpec("probe", graph, task), seed)
-    return [goal_distance(st, g) for g in range(len(task.goals))]
+    return goal_distances(reset(EnvSpec("probe", graph, task), seed))
 
 
 def _with_probed_d_max(graph: MorphologyGraph, task: TaskSpec) -> TaskSpec:

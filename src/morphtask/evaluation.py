@@ -91,7 +91,6 @@ def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
     goals_flat = [np.concatenate(st.goals) if st.goals else np.zeros(0)
                   for st in states]
     frames: list[list] = [[] for _ in seeds]
-    n_goals = len(spec.task.goals)
     actions = [[] for _ in seeds]
     distances = [[] for _ in seeds]
     all_cgs: list[list] = [[] for _ in seeds]
@@ -123,8 +122,7 @@ def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
         for i, act in enumerate(acts):
             states[i] = step(states[i], act)
             actions[i].append(act)
-            distances[i].append([menv.goal_distance(states[i], g)
-                                 for g in range(n_goals)])
+            distances[i].append(menv.goal_distances(states[i]))
             if keep_states:
                 all_states[i].append(states[i])
     return [Trajectory(env_id=spec.env_id, seed=s,

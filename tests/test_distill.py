@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphtask import artifacts, distill
+from morphtask import env as menv
 from morphtask.artifacts import seal
 from morphtask.control_graph import build_observation_spec
 from morphtask.distill import (
@@ -85,20 +87,117 @@ def test_dataset_round_trip(tmp_path):
     assert env.features[0].shape[1] == OBS.width
 
 
-def test_unreachable_task_raises_quality_error():
-    # Goals far outside the workspace are never satisfied.
-    import dataclasses
+def _far_goal_spec():
+    """ant_reach_2 with goals far outside the workspace: never satisfied."""
     spec = make_env("ant_reach_2")
     bad_goal = dataclasses.replace(spec.task.goals[0], r_lo=5.0, r_hi=6.0)
-    bad = dataclasses.replace(spec.task, goals=(bad_goal,))
-    bad_spec = dataclasses.replace(spec, task=bad)
+    return dataclasses.replace(spec, task=dataclasses.replace(spec.task, goals=(bad_goal,)))
+
+
+def test_unreachable_task_raises_quality_error():
     with pytest.raises(DataQualityError, match="ant_reach_2"):
-        generate_dataset([bad_spec], n_transitions=10, seed=0, obs_spec=OBS)
+        generate_dataset([_far_goal_spec()], n_transitions=10, seed=0, obs_spec=OBS)
 
 
 def test_dataset_quality_through_metric():
     _, reports = small_dataset(n=200)
     assert reports[0].mean_normalized_final <= 0.1
+
+
+def _eager_generate(env_specs, n_transitions, seed, expert_gain=1.0):
+    """Reference: the generator that rolls every attempt to the attempt cap
+    and builds observations, expert actions and goal distances at every
+    step.  Also returns per env whether its last stored episode was cut."""
+    envs, reports, cut = [], [], []
+    for env_index, spec in enumerate(env_specs):
+        task = spec.task
+        attempts = kept = 0
+        finals, rows = [], []
+        max_attempts = 20 + 4 * (n_transitions // max(task.episode_length // 4, 1) + 1)
+        while len(rows) < n_transitions:
+            if attempts >= max_attempts:
+                break
+            state = menv.reset(spec, distill._episode_seed(seed, env_index, attempts))
+            attempts += 1
+            episode, satisfied_at = [], None
+            goal_flat = np.concatenate(state.goals).astype(np.float32)
+            for t in range(task.episode_length):
+                obs = menv.local_observations(state, OBS)
+                action = menv.scripted_expert(state, expert_gain)
+                episode.append((obs.astype(np.float32), action.astype(np.float32),
+                                goal_flat, kept))
+                state = menv.step(state, action)
+                done = all(menv.goal_distance(state, g) <= task.d_min[g]
+                           for g in range(len(task.goals)))
+                if done and satisfied_at is None:
+                    satisfied_at = t
+                if satisfied_at is not None and t >= satisfied_at + distill.HOLD_TAIL_STEPS:
+                    break
+            if satisfied_at is None:
+                continue
+            kept += 1
+            finals.append(sum(
+                (menv.goal_distance(state, g) - task.d_min[g])
+                / (task.d_max[g] - task.d_min[g]) for g in range(len(task.goals))))
+            room = n_transitions - len(rows)
+            rows += episode[:room]
+            last_cut = room < len(episode)
+        rate = kept / attempts if attempts else 0.0
+        assert rate >= 0.5 and len(rows) == n_transitions
+        cut.append(last_cut)
+        morph_text, task_text = menv.serialize_env(spec)
+        feats, acts, goals, episodes = zip(*rows)
+        envs.append(distill.EnvDataset(
+            env_id=spec.env_id, morphology_text=morph_text, task_text=task_text,
+            obs_spec=OBS, features=np.stack(feats), actions=np.stack(acts),
+            goals=np.stack(goals), episodes=np.array(episodes, dtype=np.int32)))
+        reports.append(distill.GenReport(
+            env_id=spec.env_id, attempts=attempts, episodes_kept=kept,
+            transitions=len(rows), success_rate=rate,
+            mean_normalized_final=float(np.mean(finals))))
+    return TransitionDataset(environments=envs), reports, cut
+
+
+GENERATOR_ENVS = ("ant_reach_2", "worm_touch_2", "claw_touch_handsup_3",
+                  "centipede_reach_handsup2_4", "ant_reach_4_missing_1", "claw_reach_4")
+
+
+@pytest.mark.parametrize("env_ids, seed", [(GENERATOR_ENVS, 1), (GENERATOR_ENVS, 5),
+                                           (("claw_touch_handsup_3",), 5)])
+def test_generator_equals_eager_reference(env_ids, seed):
+    specs = [make_env(e) for e in env_ids]
+    ds, reports = generate_dataset(specs, n_transitions=250, seed=seed, obs_spec=OBS)
+    ref_ds, ref_reports, cut = _eager_generate(specs, 250, seed)
+    assert dataset_bytes(ds) == dataset_bytes(ref_ds)
+    assert reports == ref_reports
+    assert any(cut)
+    if len(specs) == 1:
+        # partially proficient: rejected episodes sit between kept ones
+        assert (reports[0].episodes_kept, reports[0].attempts) == (5, 8)
+
+
+def test_hopeless_env_stops_at_proficiency_bound(monkeypatch):
+    resets = []
+    monkeypatch.setattr(distill, "reset", lambda spec, seed: resets.append(seed)
+                        or menv.reset(spec, seed))
+    n = 10
+    max_attempts = 20 + 4 * (n // (_far_goal_spec().task.episode_length // 4) + 1)
+    with pytest.raises(DataQualityError) as info:
+        generate_dataset([_far_goal_spec()], n_transitions=n, seed=0, obs_spec=OBS)
+    assert len(resets) == max_attempts // 2 + 1
+    kept, attempts = re.search(r"proficient on only (\d+)/(\d+) episodes",
+                               str(info.value)).groups()
+    assert (int(kept), int(attempts)) == (0, len(resets))
+
+
+@pytest.mark.parametrize("env_id, seed", [("ant_reach_2", 0), ("claw_reach_4", 5)])
+def test_observations_built_only_for_stored_rows(monkeypatch, env_id, seed):
+    calls = []
+    monkeypatch.setattr(distill, "local_observations", lambda state, spec: calls.append(1)
+                        or menv.local_observations(state, spec))
+    ds, _ = generate_dataset([make_env(env_id)], n_transitions=250, seed=seed,
+                             obs_spec=OBS)
+    assert len(calls) == ds.n_transitions() == 250
 
 
 # --- bc loss ----------------------------------------------------------------
@@ -410,6 +509,27 @@ def test_sealed_malformed_dataset_raises_corruption(tmp_path, dataset_raw, case)
     path.write_bytes(_rewritten(dataset_raw, _MALFORMED[case]))
     with pytest.raises(CorruptionError):
         read_dataset(path)
+
+
+_UNWRITABLE = {
+    "no rows": lambda e: dataclasses.replace(
+        e, features=e.features[:0], actions=e.actions[:0], goals=e.goals[:0],
+        episodes=e.episodes[:0]),
+    "shape": lambda e: dataclasses.replace(e, actions=e.actions[:, :-1]),
+    "decreasing ids": lambda e: dataclasses.replace(
+        e, episodes=np.r_[0, 1, 0, np.ones(len(e.episodes) - 3)].astype(np.int32)),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNWRITABLE))
+def test_writer_rejects_what_reader_rejects(tmp_path, case):
+    ds, _ = small_dataset(n=12)
+    bad = TransitionDataset([_UNWRITABLE[case](ds.environments[0])])
+    with pytest.raises(CorruptionError):
+        dataset_bytes(bad)
+    with pytest.raises(CorruptionError):
+        write_dataset(bad, tmp_path / "d.cgds")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("edit", ["utf8", "dtype code", "retyped"])

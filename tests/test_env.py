@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -221,6 +222,106 @@ def test_box_push_overlap_arithmetic():
     box = np.array([0.10, 0.0, 0.0])
     moved = resolve_box_push(positions, radii, box, box_radius=0.05)
     np.testing.assert_allclose(moved, [0.13, 0.0, 0.0], atol=1e-12)
+
+
+def _reference_box_push(node_positions, node_radii, box_pos, box_radius=menv.BOX_RADIUS):
+    """Reference: every node in id order against the box as earlier nodes
+    left it."""
+    box = np.asarray(box_pos, dtype=np.float64).copy()
+    for i in range(node_positions.shape[0]):
+        delta = box - node_positions[i]
+        overlap = float(node_radii[i]) + box_radius - menv._norm(delta)
+        if overlap > 0.0:
+            normal = np.array([delta[0], delta[1], 0.0])
+            norm = menv._norm(normal)
+            if norm > 1e-12:
+                box = box + (normal / norm) * overlap
+    return box
+
+
+_SIXTY_FOURTHS = st.integers(-64, 64).map(lambda k: k / 64)
+
+
+@st.composite
+def _box_layouts(draw):
+    """Nodes around a box: anywhere close, within 1e-12 of touching it, just
+    clear of it (so that an earlier node's push can bring it into contact),
+    or touching it exactly.  With box radius 1/8 and coordinates in 1/64ths
+    an axis-aligned touch has exactly zero overlap in floating point."""
+    box_radius = draw(st.sampled_from([menv.BOX_RADIUS, 0.125]))
+    box = np.array(draw(st.tuples(*[_SIXTY_FOURTHS] * 3)))
+    radii, positions = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        r = draw(st.integers(1, 16)) / 64
+        kind = draw(st.sampled_from(["free", "near", "clear", "touch"]))
+        if kind == "free":
+            offset = np.array(draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3)))
+        elif kind in ("near", "clear"):
+            a = draw(st.floats(0.0, 2.0 * math.pi))
+            b = draw(st.floats(-0.5 * math.pi, 0.5 * math.pi))
+            gap = draw(st.floats(1e-9, 0.05)) if kind == "clear" else draw(
+                st.sampled_from([0.0, 1e-12, -1e-12]) | st.floats(-1e-12, 1e-12))
+            offset = (r + box_radius + gap) * np.array(
+                [math.cos(a) * math.cos(b), math.sin(a) * math.cos(b), math.sin(b)])
+        else:
+            offset = np.zeros(3)
+            offset[draw(st.integers(0, 2))] = draw(st.sampled_from([-1.0, 1.0])) * (r + box_radius)
+        radii.append(r)
+        positions.append(box - offset)
+    return np.array(positions), np.array(radii), box, box_radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(_box_layouts())
+def test_box_push_equals_per_node_loop(layout):
+    positions, radii, box, box_radius = layout
+    got = resolve_box_push(positions, radii, box, box_radius)
+    assert got.tobytes() == _reference_box_push(positions, radii, box, box_radius).tobytes()
+
+
+def test_box_push_exact_touch_leaves_box():
+    box = np.array([0.25, -0.5, 0.0])
+    positions = np.array([box - [0.125 + 0.0625, 0.0, 0.0], box + [0.0, 0.125 + 0.0625, 0.0]])
+    assert resolve_box_push(positions, np.array([0.0625, 0.0625]), box, 0.125).tobytes() \
+        == box.tobytes()
+
+
+def _replace_step(state, actions, dt=menv.DT):
+    """Reference: step as a dataclasses.replace of the previous state."""
+    kin = menv._kinematics(state.graph)
+    a = np.clip(np.asarray(actions, dtype=np.float64), -1.0, 1.0)
+    theta = np.clip(state.joint_angles + kin.gears * a * menv.OMEGA_MAX * dt,
+                    kin.lo, kin.hi)
+    pos, quat, axes, anchors = menv.fk_frames(state.graph, theta)
+    box = state.box_pos
+    if box is not None:
+        box = resolve_box_push(pos, kin.radii, box)
+    return dataclasses.replace(
+        state, joint_angles=theta, positions=pos, orientations=quat,
+        dof_axes=axes, dof_anchors=anchors, step_count=state.step_count + 1,
+        box_pos=box, prev_joint_angles=state.joint_angles,
+        prev_positions=state.positions, prev_orientations=state.orientations)
+
+
+@pytest.mark.parametrize("env_id, scene", [("worm_touch_2", "ball_pos"),
+                                           ("ant_push_3", "box_pos"),
+                                           ("ant_reach_2", None)])
+def test_step_state_equals_replace_reference(env_id, scene):
+    spec = make_env(env_id)
+    rng = np.random.default_rng(0)
+    s = reset(spec, 3)
+    for t in range(60):
+        a = scripted_expert(s) if t % 2 else rng.uniform(-1, 1, spec.graph.action_dimension())
+        new, ref = step(s, a), _replace_step(s, a)
+        for f in dataclasses.fields(EnvState):
+            x, y = getattr(new, f.name), getattr(ref, f.name)
+            if isinstance(y, np.ndarray):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+            else:
+                assert x is y or x == y, f.name
+        s = new
+    for name in ("ball_pos", "box_pos"):
+        assert (getattr(s, name) is not None) == (name == scene)
 
 
 def test_determinism_full_trajectory():
