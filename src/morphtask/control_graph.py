@@ -109,18 +109,50 @@ def _check_goals(goals, morphology: MorphologyGraph):
     return goals
 
 
+def graph_features(observations: np.ndarray, goal_values: np.ndarray,
+                   goal_nodes, variant: str,
+                   spec: ObservationSpec | None = None) -> np.ndarray:
+    """Node-feature rows of N control graphs that share one body and one
+    goal-to-node binding.
+
+    observations is (N, n, w), goal_values (N, G, 3) and goal_nodes the G
+    target nodes.  v1 gives (N, n, w + 3 G_MAX + G_MAX): [obs | 3x3 goal
+    slots | 3 indicators], goal g's value and indicator in its target row.
+    v2 gives (N, n + G, w + G_MAX): [obs | G_MAX indicators] with goal g as
+    row n + g, its value in the p-slots when positions are observed (else in
+    the leading columns) and indicator g set in both that row and the
+    target's.
+    """
+    N, n, w = observations.shape
+    G = len(goal_nodes)
+    if variant == "v1":
+        feats = np.zeros((N, n, w + 3 * G_MAX + G_MAX), dtype=np.float64)
+        feats[:, :, :w] = observations
+        for g, node in enumerate(goal_nodes):
+            feats[:, node, w + 3 * g: w + 3 * g + 3] = goal_values[:, g]
+            feats[:, node, w + 3 * G_MAX + g] = 1.0
+        return feats
+    feats = np.zeros((N, n + G, w + G_MAX), dtype=np.float64)
+    feats[:, :n, :w] = observations
+    p_slot = spec.slot("p") if spec is not None and "p" in spec.flags else slice(0, 3)
+    for g, node in enumerate(goal_nodes):
+        feats[:, n + g, p_slot] = goal_values[:, g]
+        feats[:, n + g, w + g] = 1.0
+        feats[:, node, w + g] = 1.0
+    return feats
+
+
 def build_cg_v1(observations: np.ndarray, goals,
                 morphology: MorphologyGraph) -> ControlGraph:
     """Goals folded into target-node rows: [obs | 3x3 goal slots | 3 indicators]."""
     obs = np.asarray(observations, dtype=np.float64)
     goals = _check_goals(goals, morphology)
-    n, w = obs.shape
-    feats = np.zeros((n, w + 3 * G_MAX + G_MAX), dtype=np.float64)
-    feats[:, :w] = obs
+    n = obs.shape[0]
+    values = np.array([value for _, value in goals]).reshape(1, -1, 3)
+    feats = graph_features(obs[None], values, [node for node, _ in goals],
+                           "v1")[0]
     indicator = np.zeros((n, len(goals)), dtype=np.float64)
-    for g, (node, value) in enumerate(goals):
-        feats[node, w + 3 * g: w + 3 * g + 3] = value
-        feats[node, w + 3 * G_MAX + g] = 1.0
+    for g, (node, _) in enumerate(goals):
         indicator[node, g] = 1.0
     mask, amap = action_structure(morphology)
     edges = tuple((e.parent_id, e.child_id) for e in morphology.edges)
@@ -135,24 +167,15 @@ def build_cg_v2(observations: np.ndarray, goals,
     """Goals appended as disjoint masked rows: [obs | G_MAX indicators]."""
     obs = np.asarray(observations, dtype=np.float64)
     goals = _check_goals(goals, morphology)
-    n, w = obs.shape
+    n = obs.shape[0]
     G = len(goals)
-    feats = np.zeros((n + G, w + G_MAX), dtype=np.float64)
-    feats[:n, :w] = obs
+    values = np.array([value for _, value in goals]).reshape(1, -1, 3)
+    feats = graph_features(obs[None], values, [node for node, _ in goals],
+                           "v2", spec)[0]
     indicator = np.zeros((n + G, G), dtype=np.float64)
-    # Goal values land in the p-slots when positions are observed, else in the
-    # leading columns.
-    if spec is not None and "p" in spec.flags:
-        p_slot = spec.slot("p")
-    else:
-        p_slot = slice(0, 3)
-    for g, (node, value) in enumerate(goals):
-        row = n + g
-        feats[row, p_slot] = value
-        feats[row, w + g] = 1.0
-        feats[node, w + g] = 1.0
+    for g, (node, _) in enumerate(goals):
         indicator[node, g] = 1.0
-        indicator[row, g] = 1.0
+        indicator[n + g, g] = 1.0
     body_mask, amap = action_structure(morphology)
     mask = np.zeros((n + G, 3), dtype=np.float64)
     mask[:n] = body_mask
@@ -240,12 +263,15 @@ def dequantize(bins, mode: str = "center", n_bins: int = N_BINS):
     raise ValueError(f"unknown dequantize mode {mode!r}")
 
 
-def tokenize_cg(cg: ControlGraph, n_bins: int = N_BINS) -> np.ndarray:
+def tokenize_features(feats: np.ndarray, n_bins: int = N_BINS) -> np.ndarray:
     """Element-wise mu-law then quantize; shape preserved."""
-    feats = cg.node_features
     if not np.all(np.isfinite(feats)):
         raise ValueError("control graph features contain non-finite values")
     return quantize(mu_law(feats), n_bins)
+
+
+def tokenize_cg(cg: ControlGraph, n_bins: int = N_BINS) -> np.ndarray:
+    return tokenize_features(cg.node_features, n_bins)
 
 
 def detokenize(tokens, mode: str = "center", n_bins: int = N_BINS) -> np.ndarray:

@@ -17,13 +17,14 @@ from . import artifacts
 from . import env as menv
 from .artifacts import CorruptionError, fnv1a64  # noqa: F401  (fnv1a64: public name)
 from .control_graph import (
+    ControlGraph,
     ObservationSpec,
     build_cg_v1,
     build_cg_v2,
     build_observation_spec,
     detokenize,
-    stack_history,
-    tokenize_cg,
+    graph_features,
+    tokenize_features,
 )
 from .env import EnvSpec, local_observations, reset, step
 from .nn import autodiff as ad
@@ -33,13 +34,12 @@ from .nn.policies import (
     PolicyConfig,
     PolicyParams,
     adjacency,
-    flatten_cg,
+    flatten_features,
     gnn_grid,
     mlp_vector,
     param_shapes,
     tokenize_actions,
-    tokenized_logits,
-    transformer_grid,
+    transformer_rows,
 )
 
 DATASET_MAGIC = b"CGDS"
@@ -275,12 +275,15 @@ def cg_feature_width(obs_spec: ObservationSpec, variant: str,
     return base * history
 
 
+def _goal_nodes(spec: EnvSpec) -> list[int]:
+    return [menv.resolve_target(spec.graph, tmpl.target_selector)
+            for tmpl in spec.task.goals]
+
+
 def build_cg(envd_spec: EnvSpec, obs: np.ndarray, goals_flat: np.ndarray,
              obs_spec: ObservationSpec, variant: str):
     values = np.asarray(goals_flat, dtype=np.float64).reshape(-1, 3)
-    bindings = [(menv.resolve_target(envd_spec.graph, tmpl.target_selector),
-                 values[g])
-                for g, tmpl in enumerate(envd_spec.task.goals)]
+    bindings = [(node, values[g]) for g, node in enumerate(_goal_nodes(envd_spec))]
     if variant == "v1":
         return build_cg_v1(obs, bindings, envd_spec.graph)
     return build_cg_v2(obs, bindings, envd_spec.graph, obs_spec)
@@ -296,9 +299,31 @@ class _EnvArrays:
     token_targets: np.ndarray | None = None   # (N, n, 3) bin indices
 
 
+def _history_features(feats: np.ndarray, episodes: np.ndarray, history: int) -> np.ndarray:
+    """Per row, the node features of the last ``history`` rows of its
+    episode side by side, newest rightmost and zero-filled on the left at
+    the episode start: stack_history applied to every row at once."""
+    N, n, w = feats.shape
+    rows = np.arange(N)
+    starts = np.concatenate([[True], episodes[1:] != episodes[:-1]])
+    first = np.maximum.accumulate(np.where(starts, rows, 0))
+    out = np.zeros((N, n, w * history))
+    for lag in range(history):
+        src = rows - lag
+        ok = src >= first
+        col = (history - 1 - lag) * w
+        out[ok, :, col: col + w] = feats[src[ok]]
+    return out
+
+
 def prepare_training_data(ds: TransitionDataset,
                           config: PolicyConfig) -> list[_EnvArrays]:
-    """Build per-environment tensors for the configured architecture."""
+    """Build per-environment tensors for the configured architecture.
+
+    The node features of all rows are laid out with array ops; the first
+    row's control graph supplies the mask, actuator map and edges that every
+    row of the environment shares.
+    """
     out = []
     for envd in ds.environments:
         spec = envd.env_spec()
@@ -312,50 +337,43 @@ def prepare_training_data(ds: TransitionDataset,
             raise ConfigError(
                 f"control-graph width {expect} does not match policy feature "
                 f"width {config.feature_width}")
-        cgs = [build_cg(spec, f.astype(np.float64), g, envd.obs_spec, variant)
-               for f, g in zip(envd.features, envd.goals)]
+        template = build_cg(spec, envd.features[0].astype(np.float64), envd.goals[0],
+                            envd.obs_spec, variant)
+        feats = graph_features(envd.features, envd.goals.reshape(len(envd.goals), -1, 3),
+                               _goal_nodes(spec), variant, envd.obs_spec)
         if config.history > 1:
-            starts = np.concatenate([[True], envd.episodes[1:] != envd.episodes[:-1]])
-            stacked = []
-            frames: list = []
-            for i, cg in enumerate(cgs):
-                if starts[i]:
-                    frames = []
-                frames.append(cg)
-                frames = frames[-config.history:]
-                stacked.append(stack_history(frames, config.history))
-            cgs = stacked
-        out.append(_pack_env_arrays(cgs, envd.actions, config))
+            feats = _history_features(feats, envd.episodes, config.history)
+        out.append(_pack_env_arrays(feats, envd.actions, template, config))
     return out
 
 
-def _pack_env_arrays(cgs, actions, config: PolicyConfig) -> _EnvArrays:
-    """Training arrays of control graphs that share one shape and edge set,
-    paired with their expert actions, for the configured architecture."""
-    n_act = len(cgs[0].actuator_map)
+def _pack_env_arrays(feats: np.ndarray, actions, cg: ControlGraph,
+                     config: PolicyConfig) -> _EnvArrays:
+    """Training arrays of node features (N, n, F) that share control graph
+    cg's mask, actuator map and edges, paired with their expert actions
+    (N, A), for the configured architecture."""
+    N = len(feats)
+    n_act = len(cg.actuator_map)
     if config.arch == "mlp":
-        flat = np.stack([flatten_cg(cg, config.max_nodes) for cg in cgs])
-        vec_targets = np.zeros((len(cgs), config.max_action))
+        vec_targets = np.zeros((N, config.max_action))
+        vec_targets[:, :n_act] = actions
         vec_mask = np.zeros(config.max_action)
         vec_mask[:n_act] = 1.0
-        for i, act in enumerate(actions):
-            vec_targets[i, :n_act] = act
-        return _EnvArrays(flat, vec_targets, vec_mask, n_act)
-    target_grid = np.zeros((len(cgs),) + cgs[0].action_mask.shape)
-    for i, (cg, act) in enumerate(zip(cgs, actions)):
-        for dof, (node, slot) in enumerate(cg.actuator_map):
-            target_grid[i, node, slot] = act[dof]
-    feats = np.stack([cg.node_features for cg in cgs])
+        return _EnvArrays(flatten_features(feats, config.max_nodes), vec_targets,
+                          vec_mask, n_act)
+    target_grid = np.zeros((N,) + cg.action_mask.shape)
+    nodes, slots = np.array(cg.actuator_map, dtype=np.int64).reshape(-1, 2).T
+    target_grid[:, nodes, slots] = actions
     adj = None
     token_targets = None
     if config.arch == "gnn":
-        adj = adjacency(cgs[0].edges, cgs[0].n_nodes)
+        adj = adjacency(cg.edges, cg.n_nodes)
     if config.arch == "transformer_tokenized":
-        tokens = np.stack([tokenize_cg(cg, config.n_bins) for cg in cgs])
-        feats = detokenize(tokens, "center", config.n_bins)
+        feats = detokenize(tokenize_features(feats, config.n_bins), "center",
+                           config.n_bins)
         if config.token_variant in ("d", "da"):
             token_targets = tokenize_actions(target_grid, config.n_bins)
-    return _EnvArrays(feats, target_grid, cgs[0].action_mask, n_act,
+    return _EnvArrays(feats, target_grid, cg.action_mask, n_act,
                       adjacency=adj, token_targets=token_targets)
 
 
@@ -363,42 +381,57 @@ def _pack_env_arrays(cgs, actions, config: PolicyConfig) -> _EnvArrays:
 
 def _group_loss_sum(params: PolicyParams, arrays: _EnvArrays,
                     idx: np.ndarray) -> Tensor:
-    """Sum over the selected samples of per-sample mean error."""
-    cfg = params.config
+    """MLP/GNN: sum over the selected samples of per-sample mean error."""
     feats = arrays.feats[idx]
     mask_b = np.broadcast_to(arrays.mask, feats.shape[:1] + arrays.mask.shape)
-    if cfg.arch == "mlp":
+    if params.config.arch == "mlp":
         pred = mlp_vector(params, feats)
-    elif cfg.arch == "gnn":
-        pred = gnn_grid(params, feats, mask_b, arrays.adjacency)
-    elif cfg.arch == "transformer_tokenized" and cfg.token_variant in ("d", "da"):
-        logits, _ = tokenized_logits(params, feats, mask_b)
-        logp = ad.log_softmax(logits)
-        onehot = np.zeros(logits.shape)
-        np.put_along_axis(onehot, arrays.token_targets[idx][..., None], 1.0,
-                          axis=-1)
-        onehot *= arrays.mask[None, :, :, None]
-        nll = ad.mul(ad.tsum(ad.mul(logp, onehot)), -1.0 / arrays.n_act)
-        return nll
     else:
-        pred, _ = transformer_grid(params, feats, mask_b)
+        pred = gnn_grid(params, feats, mask_b, arrays.adjacency)
     diff = ad.sub(pred, arrays.target_grid[idx])
     per = ad.tsum(ad.mul(ad.mul(diff, diff), mask_b))
     return ad.mul(per, 1.0 / arrays.n_act)
 
 
+def _transformer_loss_sum(params: PolicyParams,
+                          groups: list[tuple[_EnvArrays, np.ndarray]]) -> Tensor:
+    """Transformers: the same sum over all groups from one ragged pass.
+
+    The loss is taken on the canonical rows, each row weighted by its
+    action mask / n_act: squared error of the tanh grid, or the cross
+    entropy of the expert action's bin for the discretized heads.
+    """
+    inputs = [(a.feats[idx], np.broadcast_to(a.mask, (len(idx),) + a.mask.shape))
+              for a, idx in groups]
+    head, batch = transformer_rows(params, inputs)
+    weights = batch.rows([mask * (1.0 / a.n_act)
+                          for (a, _), (_, mask) in zip(groups, inputs)])
+    if groups[0][0].token_targets is None:
+        diff = ad.sub(head, batch.rows([a.target_grid[idx] for a, idx in groups]))
+        return ad.tsum(ad.mul(ad.mul(diff, diff), weights))
+    bins = batch.rows([a.token_targets[idx] for a, idx in groups])
+    picked = np.zeros(head.shape)
+    np.put_along_axis(picked, bins[..., None], weights[..., None], axis=-1)
+    return ad.mul(ad.tsum(ad.mul(ad.log_softmax(head), picked)), -1.0)
+
+
 def loss_from_groups(params: PolicyParams,
                      groups: list[tuple[_EnvArrays, np.ndarray]]) -> Tensor:
-    total = None
-    count = 0
-    for arrays, idx in groups:
-        if len(idx) == 0:
-            continue
-        part = _group_loss_sum(params, arrays, idx)
-        total = part if total is None else ad.add(total, part)
-        count += len(idx)
-    if total is None or count == 0:
+    """Mean per-sample loss over (env arrays, row indices) groups.
+
+    MLP and GNN run one forward pass per group; the transformers run one
+    pass over all groups together.
+    """
+    groups = [(arrays, idx) for arrays, idx in groups if len(idx)]
+    count = sum(len(idx) for _, idx in groups)
+    if count == 0:
         raise ValueError("empty batch")
+    if params.config.arch in ("transformer", "transformer_tokenized"):
+        total = _transformer_loss_sum(params, groups)
+    else:
+        total = _group_loss_sum(params, *groups[0])
+        for arrays, idx in groups[1:]:
+            total = ad.add(total, _group_loss_sum(params, arrays, idx))
     return ad.mul(total, 1.0 / count)
 
 
@@ -414,9 +447,9 @@ def bc_loss(params: PolicyParams, batch) -> Tensor:
         groups.setdefault(key, []).append((cg, np.asarray(action)))
     packed = []
     for _, items in sorted(groups.items(), key=lambda kv: str(kv[0])):
-        cgs = [cg for cg, _ in items]
-        actions = [act for _, act in items]
-        packed.append((_pack_env_arrays(cgs, actions, params.config),
+        feats = np.stack([cg.node_features for cg, _ in items])
+        actions = np.stack([act for _, act in items])
+        packed.append((_pack_env_arrays(feats, actions, items[0][0], params.config),
                        np.arange(len(items))))
     return loss_from_groups(params, packed)
 
@@ -447,16 +480,31 @@ def clip_global_norm(grads: dict[str, np.ndarray], clip: float) -> float:
 def adam_step(params: PolicyParams, grads: dict[str, np.ndarray],
               state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """One Adam update of the parameters, m and v in place.
+
+    The arithmetic is p -= lr * (m / b1t) / (sqrt(v / b2t) + eps) with
+    m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2, each
+    operation in that order, in two scratch buffers per tensor.
+    """
     state.t += 1
     b1t = 1.0 - beta1 ** state.t
     b2t = 1.0 - beta2 ** state.t
     for k, p in params.tensors.items():
-        g = grads[k]
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[k] / b1t
-        v_hat = state.v[k] / b2t
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        g, m, v = grads[k], state.m[k], state.v[k]
+        step = np.multiply(g, 1.0 - beta1)
+        m *= beta1
+        m += step
+        denom = np.multiply(g, g)
+        denom *= 1.0 - beta2
+        v *= beta2
+        v += denom
+        np.divide(m, b1t, out=step)
+        step *= lr
+        np.divide(v, b2t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p.data -= step
 
 
 class _BatchSampler:
@@ -522,7 +570,8 @@ def train(params: PolicyParams, dataset: TransitionDataset,
                  for k, p in params.tensors.items()}
         clip_global_norm(grads, config.grad_clip)
         adam_step(params, grads, state, config.learning_rate)
-    curve.append((config.steps, float(batch_loss().data)))
+    with ad.no_grad():
+        curve.append((config.steps, float(batch_loss().data)))
     return params, curve
 
 

@@ -17,9 +17,10 @@ from .nn.policies import (
     actions_from_grid,
     adjacency,
     batch_grids,
-    flatten_cg,
+    flatten_features,
     mlp_vector,
 )
+from .nn.autodiff import no_grad
 
 
 class OrderingError(ValueError):
@@ -109,16 +110,16 @@ def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
             cgs.append(cg)
             if keep_cgs:
                 all_cgs[i].append(cg)
-        if params.arch == "mlp":
-            flat = np.stack([flatten_cg(cg, params.config.max_nodes) for cg in cgs])
-            vec = mlp_vector(params, flat).data
-            n_act = len(cgs[0].actuator_map)
-            acts = [vec[i, :n_act] for i in range(len(states))]
-        else:
-            feats = np.stack([cg.node_features for cg in cgs])
-            mask = np.stack([cg.action_mask for cg in cgs])
-            grids = batch_grids(params, feats, mask, adj)
-            acts = [actions_from_grid(grids[i], cgs[i]) for i in range(len(states))]
+        feats = np.stack([cg.node_features for cg in cgs])
+        with no_grad():
+            if params.arch == "mlp":
+                vec = mlp_vector(params, flatten_features(feats, params.config.max_nodes)).data
+                n_act = len(cgs[0].actuator_map)
+                acts = [vec[i, :n_act] for i in range(len(states))]
+            else:
+                mask = np.stack([cg.action_mask for cg in cgs])
+                grids = batch_grids(params, feats, mask, adj)
+                acts = [actions_from_grid(grids[i], cgs[i]) for i in range(len(states))]
         for i, act in enumerate(acts):
             states[i] = step(states[i], act)
             actions[i].append(act)
@@ -253,8 +254,9 @@ def attention_report(params: PolicyParams, trajectory: Trajectory):
     masses = []
     v2 = params.config.cg_variant == "v2"
     for cg in trajectory.cgs:
-        _, attn = transformer_grid(params, cg.node_features[None],
-                                   cg.action_mask[None])
+        with no_grad():
+            _, attn = transformer_grid(params, cg.node_features[None],
+                                       cg.action_mask[None])
         attn = attn[0]
         steps.append(attn)
         if v2 and cg.n_goal_nodes:

@@ -372,14 +372,15 @@ def validate(graph: MorphologyGraph) -> list[str]:
     for node in graph.nodes:
         if node.kind not in KINDS:
             out.append(f"node {node.node_id}: unknown kind {node.kind!r}")
-        if node.radius <= 0:
-            out.append(f"node {node.node_id}: radius must be > 0")
-        if node.length < 0:
-            out.append(f"node {node.node_id}: length must be >= 0")
-        if node.mass <= 0:
-            out.append(f"node {node.node_id}: mass must be > 0")
-        if node.inertia <= 0:
-            out.append(f"node {node.node_id}: inertia must be > 0")
+        # Written as "not (finite and in range)" so nan and inf fail too.
+        for name in ("radius", "mass", "inertia"):
+            value = getattr(node, name)
+            if not (math.isfinite(value) and value > 0):
+                out.append(f"node {node.node_id}: {name} must be finite and > 0")
+        if not (math.isfinite(node.length) and node.length >= 0):
+            out.append(f"node {node.node_id}: length must be finite and >= 0")
+        if not all(math.isfinite(c) for c in node.attach_offset):
+            out.append(f"node {node.node_id}: attach offset must be finite")
     if len(graph.edges) != max(n - 1, 0):
         out.append(f"not a tree: {len(graph.edges)} edges for {n} nodes")
     seen_children = set()
@@ -394,11 +395,14 @@ def validate(graph: MorphologyGraph) -> list[str]:
             out.append(f"edge ({e.parent_id}->{e.child_id}): "
                        f"{len(e.actuators)} actuators outside 1..3")
         for act in e.actuators:
-            if act.range_lo >= act.range_hi:
+            if not all(math.isfinite(x) for x in (act.range_lo, act.range_hi, act.gear)):
+                out.append(f"edge ({e.parent_id}->{e.child_id}): "
+                           "joint range and gear must be finite")
+            elif not act.range_lo < act.range_hi:
                 out.append(f"edge ({e.parent_id}->{e.child_id}): "
                            "empty joint range")
             norm = math.sqrt(sum(a * a for a in act.axis))
-            if abs(norm - 1.0) > 1e-9:
+            if not abs(norm - 1.0) <= 1e-9:
                 out.append(f"edge ({e.parent_id}->{e.child_id}): "
                            f"axis norm {norm} != 1")
     # Connectivity from the root.
@@ -562,6 +566,10 @@ def parse_morphology(text: str) -> MorphologyGraph:
         dof_of_child[e.child_id] = dof
         dof += len(e.actuators)
     nodes = [replace(n, dof_index=dof_of_child.get(n.node_id, -1)) for n in nodes]
-    return MorphologyGraph(nodes=tuple(nodes), edges=tuple(edges),
-                           blueprint_tag=tag, variation=None,
-                           legs=derive_legs(tuple(nodes), tuple(edges)))
+    graph = MorphologyGraph(nodes=tuple(nodes), edges=tuple(edges),
+                            blueprint_tag=tag, variation=None,
+                            legs=derive_legs(tuple(nodes), tuple(edges)))
+    problems = validate(graph)
+    if problems:
+        raise MorphologyParseError(ln, "; ".join(problems))
+    return graph

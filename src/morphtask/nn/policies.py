@@ -2,11 +2,18 @@
 tokenized Transformer variants, all built on the local autodiff engine.
 
 The Transformer internally reorders nodes into a value-derived canonical
-order before attention and scatters results back.  Every reduction then sees
-the same operand sequence no matter how the caller ordered the nodes, which
-makes permutation equivariance (PE off) hold bit-exactly instead of only up
-to float round-off.  Position embeddings are gathered by original node index,
-so enabling them restores position awareness unchanged.
+order before attention.  Every reduction then sees the same operand sequence
+no matter how the caller ordered the nodes, which makes permutation
+equivariance (PE off) hold bit-exactly instead of only up to float
+round-off.  Position embeddings are gathered by original node index, so
+enabling them restores position awareness unchanged.
+
+A training batch holds one group of samples per environment, and groups
+may differ in node count.  Their canonical rows are stacked and run through
+one pass: each row-wise layer is one op over all rows and only attention
+walks the per-group segments.  Training takes its loss on those rows
+directly; inference (one group) scatters the outputs and attention maps
+back to the caller's order.
 """
 from __future__ import annotations
 
@@ -186,106 +193,145 @@ def _canonical_perm(feats: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.argsort(rows.reshape(B, n), axis=1, kind="stable")
 
 
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    """One group's (B, n, ...) array as is; several stacked into (R, ...)."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate([x.reshape((-1,) + x.shape[2:]) for x in parts])
+
+
+@dataclass
+class CanonicalBatch:
+    """Where the samples of one or more groups sit in the trunk's rows.
+
+    Group g holds B samples of n nodes, each sample's nodes in canonical
+    order: slot j of sample b is the caller's node ``perms[g][b, j]``.  A
+    one-group batch keeps the shape (B, n, ...), so each sample gets its own
+    GEMMs and its outputs do not depend on the rest of the batch; several
+    groups are stacked into (R, ...) rows, group g in rows ``segments[g]``
+    = (offset, B, n).  ``attn[layer][g]`` are the group's attention weights
+    (B, H, n, n) in canonical order.
+    """
+    perms: list[np.ndarray]
+    segments: list[tuple[int, int, int]]
+    attn: list[list[np.ndarray]] = field(default_factory=list)
+
+    def rows(self, per_node) -> np.ndarray:
+        """Per-group (B, n, ...) arrays in the trunk's canonical layout."""
+        return _stack([x[np.arange(perm.shape[0])[:, None], perm]
+                       for x, perm in zip(per_node, self.perms)])
+
+    def caller_order(self, x_c: Tensor) -> Tensor:
+        """(B, n, ...) output of a one-group batch back in the caller's node
+        order, keeping gradients."""
+        (perm,) = self.perms
+        B, n = perm.shape
+        cpos = np.argsort(perm, axis=1)              # caller's node -> canonical slot
+        flat_index = (np.arange(B)[:, None] * n + cpos).reshape(-1)
+        flat = ad.reshape(x_c, (B * n,) + x_c.shape[2:])
+        return ad.reshape(ad.gather_rows(flat, flat_index), x_c.shape)
+
+    def caller_attn(self) -> np.ndarray:
+        """Attention maps (B, L, H, n, n) of a one-group batch in the
+        caller's node order."""
+        (perm,) = self.perms
+        attn = np.stack([layer[0] for layer in self.attn], axis=1)
+        cpos = np.argsort(perm, axis=1)
+        attn = np.take_along_axis(attn, cpos[:, None, None, :, None], axis=3)
+        return np.take_along_axis(attn, cpos[:, None, None, None, :], axis=4)
+
+
 # --- transformer -------------------------------------------------------------
 
-def _mha(params: PolicyParams, layer: int, z: Tensor):
-    """Multi-head attention; returns output tensor and attention weights."""
-    cfg = params.config
-    B, n, E = z.shape
-    H = cfg.heads
-    dk = E // H
-    p = f"layer{layer}/attn"
-    t = params.tensors
+def _trunk(params: PolicyParams, feats_c: np.ndarray, batch: CanonicalBatch) -> Tensor:
+    """Embed + L transformer blocks on canonically ordered features in the
+    batch's layout, (B, n, F) or stacked rows (R, F).
 
-    def heads(x):
-        x = ad.reshape(x, (B, n, H, dk))
-        return ad.transpose(x, (0, 2, 1, 3))        # (B, H, n, dk)
-
-    q = heads(ad.linear(z, t[f"{p}/Wq"], t[f"{p}/bq"]))
-    k = heads(ad.linear(z, t[f"{p}/Wk"], t[f"{p}/bk"]))
-    v = heads(ad.linear(z, t[f"{p}/Wv"], t[f"{p}/bv"]))
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dk))
-    attn = ad.softmax(scores)                        # (B, H, n, n)
-    mixed = ad.matmul(attn, v)
-    mixed = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (B, n, E))
-    out = ad.linear(mixed, t[f"{p}/Wo"], t[f"{p}/bo"])
-    return out, attn.data
-
-
-def _trunk(params: PolicyParams, feats_c: np.ndarray,
-           pe_rows: np.ndarray | None):
-    """Embed + L transformer blocks on canonically ordered features."""
+    Every row-wise layer runs once on all rows; only attention looks at
+    the segments.  Each layer's Wq|Wk|Wv (and bq|bk|bv) are concatenated
+    for one GEMM; the attention maps are recorded in ``batch.attn``.
+    """
     cfg = params.config
     t = params.tensors
-    x = Tensor(feats_c)
-    z = ad.linear(x, t["embed/W"], t["embed/b"])
-    if pe_rows is not None:
-        z = ad.add(z, ad.gather_rows(t["pe"], pe_rows))
+    z = ad.linear(Tensor(feats_c), t["embed/W"], t["embed/b"])
+    if cfg.use_pe:
+        z = ad.add(z, ad.gather_rows(t["pe"], _stack(batch.perms)))
     if cfg.use_embed_ln:
         z = ad.layer_norm(z, t["embed_ln/gamma"], t["embed_ln/beta"], LN_EPS)
     check_finite("embed", z)
-    attn_stack = []
     for layer in range(cfg.layers):
         p = f"layer{layer}"
-        mha_out, attn = _mha(params, layer, z)
-        attn_stack.append(attn)
-        z = ad.layer_norm(ad.add(mha_out, z),
+        a = f"{p}/attn"
+        w_qkv = ad.concat([t[f"{a}/Wq"], t[f"{a}/Wk"], t[f"{a}/Wv"]], axis=1)
+        b_qkv = ad.concat([t[f"{a}/bq"], t[f"{a}/bk"], t[f"{a}/bv"]], axis=0)
+        mixed, attn = ad.attention(ad.linear(z, w_qkv, b_qkv), batch.segments,
+                                   cfg.heads)
+        batch.attn.append(attn)
+        z = ad.layer_norm(ad.add(ad.linear(mixed, t[f"{a}/Wo"], t[f"{a}/bo"]), z),
                           t[f"{p}/ln1/gamma"], t[f"{p}/ln1/beta"], LN_EPS)
         h = ad.relu(ad.linear(z, t[f"{p}/ffn/W1"], t[f"{p}/ffn/b1"]))
         f = ad.linear(h, t[f"{p}/ffn/W2"], t[f"{p}/ffn/b2"])
         z = ad.layer_norm(ad.add(f, z),
                           t[f"{p}/ln2/gamma"], t[f"{p}/ln2/beta"], LN_EPS)
         check_finite(p, z)
-    return z, np.stack(attn_stack, axis=1)           # attn (B, L, H, n, n)
+    return z
 
 
-def _canonical_forward(params: PolicyParams, feats: np.ndarray,
-                       mask: np.ndarray, decode):
-    """Canonicalize nodes per sample, run the trunk, decode, scatter back.
+def _canonical_forward(params: PolicyParams, groups) -> tuple[Tensor, CanonicalBatch]:
+    """One ragged pass over every group of a batch.
 
-    decode(dec, mask_c) maps the canonical (B, n, E + F) decoder input and
-    mask to a (B, n, ...) output; that output and the attention maps
-    (B, L, H, n, n) are returned in the caller's node order.
+    groups lists (feats (B, n, F), mask (B, n, 3)); n may differ between
+    groups.  Each sample's nodes are put in canonical order and the rows of
+    all groups run through the trunk together.  Returns the decoder input
+    [z | feats], (B, n, E + F) for one group or (R, E + F) for several, and
+    the batch layout.
     """
     cfg = params.config
-    B, n, F = feats.shape
-    if F != cfg.feature_width:
-        raise ShapeError(
-            f"feature width {F} does not match config {cfg.feature_width}")
-    if cfg.use_pe and n > cfg.max_nodes:
-        raise ShapeError(f"{n} nodes exceed position table ({cfg.max_nodes})")
-    perm = _canonical_perm(feats, mask)
-    binx = np.arange(B)[:, None]
-    feats_c = feats[binx, perm]
-    z, attn_c = _trunk(params, feats_c, perm if cfg.use_pe else None)
-    out_c = decode(ad.concat([z, Tensor(feats_c)], axis=-1), mask[binx, perm])
-    cpos = np.argsort(perm, axis=1)                  # original i -> canonical slot
-    attn = np.take_along_axis(attn_c, cpos[:, None, None, :, None], axis=3)
-    attn = np.take_along_axis(attn, cpos[:, None, None, None, :], axis=4)
-    return _scatter_rows(out_c, cpos), attn
+    perms, segments, offset = [], [], 0
+    for feats, mask in groups:
+        B, n, F = feats.shape
+        if F != cfg.feature_width:
+            raise ShapeError(
+                f"feature width {F} does not match config {cfg.feature_width}")
+        if cfg.use_pe and n > cfg.max_nodes:
+            raise ShapeError(f"{n} nodes exceed position table ({cfg.max_nodes})")
+        perms.append(_canonical_perm(feats, mask))
+        segments.append((offset, B, n))
+        offset += B * n
+    batch = CanonicalBatch(perms, segments)
+    feats_c = batch.rows([feats for feats, _ in groups])
+    z = _trunk(params, feats_c, batch)
+    return ad.concat([z, Tensor(feats_c)], axis=-1), batch
 
 
-def _scatter_rows(x_c: Tensor, cpos: np.ndarray) -> Tensor:
-    """Reorder (B, n, ...) rows by per-sample index map, keeping gradients."""
-    B, n = x_c.shape[:2]
-    flat_index = (np.arange(B)[:, None] * n + cpos).reshape(-1)
-    flat = ad.reshape(x_c, (B * n, -1))
-    return ad.reshape(ad.gather_rows(flat, flat_index), x_c.shape)
+def _tanh_head(params: PolicyParams, dec: Tensor) -> Tensor:
+    t = params.tensors
+    return ad.tanh(ad.linear(dec, t["decode/W"], t["decode/b"]))
+
+
+def _logits_head(params: PolicyParams, dec: Tensor) -> Tensor:
+    t = params.tensors
+    logits = ad.linear(dec, t["logits/W"], t["logits/b"])
+    return ad.reshape(logits, dec.shape[:-1] + (3, params.config.n_bins))
+
+
+def transformer_rows(params: PolicyParams, groups) -> tuple[Tensor, CanonicalBatch]:
+    """Training head over every group of a batch in one pass, in the
+    batch's canonical layout: the unmasked tanh grid (..., 3), or per-slot
+    bin logits (..., 3, n_bins) for the discretized tokenized heads
+    (variants d, da)."""
+    cfg = params.config
+    dec, batch = _canonical_forward(params, groups)
+    discrete = cfg.arch == "transformer_tokenized" and cfg.token_variant in ("d", "da")
+    return (_logits_head if discrete else _tanh_head)(params, dec), batch
 
 
 def transformer_grid(params: PolicyParams, feats: np.ndarray, mask: np.ndarray):
-    """Batched forward: (B, n, F) -> masked tanh grid (B, n, 3) + attention.
-
-    Nodes are canonicalized per sample; outputs and attention maps are
-    scattered back to the caller's order.
-    """
-    t = params.tensors
-
-    def decode(dec, mask_c):
-        grid_c = ad.tanh(ad.linear(dec, t["decode/W"], t["decode/b"]))
-        return ad.mul(grid_c, Tensor(mask_c))
-
-    return _canonical_forward(params, feats, mask, decode)
+    """Batched forward: (B, n, F) -> masked tanh grid (B, n, 3) + attention
+    (B, L, H, n, n), both in the caller's node order."""
+    dec, batch = _canonical_forward(params, [(feats, mask)])
+    grid = ad.mul(batch.caller_order(_tanh_head(params, dec)), mask)
+    return grid, batch.caller_attn()
 
 
 def actions_from_grid(grid: np.ndarray, cg: ControlGraph) -> np.ndarray:
@@ -338,14 +384,20 @@ def gnn_forward(params: PolicyParams, cg: ControlGraph) -> np.ndarray:
 
 # --- mlp ------------------------------------------------------------------------
 
-def flatten_cg(cg: ControlGraph, max_nodes: int) -> np.ndarray:
-    """Row-major flatten zero-padded to the configured node budget."""
-    n, F = cg.node_features.shape
+def flatten_features(feats: np.ndarray, max_nodes: int) -> np.ndarray:
+    """Node features (..., n, F) flattened row-major and zero-padded to the
+    configured node budget: (..., max_nodes * F)."""
+    *lead, n, F = feats.shape
     if n > max_nodes:
         raise ShapeError(f"{n} nodes exceed MLP budget {max_nodes}")
-    flat = np.zeros(max_nodes * F)
-    flat[:n * F] = cg.node_features.reshape(-1)
+    flat = np.zeros(tuple(lead) + (max_nodes * F,))
+    flat[..., :n * F] = feats.reshape(tuple(lead) + (n * F,))
     return flat
+
+
+def flatten_cg(cg: ControlGraph, max_nodes: int) -> np.ndarray:
+    """Row-major flatten zero-padded to the configured node budget."""
+    return flatten_features(cg.node_features, max_nodes)
 
 
 def mlp_vector(params: PolicyParams, flat: np.ndarray) -> Tensor:
@@ -403,16 +455,10 @@ def _tokenized_grid(params: PolicyParams, feats: np.ndarray, mask: np.ndarray):
 
 
 def tokenized_logits(params: PolicyParams, feats: np.ndarray, mask: np.ndarray):
-    """Per-slot bin logits (B, n, 3, n_bins) for the discretized heads
-    (training path), plus attention."""
-    t = params.tensors
-    B, n = feats.shape[:2]
-
-    def decode(dec, mask_c):
-        logits_c = ad.linear(dec, t["logits/W"], t["logits/b"])
-        return ad.reshape(logits_c, (B, n, 3, params.config.n_bins))
-
-    return _canonical_forward(params, feats, mask, decode)
+    """Per-slot bin logits (B, n, 3, n_bins) of the discretized heads, plus
+    attention, both in the caller's node order."""
+    dec, batch = _canonical_forward(params, [(feats, mask)])
+    return batch.caller_order(_logits_head(params, dec)), batch.caller_attn()
 
 
 def tokenize_actions(actions_grid: np.ndarray, n_bins: int = 1024) -> np.ndarray:

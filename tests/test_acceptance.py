@@ -5,12 +5,17 @@ report.  The desk-scale distillation (criteria 6 and 7) takes a few minutes;
 everything else is seconds.
 """
 import math
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal, getcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import morphtask
 from morphtask.cli import main as cli_main
 from morphtask.control_graph import (
     build_cg_v1,
@@ -275,18 +280,21 @@ def test_criterion_8_expert_and_dataset_quality(desk_pipeline):
 
 # --- criterion 9: pipeline determinism -----------------------------------------------------------
 
+CRITERION_9_CONFIG = (
+    "envs = ant_reach_2\n"
+    "transitions = 150\n"
+    "steps = 60\n"
+    "batch_size = 8\n"
+    "embed = 16\n"
+    "attn_hidden = 16\n"
+    "layers = 1\n"
+    "eval_seeds = 4\n"
+    "eval_horizon = 20\n")
+
+
 def test_criterion_9_byte_determinism(tmp_path):
     cfg = tmp_path / "config.txt"
-    cfg.write_text(
-        "envs = ant_reach_2\n"
-        "transitions = 150\n"
-        "steps = 60\n"
-        "batch_size = 8\n"
-        "embed = 16\n"
-        "attn_hidden = 16\n"
-        "layers = 1\n"
-        "eval_seeds = 4\n"
-        "eval_horizon = 20\n")
+    cfg.write_text(CRITERION_9_CONFIG)
     artifacts = {}
     for run in ("a", "b"):
         gen = tmp_path / f"gen_{run}"
@@ -310,3 +318,63 @@ def test_criterion_9_byte_determinism(tmp_path):
     assert artifacts["a"][2] == artifacts["b"][2], "report bytes differ"
     report(9, "gen-data -> distill -> eval repeated with identical configs "
               "produced byte-identical dataset, checkpoint, and report files")
+
+
+# The CLI pipeline in a fresh interpreter: argv is config, out dir, stages.
+_PIPELINE = """
+import sys
+from morphtask.cli import main
+cfg, out, stages = sys.argv[1], sys.argv[2], sys.argv[3].split(",")
+for argv in (["gen-data", "--out", out + "/gen"],
+             ["distill", "--dataset", out + "/gen/dataset.cgds", "--out", out + "/dist"],
+             ["eval", "--checkpoint", out + "/dist/checkpoint.cgck", "--out", out + "/eval"]):
+    if argv[0] in stages and main(argv + ["--config", cfg, "--seed", "3"]) != 0:
+        sys.exit(f"stage {argv[0]} failed")
+"""
+
+_OUTPUTS = {"gen-data": "gen/dataset.cgds", "distill": "dist/checkpoint.cgck",
+            "eval": "eval/report.csv"}
+
+
+def _pipeline_bytes(tmp_path, config: str, name: str, stages, **env) -> dict:
+    """Run the CLI stages in a subprocess with extra environment variables;
+    the bytes of each stage's artifact."""
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(config)
+    out = tmp_path / name
+    src = str(Path(morphtask.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _PIPELINE, str(cfg), str(out),
+                           ",".join(stages)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return {stage: (out / _OUTPUTS[stage]).read_bytes() for stage in stages}
+
+
+def test_criterion_9_byte_determinism_across_processes(tmp_path):
+    # In one process every run shares the string-hash seed, so an output
+    # that depended on set or dict iteration order of str keys would still
+    # repeat; two interpreters with different PYTHONHASHSEED would not.
+    stages = ("gen-data", "distill", "eval")
+    runs = [_pipeline_bytes(tmp_path, CRITERION_9_CONFIG, f"hash_{seed}", stages,
+                            PYTHONHASHSEED=seed) for seed in ("1", "2")]
+    for stage in stages:
+        assert runs[0][stage] == runs[1][stage], \
+            f"{_OUTPUTS[stage]} differs between PYTHONHASHSEED=1 and 2"
+    report(9, "gen-data -> distill -> eval in two interpreters with "
+              "PYTHONHASHSEED=1 and 2 produced byte-identical dataset, "
+              "checkpoint, and report files")
+
+
+def test_checkpoint_bytes_independent_of_blas_threads(tmp_path):
+    # 50 samples of 12 node rows: the weight gradients reduce over 600 rows,
+    # more than one BLAS K block, and are large enough for OpenBLAS to
+    # thread; a threaded GEMM splits such a reduction differently.
+    config = ("envs = ant_reach_5\n" "transitions = 100\n" "steps = 4\n"
+              "batch_size = 50\n" "embed = 64\n" "attn_hidden = 64\n" "layers = 1\n")
+    runs = [_pipeline_bytes(tmp_path, config, f"threads_{n}", ("gen-data", "distill"),
+                            OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n)
+            for n in ("1", "2")]
+    assert runs[0]["distill"] == runs[1]["distill"], \
+        "checkpoint differs between 1 and 2 BLAS threads"

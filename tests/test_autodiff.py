@@ -155,3 +155,90 @@ def test_check_finite_raises():
     t = ad.Tensor(np.array([1.0, np.inf]))
     with pytest.raises(ad.NumericError, match="embed"):
         ad.check_finite("embed", t)
+
+
+# --- fused attention --------------------------------------------------------
+
+SEGMENTS = [(0, 2, 3), (6, 1, 5), (11, 3, 2)]     # (offset, B, n): 17 rows
+
+
+def attention_reference(qkv: np.ndarray, segments, heads: int) -> np.ndarray:
+    """Per sample and head: softmax(q k^T / sqrt(dk)) v in plain numpy."""
+    E = qkv.shape[1] // 3
+    dk = E // heads
+    out = np.zeros((qkv.shape[0], E))
+    for off, B, n in segments:
+        for b in range(B):
+            rows = slice(off + b * n, off + (b + 1) * n)
+            for h in range(heads):
+                q, k, v = (qkv[rows, part * E + h * dk: part * E + (h + 1) * dk]
+                           for part in range(3))
+                scores = q @ k.T / np.sqrt(dk)
+                e = np.exp(scores - scores.max(axis=1, keepdims=True))
+                out[rows, h * dk:(h + 1) * dk] = (e / e.sum(axis=1, keepdims=True)) @ v
+    return out
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_forward_matches_reference(heads):
+    qkv = rng.normal(size=(17, 12))
+    mixed, weights = ad.attention(ad.Tensor(qkv), SEGMENTS, heads)
+    np.testing.assert_allclose(mixed.data, attention_reference(qkv, SEGMENTS, heads),
+                               rtol=1e-12, atol=1e-14)
+    assert [w.shape for w in weights] == [(B, heads, n, n) for _, B, n in SEGMENTS]
+    for w in weights:
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_gradcheck_over_ragged_segments(heads):
+    w = rng.normal(size=(17, 4))
+    check_op(lambda t: ad.tsum(ad.mul(ad.attention(t, SEGMENTS, heads)[0], w)),
+             rng.normal(size=(17, 12)), rtol=1e-6, atol=1e-9)
+
+
+def test_attention_keeps_leading_axes():
+    # a (B, n, 3E) input is the one-segment case of its flattened rows
+    qkv = rng.normal(size=(3, 4, 12))
+    mixed, _ = ad.attention(ad.Tensor(qkv), [(0, 3, 4)], 2)
+    flat, _ = ad.attention(ad.Tensor(qkv.reshape(12, 12)), [(0, 3, 4)], 2)
+    assert mixed.shape == (3, 4, 4)
+    np.testing.assert_array_equal(mixed.data.reshape(12, 4), flat.data)
+
+
+# --- grad mode ------------------------------------------------------------------
+
+NO_GRAD_OPS = {
+    "add": lambda x, w: ad.add(x, w),
+    "matmul/transpose": lambda x, w: ad.matmul(x, ad.transpose(w, (1, 0))),
+    "linear": lambda x, w: ad.linear(x, ad.slice_rows(w, 0, 4), ad.tsum(w, axis=0)),
+    "tanh/relu/power": lambda x, w: ad.power(ad.relu(ad.tanh(ad.mul(x, w))), 2.0),
+    "softmax/log_softmax": lambda x, w: ad.add(ad.softmax(x), ad.log_softmax(w)),
+    "layer_norm": lambda x, w: ad.layer_norm(x, ad.tmean(w, axis=0), ad.tsum(w, axis=0)),
+    "concat/slice/gather": lambda x, w: ad.gather_rows(
+        ad.slice_rows(ad.concat([x, w], axis=0), 1, 8), np.array([0, 6, 6])),
+    "attention": lambda x, w: ad.attention(ad.concat([x, w, x], axis=1),
+                                           [(0, 2, 3)], 2)[0],
+}
+
+
+@pytest.mark.parametrize("name", list(NO_GRAD_OPS))
+def test_no_grad_matches_grad_mode_and_records_no_graph(name):
+    x0 = rng.normal(size=(6, 4))
+    w = ad.parameter(rng.normal(size=(6, 4)))
+    x = ad.parameter(x0)
+    with_graph = NO_GRAD_OPS[name](x, w)
+    assert with_graph.requires_grad and with_graph._parents
+    with ad.no_grad():
+        constant = NO_GRAD_OPS[name](x, w)
+    np.testing.assert_array_equal(constant.data, with_graph.data)
+    assert not constant.requires_grad
+    assert constant._parents == () and constant._backward is None
+
+
+def test_no_grad_restores_grad_mode_after_errors():
+    w = ad.parameter(np.ones(3))
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("boom")
+    assert ad.mul(w, 2.0)._parents

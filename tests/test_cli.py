@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from morphtask import artifacts
 from morphtask.artifacts import seal
 from morphtask.cli import main
 from morphtask.distill import (
+    DATASET_MAGIC,
     TransitionDataset,
     checkpoint_bytes,
     load_checkpoint,
@@ -15,6 +17,8 @@ from morphtask.distill import (
     write_dataset,
 )
 from morphtask.evaluation import read_tensor_table
+
+from test_morphology import with_node_field
 
 
 def run(argv):
@@ -244,6 +248,20 @@ def test_distill_v1_dataset_is_data_error(workspace, tmp_path, capsys):
               "--out", str(tmp_path / "d")])
     assert rc == 2
     assert "version 1" in capsys.readouterr().err
+
+
+def test_distill_dataset_with_nan_radius_is_data_error(workspace, tmp_path, capsys):
+    root, cfg, gen_dir = workspace
+    tag, meta, tensors = artifacts.parse((gen_dir / "dataset.cgds").read_bytes(),
+                                         DATASET_MAGIC)
+    env0 = meta["environments"][0]
+    env0["morphology"] = with_node_field(env0["morphology"], 1, "radius", "nan")
+    bad = tmp_path / "nan.cgds"
+    bad.write_bytes(artifacts.to_bytes(DATASET_MAGIC, tag, meta, list(tensors.items())))
+    rc = run(["distill", "--config", str(cfg), "--dataset", str(bad),
+              "--out", str(tmp_path / "d")])
+    assert rc == 2
+    assert "radius must be finite" in capsys.readouterr().err
 
 
 def test_directory_paths_are_data_errors(workspace, tmp_path, capsys):

@@ -10,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 from morphtask import artifacts, distill
 from morphtask import env as menv
 from morphtask.artifacts import seal
-from morphtask.control_graph import build_observation_spec
+from morphtask.control_graph import (
+    build_observation_spec,
+    detokenize,
+    stack_history,
+    tokenize_cg,
+)
 from morphtask.distill import (
     CorruptionError,
     DataQualityError,
@@ -34,7 +39,19 @@ from morphtask.distill import (
 )
 from morphtask.env import make_env
 from morphtask.nn import autodiff as ad
-from morphtask.nn.policies import ConfigError, PolicyConfig, init_params
+from morphtask.nn.policies import (
+    ConfigError,
+    PolicyConfig,
+    adjacency,
+    backward as policy_grads,
+    flatten_cg,
+    init_params,
+    tokenize_actions,
+    tokenized_logits,
+    transformer_grid,
+)
+
+from test_morphology import with_node_field
 
 OBS = build_observation_spec(["p", "v", "q", "a", "ja", "jr", "m"])
 
@@ -280,6 +297,133 @@ def test_bc_loss_equals_training_loss_on_same_rows(arch, variant, extra):
     assert float(bc_loss(params, pairs).data) == float(expect.data)
 
 
+def _per_group_loss_oracle(params, groups):
+    """The loss as it was computed before the one-pass transformer path: one
+    forward pass per env group in the caller's node order, the per-group
+    sums of per-sample errors added up, then divided by the sample count."""
+    cfg = params.config
+    total = None
+    count = 0
+    for arrays, idx in groups:
+        feats = arrays.feats[idx]
+        mask_b = np.broadcast_to(arrays.mask, feats.shape[:1] + arrays.mask.shape)
+        if cfg.arch == "transformer_tokenized" and cfg.token_variant in ("d", "da"):
+            logits, _ = tokenized_logits(params, feats, mask_b)
+            logp = ad.log_softmax(logits)
+            onehot = np.zeros(logits.shape)
+            np.put_along_axis(onehot, arrays.token_targets[idx][..., None], 1.0,
+                              axis=-1)
+            onehot *= arrays.mask[None, :, :, None]
+            part = ad.mul(ad.tsum(ad.mul(logp, onehot)), -1.0 / arrays.n_act)
+        else:
+            pred, _ = transformer_grid(params, feats, mask_b)
+            diff = ad.sub(pred, arrays.target_grid[idx])
+            per = ad.tsum(ad.mul(ad.mul(diff, diff), mask_b))
+            part = ad.mul(per, 1.0 / arrays.n_act)
+        total = part if total is None else ad.add(total, part)
+        count += len(idx)
+    return ad.mul(total, 1.0 / count)
+
+
+@pytest.fixture(scope="module")
+def two_body_dataset():
+    # 3-, 5- and 9-row v2 graphs: groups of different node counts in one
+    # batch; 250 rows span several episodes per env
+    return small_dataset(envs=("ant_reach_2", "worm_touch_2", "ant_reach_handsup_3"),
+                         n=250)[0]
+
+
+@pytest.mark.parametrize("arch,extra", [
+    ("transformer", {}),
+    ("transformer", dict(use_pe=False, layers=2)),
+    ("transformer", dict(history=3)),
+    ("transformer_tokenized", dict(token_variant="c", n_bins=64)),
+    ("transformer_tokenized", dict(token_variant="d", n_bins=64)),
+    ("transformer_tokenized", dict(token_variant="da", n_bins=64)),
+])
+def test_one_pass_loss_matches_per_group_oracle(two_body_dataset, arch, extra):
+    width = distill.cg_feature_width(OBS, "v2", extra.get("history", 1))
+    params = tf_params(width, seed=5, arch=arch, **extra)
+    arrays = prepare_training_data(two_body_dataset, params.config)
+    sampler = distill._BatchSampler([len(a.feats) for a in arrays], 24, 0, True)
+    for _ in range(3):
+        groups = [(arrays[e], idx) for e, idx in sampler.next_batch()]
+        assert len(groups) > 1
+        one_pass = float(loss_from_groups(params, groups).data)
+        oracle = float(_per_group_loss_oracle(params, groups).data)
+        assert abs(one_pass - oracle) <= 1e-12 * abs(oracle)
+        grads = policy_grads(params, groups, loss_from_groups)
+        expect = policy_grads(params, groups, _per_group_loss_oracle)
+        # round-off only: measured against the largest gradient entry, since
+        # some entries (key biases) are zero up to round-off
+        scale = max(np.abs(g).max() for g in expect.values())
+        worst = max(np.abs(grads[k] - g).max() for k, g in expect.items())
+        assert worst <= 1e-12 * scale, worst / scale
+
+
+def _per_row_packing(ds, config):
+    """prepare_training_data's arrays as built before it used array ops:
+    one control graph per row, history stacked frame by frame."""
+    out = []
+    for envd in ds.environments:
+        spec = envd.env_spec()
+        variant = "v1" if config.arch == "gnn" else config.cg_variant
+        cgs = [distill.build_cg(spec, f.astype(np.float64), g, envd.obs_spec, variant)
+               for f, g in zip(envd.features, envd.goals)]
+        if config.history > 1:
+            stacked, frames = [], []
+            for i, cg in enumerate(cgs):
+                if i == 0 or envd.episodes[i] != envd.episodes[i - 1]:
+                    frames = []
+                frames = (frames + [cg])[-config.history:]
+                stacked.append(stack_history(frames, config.history))
+            cgs = stacked
+        n_act = len(cgs[0].actuator_map)
+        if config.arch == "mlp":
+            targets = np.zeros((len(cgs), config.max_action))
+            for i, act in enumerate(envd.actions):
+                targets[i, :n_act] = act
+            out.append({"feats": np.stack([flatten_cg(cg, config.max_nodes) for cg in cgs]),
+                        "target_grid": targets})
+            continue
+        targets = np.zeros((len(cgs),) + cgs[0].action_mask.shape)
+        for i, (cg, act) in enumerate(zip(cgs, envd.actions)):
+            for dof, (node, slot) in enumerate(cg.actuator_map):
+                targets[i, node, slot] = act[dof]
+        feats = np.stack([cg.node_features for cg in cgs])
+        row = {"target_grid": targets, "mask": cgs[0].action_mask}
+        if config.arch == "gnn":
+            row["adjacency"] = adjacency(cgs[0].edges, cgs[0].n_nodes)
+        if config.arch == "transformer_tokenized":
+            feats = detokenize(np.stack([tokenize_cg(cg, config.n_bins) for cg in cgs]),
+                               "center", config.n_bins)
+            row["token_targets"] = tokenize_actions(targets, config.n_bins)
+        out.append({**row, "feats": feats})
+    return out
+
+
+@pytest.mark.parametrize("arch,variant,extra", [
+    ("transformer", "v2", {}),
+    ("transformer", "v2", dict(history=3)),
+    ("transformer", "v1", dict(cg_variant="v1")),
+    ("transformer", "v1", dict(cg_variant="v1", history=3)),
+    ("gnn", "v1", dict(gnn_hidden=8, cg_variant="v1")),
+    ("mlp", "v2", dict(mlp_hidden=8, max_action=24)),
+    ("transformer_tokenized", "v2", dict(token_variant="d", n_bins=64)),
+])
+def test_array_packing_equals_per_row_control_graphs(two_body_dataset, arch, variant,
+                                                     extra):
+    # episode ids restart the history inside one env's rows
+    assert two_body_dataset.environments[0].episodes[-1] > 0
+    width = distill.cg_feature_width(OBS, variant, extra.get("history", 1))
+    config = PolicyConfig(arch=arch, feature_width=width, **extra)
+    packed = prepare_training_data(two_body_dataset, config)
+    for got, expect in zip(packed, _per_row_packing(two_body_dataset, config)):
+        for key, value in expect.items():
+            assert getattr(got, key).dtype == value.dtype
+            np.testing.assert_array_equal(getattr(got, key), value, err_msg=key)
+
+
 # --- adam -------------------------------------------------------------------
 
 def test_adam_closed_form_first_step():
@@ -309,6 +453,32 @@ def test_zero_gradient_leaves_params_unchanged():
         adam_step(params, grads, state, lr=0.1)
     for k, p in params.tensors.items():
         np.testing.assert_array_equal(p.data, before[k])
+
+
+def test_adam_in_place_equals_allocating_reference():
+    # the arithmetic of the allocating update it replaced, bit for bit
+    def reference_step(tensors, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        b1t, b2t = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        for k in tensors:
+            m[k] = beta1 * m[k] + (1.0 - beta1) * grads[k]
+            v[k] = beta2 * v[k] + (1.0 - beta2) * (grads[k] * grads[k])
+            tensors[k] = tensors[k] - lr * (m[k] / b1t) / (np.sqrt(v[k] / b2t) + eps)
+
+    params = tf_params(33)
+    state = adam_init(params)
+    tensors = {k: p.data.copy() for k, p in params.tensors.items()}
+    m = {k: np.zeros_like(x) for k, x in tensors.items()}
+    v = {k: np.zeros_like(x) for k, x in tensors.items()}
+    rng = np.random.default_rng(0)
+    for t in range(1, 21):
+        grads = {k: rng.normal(size=x.shape) * 10.0 ** rng.integers(-8, 2)
+                 for k, x in tensors.items()}
+        adam_step(params, {k: g.copy() for k, g in grads.items()}, state, lr=3e-4)
+        reference_step(tensors, grads, m, v, t, lr=3e-4)
+    for k, p in params.tensors.items():
+        np.testing.assert_array_equal(p.data, tensors[k])
+        np.testing.assert_array_equal(state.m[k], m[k])
+        np.testing.assert_array_equal(state.v[k], v[k])
 
 
 def test_global_norm_clip():
@@ -477,6 +647,14 @@ def _env0(meta, **fields):
     return {"environments": [{**meta["environments"][0], **fields}]}
 
 
+def _body(field, value):
+    """Edit: node 1 of the dataset's body gets ``field`` = ``value``."""
+    def edit(tag, m, t):
+        text = with_node_field(m["environments"][0]["morphology"], 1, field, value)
+        return tag, _env0(m, morphology=text), t
+    return edit
+
+
 _MALFORMED = {
     "features width": lambda tag, m, t: (tag, m, {**t, "0/features": t["0/features"][:, :, :-1]}),
     "node count": lambda tag, m, t: (tag, m, {**t, "0/features": t["0/features"][:, :-1]}),
@@ -498,6 +676,9 @@ _MALFORMED = {
     "task": lambda tag, m, t: (tag, _env0(m, task=7), t),
     "unknown flag": lambda tag, m, t: (tag, _env0(m, obs_flags=["p", "zz"]), t),
     "flag order": lambda tag, m, t: (tag, _env0(m, obs_flags=m["environments"][0]["obs_flags"][::-1]), t),
+    "nan radius": _body("radius", "nan"),
+    "inf mass": _body("mass", "inf"),
+    "negative mass": _body("mass", "-2"),
 }
 
 

@@ -198,6 +198,42 @@ def test_parse_error_carries_line_number():
     assert exc.value.line_no == 2
 
 
+NODE_FIELDS = {"radius": 3, "length": 4, "mass": 5, "inertia": 6}
+
+
+def with_node_field(text: str, node_id: int, field: str, value: str) -> str:
+    """Morphology text with one numeric field of one node line replaced."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if parts[:2] == ["node", str(node_id)]:
+            parts[NODE_FIELDS[field]] = value
+            lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("radius", "nan"), ("mass", "inf"), ("mass", "-1.5"), ("inertia", "nan"),
+    ("length", "-inf"),
+])
+def test_parse_rejects_non_finite_or_out_of_range_values(field, value):
+    text = serialize_morphology(generate_morphology("ant", 3))
+    assert parse_morphology(with_node_field(text, 2, field, "0.25"))
+    with pytest.raises(MorphologyParseError) as exc:
+        parse_morphology(with_node_field(text, 2, field, value))
+    assert f"node 2: {field} must be finite" in str(exc.value)
+
+
+def test_validate_rejects_nan_joint_range():
+    g = generate_morphology("ant", 3)
+    e0 = g.edges[0]
+    act = dataclasses.replace(e0.actuators[0], range_hi=float("nan"))
+    bad = dataclasses.replace(
+        g, edges=(JointEdge(e0.parent_id, e0.child_id, (act,) + e0.actuators[1:]),)
+        + g.edges[1:])
+    assert any("must be finite" in m for m in validate(bad))
+
+
 def test_comments_ignored():
     g = generate_morphology("worm", 3)
     text = "# header comment\n" + serialize_morphology(g).replace(

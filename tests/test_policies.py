@@ -528,3 +528,20 @@ def test_policy_action_shapes():
         out = policy_action(params, cg)
         assert out.shape == (n_act,)
         assert np.all(np.abs(out) <= 1.0)
+
+
+def test_no_grad_forward_equals_grad_mode_bit_for_bit():
+    cg_a, cg_b = sample_cg(seed=0), sample_cg(seed=1)
+    feats = np.stack([cg_a.node_features, cg_b.node_features])
+    mask = np.stack([cg_a.action_mask, cg_b.action_mask])
+    for arch, extra in (("transformer", {}),
+                        ("transformer_tokenized", dict(token_variant="d", n_bins=16))):
+        params = init_params(arch, tf_config(cg_a, **extra), 4)
+        head = transformer_grid if arch == "transformer" else tokenized_logits
+        out, attn = head(params, feats, mask)
+        assert out._parents
+        with ad.no_grad():
+            out_ng, attn_ng = head(params, feats, mask)
+        np.testing.assert_array_equal(out_ng.data, out.data)
+        np.testing.assert_array_equal(attn_ng, attn)
+        assert out_ng._parents == () and not out_ng.requires_grad
