@@ -45,9 +45,6 @@ class ObservationSpec:
             start += FLAG_WIDTHS[f]
         raise KeyError(flag)
 
-    def bitmask(self) -> int:
-        return sum(1 << i for i, f in enumerate(FLAG_ORDER) if f in self.flags)
-
 
 def build_observation_spec(flags) -> ObservationSpec:
     """Normalize a flag collection into canonical order."""
@@ -58,11 +55,6 @@ def build_observation_spec(flags) -> ObservationSpec:
     if not flags:
         raise ValueError("observation flag set must be non-empty")
     return ObservationSpec(tuple(f for f in FLAG_ORDER if f in flags))
-
-
-def spec_from_bitmask(mask: int) -> ObservationSpec:
-    return build_observation_spec(
-        [f for i, f in enumerate(FLAG_ORDER) if mask & (1 << i)])
 
 
 @dataclass(frozen=True)
@@ -76,7 +68,6 @@ class ControlGraph:
     variant: str                       # "v1" | "v2"
     # Tree edges of the body (goal rows are disjoint); message passing needs them.
     edges: tuple[tuple[int, int], ...] = ()
-    history_depth: int = 1
 
     @property
     def n_nodes(self) -> int:
@@ -85,6 +76,12 @@ class ControlGraph:
     @property
     def width(self) -> int:
         return self.node_features.shape[1]
+
+    @property
+    def actuator_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nodes, slots) of every dof in dof order, for one array op over
+        (..., n, 3) action grids."""
+        return tuple(np.array(self.actuator_map, dtype=np.int64).reshape(-1, 2).T)
 
 
 def action_structure(morphology: MorphologyGraph) -> tuple[np.ndarray, tuple]:
@@ -185,39 +182,6 @@ def build_cg_v2(observations: np.ndarray, goals,
                         actuator_map=amap, variant="v2", edges=edges)
 
 
-def stack_history(cg_sequence, history_depth: int | None = None) -> ControlGraph:
-    """Concatenate the last H frames per node, newest rightmost.
-
-    Frames missing at episode start are zero-filled on the left.  Masks and
-    indicators are taken from the newest frame.
-    """
-    frames = list(cg_sequence)
-    if not frames:
-        raise ValueError("need at least one frame")
-    H = history_depth if history_depth is not None else len(frames)
-    if H < 1 or len(frames) > H:
-        raise ValueError(f"got {len(frames)} frames for history depth {H}")
-    newest = frames[-1]
-    for f in frames:
-        if f.node_features.shape != newest.node_features.shape:
-            raise ValueError("history frames disagree on feature shape")
-        if f.variant != newest.variant:
-            raise ValueError("history frames disagree on variant")
-    n, w = newest.node_features.shape
-    feats = np.zeros((n, w * H), dtype=np.float64)
-    pad = H - len(frames)
-    for i, f in enumerate(frames):
-        col = (pad + i) * w
-        feats[:, col: col + w] = f.node_features
-    return ControlGraph(node_features=feats, n_body_nodes=newest.n_body_nodes,
-                        n_goal_nodes=newest.n_goal_nodes,
-                        target_indicator=newest.target_indicator,
-                        action_mask=newest.action_mask,
-                        actuator_map=newest.actuator_map,
-                        variant=newest.variant, edges=newest.edges,
-                        history_depth=H)
-
-
 # --- mu-law companding and discretization -----------------------------------
 
 def mu_law(x, mu: float = MU, m: float = MU_M):
@@ -270,10 +234,6 @@ def tokenize_features(feats: np.ndarray, n_bins: int = N_BINS) -> np.ndarray:
     return quantize(mu_law(feats), n_bins)
 
 
-def tokenize_cg(cg: ControlGraph, n_bins: int = N_BINS) -> np.ndarray:
-    return tokenize_features(cg.node_features, n_bins)
-
-
 def detokenize(tokens, mode: str = "center", n_bins: int = N_BINS) -> np.ndarray:
-    """Inverse of tokenize_cg up to quantization error."""
+    """Inverse of tokenize_features up to quantization error."""
     return mu_law_inverse(dequantize(tokens, mode, n_bins))

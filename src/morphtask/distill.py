@@ -22,9 +22,7 @@ from .control_graph import (
     build_cg_v1,
     build_cg_v2,
     build_observation_spec,
-    detokenize,
     graph_features,
-    tokenize_features,
 )
 from .env import EnvSpec, local_observations, reset, step
 from .nn import autodiff as ad
@@ -33,11 +31,12 @@ from .nn.policies import (
     ConfigError,
     PolicyConfig,
     PolicyParams,
+    action_index,
     adjacency,
-    flatten_features,
     gnn_grid,
     mlp_vector,
     param_shapes,
+    policy_inputs,
     tokenize_actions,
     transformer_rows,
 )
@@ -275,7 +274,7 @@ def cg_feature_width(obs_spec: ObservationSpec, variant: str,
     return base * history
 
 
-def _goal_nodes(spec: EnvSpec) -> list[int]:
+def goal_nodes(spec: EnvSpec) -> list[int]:
     return [menv.resolve_target(spec.graph, tmpl.target_selector)
             for tmpl in spec.task.goals]
 
@@ -283,7 +282,7 @@ def _goal_nodes(spec: EnvSpec) -> list[int]:
 def build_cg(envd_spec: EnvSpec, obs: np.ndarray, goals_flat: np.ndarray,
              obs_spec: ObservationSpec, variant: str):
     values = np.asarray(goals_flat, dtype=np.float64).reshape(-1, 3)
-    bindings = [(node, values[g]) for g, node in enumerate(_goal_nodes(envd_spec))]
+    bindings = [(node, values[g]) for g, node in enumerate(goal_nodes(envd_spec))]
     if variant == "v1":
         return build_cg_v1(obs, bindings, envd_spec.graph)
     return build_cg_v2(obs, bindings, envd_spec.graph, obs_spec)
@@ -302,7 +301,7 @@ class _EnvArrays:
 def _history_features(feats: np.ndarray, episodes: np.ndarray, history: int) -> np.ndarray:
     """Per row, the node features of the last ``history`` rows of its
     episode side by side, newest rightmost and zero-filled on the left at
-    the episode start: stack_history applied to every row at once."""
+    the episode start."""
     N, n, w = feats.shape
     rows = np.arange(N)
     starts = np.concatenate([[True], episodes[1:] != episodes[:-1]])
@@ -340,7 +339,7 @@ def prepare_training_data(ds: TransitionDataset,
         template = build_cg(spec, envd.features[0].astype(np.float64), envd.goals[0],
                             envd.obs_spec, variant)
         feats = graph_features(envd.features, envd.goals.reshape(len(envd.goals), -1, 3),
-                               _goal_nodes(spec), variant, envd.obs_spec)
+                               goal_nodes(spec), variant, envd.obs_spec)
         if config.history > 1:
             feats = _history_features(feats, envd.episodes, config.history)
         out.append(_pack_env_arrays(feats, envd.actions, template, config))
@@ -354,26 +353,21 @@ def _pack_env_arrays(feats: np.ndarray, actions, cg: ControlGraph,
     (N, A), for the configured architecture."""
     N = len(feats)
     n_act = len(cg.actuator_map)
+    index = action_index(config, cg)
+    inputs = policy_inputs(feats, config)
     if config.arch == "mlp":
         vec_targets = np.zeros((N, config.max_action))
-        vec_targets[:, :n_act] = actions
+        vec_targets[index] = actions
         vec_mask = np.zeros(config.max_action)
         vec_mask[:n_act] = 1.0
-        return _EnvArrays(flatten_features(feats, config.max_nodes), vec_targets,
-                          vec_mask, n_act)
+        return _EnvArrays(inputs, vec_targets, vec_mask, n_act)
     target_grid = np.zeros((N,) + cg.action_mask.shape)
-    nodes, slots = np.array(cg.actuator_map, dtype=np.int64).reshape(-1, 2).T
-    target_grid[:, nodes, slots] = actions
-    adj = None
+    target_grid[index] = actions
+    adj = adjacency(cg.edges, cg.n_nodes) if config.arch == "gnn" else None
     token_targets = None
-    if config.arch == "gnn":
-        adj = adjacency(cg.edges, cg.n_nodes)
-    if config.arch == "transformer_tokenized":
-        feats = detokenize(tokenize_features(feats, config.n_bins), "center",
-                           config.n_bins)
-        if config.token_variant in ("d", "da"):
-            token_targets = tokenize_actions(target_grid, config.n_bins)
-    return _EnvArrays(feats, target_grid, cg.action_mask, n_act,
+    if config.arch == "transformer_tokenized" and config.token_variant in ("d", "da"):
+        token_targets = tokenize_actions(target_grid, config.n_bins)
+    return _EnvArrays(inputs, target_grid, cg.action_mask, n_act,
                       adjacency=adj, token_targets=token_targets)
 
 

@@ -63,9 +63,10 @@ class GoalTemplate:
     def __post_init__(self):
         if self.goal_kind not in GOAL_KINDS:
             raise ValueError(f"unknown goal kind {self.goal_kind!r}")
-        if not (0.0 <= self.r_lo <= self.r_hi):
+        # Written as "not (in range)" so nan fails too; the ranges are finite.
+        if not (0.0 <= self.r_lo <= self.r_hi < math.inf):
             raise ValueError(f"bad annulus [{self.r_lo}, {self.r_hi}]")
-        if not (0.0 <= self.z_lo <= self.z_hi):
+        if not (0.0 <= self.z_lo <= self.z_hi < math.inf):
             raise ValueError(f"bad height range [{self.z_lo}, {self.z_hi}]")
 
 
@@ -84,9 +85,12 @@ class TaskSpec:
             raise ValueError("goals, d_min, d_max must have equal length")
         if self.task_kind == "twister" and not (1 <= len(self.goals) <= 3):
             raise ValueError("twister tasks carry 1..3 goals")
-        for lo, hi in zip(self.d_min, self.d_max):
-            if lo >= hi:
-                raise ValueError(f"d_min {lo} must be < d_max {hi}")
+        if self.episode_length < 1:
+            raise ValueError(f"episode length {self.episode_length} must be >= 1")
+        for g, (lo, hi) in enumerate(zip(self.d_min, self.d_max)):
+            if not (0.0 <= lo < hi < math.inf):
+                raise ValueError(f"goal {g}: need finite 0 <= d_min < d_max, "
+                                 f"got {lo}, {hi}")
 
 
 @dataclass(frozen=True)
@@ -667,12 +671,6 @@ def local_observations(state: EnvState, spec: ObservationSpec,
     return rows
 
 
-def goal_bindings(state: EnvState) -> list[tuple[int, np.ndarray]]:
-    """(target node id, goal value) pairs for the control-graph builders."""
-    return [(resolve_target(state.graph, tmpl.target_selector), state.goals[g])
-            for g, tmpl in enumerate(state.task.goals)]
-
-
 # --- standard tasks and environment ids ----------------------------------------
 
 def _goal_distance_at_reset(spec_like: tuple[MorphologyGraph, TaskSpec],
@@ -822,6 +820,8 @@ def serialize_task(task: TaskSpec) -> str:
 
 
 def parse_task(text: str) -> TaskSpec:
+    """Inverse of serialize_task.  Malformed text and any number that is
+    not finite or out of range raise TaskParseError with a line number."""
     rows = []
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -829,32 +829,37 @@ def parse_task(text: str) -> TaskSpec:
             rows.append((i, line.split()))
     if not rows:
         raise TaskParseError(0, "empty task text (missing header)")
-    ln, head = rows[0]
+    head_ln, head = rows[0]
     if len(head) != 4 or head[0] != "task":
-        raise TaskParseError(ln, "expected 'task <kind> goals=<k> episode=<T>'")
+        raise TaskParseError(head_ln, "expected 'task <kind> goals=<k> episode=<T>'")
     kind = head[1]
     try:
         n_goals = int(head[2].removeprefix("goals="))
         episode = int(head[3].removeprefix("episode="))
     except ValueError:
-        raise TaskParseError(ln, "bad goals=/episode= fields") from None
+        raise TaskParseError(head_ln, "bad goals=/episode= fields") from None
     goals, d_min, d_max = [], [], []
     for ln, parts in rows[1:]:
         if parts[0] != "goal":
             raise TaskParseError(ln, f"unknown directive {parts[0]!r}")
         if len(parts) != 9:
             raise TaskParseError(ln, "goal line needs 8 fields")
-        goals.append(GoalTemplate(parts[1], parts[2],
-                                  r_lo=float(parts[3]), r_hi=float(parts[4]),
-                                  z_lo=float(parts[5]), z_hi=float(parts[6])))
-        d_min.append(float(parts[7]))
-        d_max.append(float(parts[8]))
+        try:
+            r_lo, r_hi, z_lo, z_hi, lo, hi = map(float, parts[3:])
+            goals.append(GoalTemplate(parts[1], parts[2], r_lo, r_hi, z_lo, z_hi))
+        except ValueError as exc:
+            raise TaskParseError(ln, str(exc)) from None
+        d_min.append(lo)
+        d_max.append(hi)
     if len(goals) != n_goals:
         raise TaskParseError(ln if rows[1:] else 1,
                              f"missing goal section: header says {n_goals}, "
                              f"got {len(goals)}")
-    return TaskSpec(task_kind=kind, goals=tuple(goals), d_min=tuple(d_min),
-                    d_max=tuple(d_max), episode_length=episode)
+    try:
+        return TaskSpec(task_kind=kind, goals=tuple(goals), d_min=tuple(d_min),
+                        d_max=tuple(d_max), episode_length=episode)
+    except ValueError as exc:
+        raise TaskParseError(head_ln, str(exc)) from None
 
 
 def serialize_env(spec: EnvSpec) -> tuple[str, str]:

@@ -2,23 +2,23 @@
 percentages, environment splits, and attention exports."""
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import artifacts
 from . import env as menv
-from .control_graph import build_observation_spec, stack_history
-from .distill import CHECKPOINT_MAGIC, build_cg
+from .control_graph import ControlGraph, build_observation_spec, graph_features
+from .distill import CHECKPOINT_MAGIC, build_cg, goal_nodes
 from .env import EnvSpec, local_observations, parse_env_id, reset, step
 from .nn.policies import (
     PolicyParams,
     UnsupportedVariantError,
-    actions_from_grid,
+    action_index,
     adjacency,
     batch_grids,
-    flatten_features,
-    mlp_vector,
+    policy_inputs,
+    transformer_grid,
 )
 from .nn.autodiff import no_grad
 
@@ -40,8 +40,10 @@ class Trajectory:
     seed: int
     actions: np.ndarray              # (T, A)
     distances: np.ndarray            # (T, G) goal distance after each step
-    states: list = field(default_factory=list)   # populated by rollout()
-    cgs: list = field(default_factory=list)      # policy-input control graphs
+    # rollout() keeps the policy's input per step, (T, n, F) or the MLP's
+    # (T, W), and the control graph whose mask, actuators and edges they share.
+    inputs: np.ndarray | None = None
+    template: ControlGraph | None = None
     final_distances: np.ndarray = None
 
     def __post_init__(self):
@@ -68,68 +70,59 @@ class SplitPlan:
 
 
 def rollout(params: PolicyParams, spec: EnvSpec, seed: int,
-            T: int | None = None, keep_cgs: bool = True) -> Trajectory:
+            T: int | None = None) -> Trajectory:
     """Deterministic policy rollout of min(T, episode_length) steps.
 
-    The trajectory carries the visited states and the control graphs the
-    policy consumed, so attention reports can replay it exactly.
+    The trajectory carries the inputs the policy consumed, so attention
+    reports can replay it exactly.
     """
-    trajs = rollout_batch(params, spec, [seed], T, keep_cgs=keep_cgs,
-                          keep_states=True)
-    return trajs[0]
+    return rollout_batch(params, spec, [seed], T, keep_inputs=True)[0]
 
 
 def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
-                  T: int | None = None, keep_cgs: bool = False,
-                  keep_states: bool = False) -> list[Trajectory]:
-    """Lockstep rollouts over several seeds; the policy runs batched."""
+                  T: int | None = None, keep_inputs: bool = False) -> list[Trajectory]:
+    """Lockstep rollouts over several seeds; the policy runs batched.
+
+    Each step's node features of every seed come from one graph_features
+    call and reach the policy through policy_inputs, as training data does.
+    With history H the features are a window of the last H frames, newest
+    rightmost and zero-filled at the episode start.
+    """
     horizon = spec.task.episode_length if T is None else min(T, spec.task.episode_length)
-    H = params.config.history
-    obs_spec = build_observation_spec(params.config.obs_flags)
-    variant = "v1" if params.arch == "gnn" else params.config.cg_variant
+    cfg = params.config
+    obs_spec = build_observation_spec(cfg.obs_flags)
+    variant = "v1" if params.arch == "gnn" else cfg.cg_variant
     states = [reset(spec, s) for s in seeds]
-    # Goals are fixed for an episode, so each seed's goal vector is built once.
-    goals_flat = [np.concatenate(st.goals) if st.goals else np.zeros(0)
-                  for st in states]
-    frames: list[list] = [[] for _ in seeds]
-    actions = [[] for _ in seeds]
-    distances = [[] for _ in seeds]
-    all_cgs: list[list] = [[] for _ in seeds]
-    all_states: list[list] = [[st] for st in states] if keep_states \
-        else [[] for _ in seeds]
-    adj = adjacency([(e.parent_id, e.child_id) for e in spec.graph.edges],
-                    spec.graph.n_nodes) if params.arch == "gnn" else None
+    B = len(states)
+    # Goals are fixed for an episode, so the goal values are taken once.
+    goals = np.stack([np.concatenate(st.goals) if st.goals else np.zeros(0)
+                      for st in states])
+    template = build_cg(spec, local_observations(states[0], obs_spec), goals[0],
+                        obs_spec, variant)
+    index = action_index(cfg, template)
+    mask = np.broadcast_to(template.action_mask, (B,) + template.action_mask.shape)
+    adj = adjacency(template.edges, template.n_nodes) if params.arch == "gnn" else None
+    nodes = goal_nodes(spec)
+    w = template.width
+    window = np.zeros((B, template.n_nodes, w * cfg.history))
+    actions, distances, inputs = [], [], []
     for _ in range(horizon):
-        cgs = []
-        for i, st in enumerate(states):
-            cg = build_cg(spec, local_observations(st, obs_spec), goals_flat[i],
-                          obs_spec, variant)
-            if H > 1:
-                frames[i] = (frames[i] + [cg])[-H:]
-                cg = stack_history(frames[i], H)
-            cgs.append(cg)
-            if keep_cgs:
-                all_cgs[i].append(cg)
-        feats = np.stack([cg.node_features for cg in cgs])
+        obs = np.stack([local_observations(st, obs_spec) for st in states])
+        frame = graph_features(obs, goals.reshape(B, -1, 3), nodes, variant, obs_spec)
+        window = np.concatenate([window[:, :, w:], frame], axis=-1)
+        x = policy_inputs(window, cfg)
+        if keep_inputs:
+            inputs.append(x)
         with no_grad():
-            if params.arch == "mlp":
-                vec = mlp_vector(params, flatten_features(feats, params.config.max_nodes)).data
-                n_act = len(cgs[0].actuator_map)
-                acts = [vec[i, :n_act] for i in range(len(states))]
-            else:
-                mask = np.stack([cg.action_mask for cg in cgs])
-                grids = batch_grids(params, feats, mask, adj)
-                acts = [actions_from_grid(grids[i], cgs[i]) for i in range(len(states))]
-        for i, act in enumerate(acts):
-            states[i] = step(states[i], act)
-            actions[i].append(act)
-            distances[i].append(menv.goal_distances(states[i]))
-            if keep_states:
-                all_states[i].append(states[i])
+            acts = batch_grids(params, x, mask, adj)[index]
+        states = [step(st, act) for st, act in zip(states, acts)]
+        actions.append(acts)
+        distances.append([menv.goal_distances(st) for st in states])
     return [Trajectory(env_id=spec.env_id, seed=s,
-                       actions=np.array(actions[i]),
-                       distances=np.array(distances[i]),
-                       states=all_states[i], cgs=all_cgs[i])
+                       actions=np.array([a[i] for a in actions]),
+                       distances=np.array([d[i] for d in distances]),
+                       inputs=np.array([x[i] for x in inputs]) if keep_inputs else None,
+                       template=template if keep_inputs else None)
             for i, s in enumerate(seeds)]
 
 
@@ -237,33 +230,28 @@ def split_environments(universe, kind: str, holdout=None) -> SplitPlan:
 # --- attention export ----------------------------------------------------------------
 
 def attention_report(params: PolicyParams, trajectory: Trajectory):
-    """Per-step attention tensors for a rolled-out trajectory, plus the
-    attention mass directed at goal rows for v2 policies.
+    """Per-step attention tensors for a rolled-out trajectory, taken on the
+    inputs the policy consumed, plus the attention mass directed at goal
+    rows for v2 policies.
 
     Returns (attn (T, L, H, n, n), goal_mass (T,) or None).  The trajectory
-    must carry its control graphs (rollout keeps them by default).
+    must carry its inputs (rollout keeps them).  All steps run as one
+    batch; each sample gets its own GEMMs, so the maps equal per-step calls.
     """
     if params.arch not in ("transformer", "transformer_tokenized"):
         raise UnsupportedVariantError(
             "attention reports need a transformer policy")
-    if not trajectory.cgs:
-        raise ValueError("trajectory carries no control graphs; "
-                         "roll out with keep_cgs=True")
-    from .nn.policies import transformer_grid
-    steps = []
-    masses = []
-    v2 = params.config.cg_variant == "v2"
-    for cg in trajectory.cgs:
-        with no_grad():
-            _, attn = transformer_grid(params, cg.node_features[None],
-                                       cg.action_mask[None])
-        attn = attn[0]
-        steps.append(attn)
-        if v2 and cg.n_goal_nodes:
-            goal_rows = np.arange(cg.n_body_nodes, cg.n_nodes)
-            masses.append(float(attn[:, :, :, goal_rows].sum(axis=-1).mean()))
-    attn_out = np.stack(steps)
-    return attn_out, (np.array(masses) if masses else None)
+    if trajectory.inputs is None:
+        raise ValueError("trajectory carries no policy inputs; "
+                         "roll out with keep_inputs=True")
+    cg = trajectory.template
+    mask = np.broadcast_to(cg.action_mask, (len(trajectory.inputs),) + cg.action_mask.shape)
+    with no_grad():
+        _, attn = transformer_grid(params, trajectory.inputs, mask)
+    if not cg.n_goal_nodes:
+        return attn, None
+    goal_rows = np.arange(cg.n_body_nodes, cg.n_nodes)
+    return attn, np.array([float(a[:, :, :, goal_rows].sum(axis=-1).mean()) for a in attn])
 
 
 def write_attention_export(path, params: PolicyParams, attn: np.ndarray,

@@ -107,10 +107,6 @@ class MorphologyGraph:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
-    def variation_dict(self) -> dict:
-        return dict(self.variation or ())
-
-    @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
@@ -126,9 +122,6 @@ class MorphologyGraph:
         """Parent edge of every non-root node, keyed by child id (read-only,
         computed once per graph)."""
         return MappingProxyType({e.child_id: e for e in self.edges})
-
-    def parent_edge(self, node_id: int) -> JointEdge | None:
-        return self.parent_map.get(node_id)
 
     def children(self, node_id: int) -> list[int]:
         return [e.child_id for e in self.edges if e.parent_id == node_id]
@@ -486,6 +479,14 @@ class MorphologyParseError(ValueError):
         self.line_no = line_no
 
 
+def _numbers(line_no: int, fields: list[str], kind) -> list:
+    try:
+        return [kind(f) for f in fields]
+    except ValueError:
+        raise MorphologyParseError(
+            line_no, f"expected {kind.__name__} fields, got {' '.join(fields)!r}") from None
+
+
 def parse_morphology(text: str) -> MorphologyGraph:
     """Inverse of serialize_morphology; rejects malformed input with a line number."""
     rows: list[tuple[int, list[str]]] = []
@@ -515,12 +516,11 @@ def parse_morphology(text: str) -> MorphologyGraph:
         if parts[0] == "node":
             if len(parts) != 10:
                 raise MorphologyParseError(ln, "node line needs 9 fields")
-            nid = int(parts[1])
+            (nid,) = _numbers(ln, parts[1:2], int)
+            radius, length, mass, inertia, *offset = _numbers(ln, parts[3:], float)
             nodes.append(ModuleNode(
-                node_id=nid, kind=parts[2], radius=float(parts[3]),
-                length=float(parts[4]), mass=float(parts[5]),
-                inertia=float(parts[6]),
-                attach_offset=(float(parts[7]), float(parts[8]), float(parts[9])),
+                node_id=nid, kind=parts[2], radius=radius, length=length,
+                mass=mass, inertia=inertia, attach_offset=tuple(offset),
                 dof_index=-1))
             continue
         if parts[0] == "edge":
@@ -529,8 +529,8 @@ def parse_morphology(text: str) -> MorphologyGraph:
                     edge_line, f"edge missing {pending_acts} act line(s)")
             if len(parts) != 4:
                 raise MorphologyParseError(ln, "edge line needs 3 fields")
-            edge_head = (int(parts[1]), int(parts[2]))
-            pending_acts = int(parts[3])
+            parent, child, pending_acts = _numbers(ln, parts[1:], int)
+            edge_head = (parent, child)
             edge_line = ln
             acts = []
             continue
@@ -539,10 +539,9 @@ def parse_morphology(text: str) -> MorphologyGraph:
                 raise MorphologyParseError(ln, "act line outside an edge block")
             if len(parts) != 7:
                 raise MorphologyParseError(ln, "act line needs 6 fields")
-            acts.append(Actuator(
-                axis=(float(parts[1]), float(parts[2]), float(parts[3])),
-                range_lo=float(parts[4]), range_hi=float(parts[5]),
-                gear=float(parts[6])))
+            *axis, lo, hi, gear = _numbers(ln, parts[1:], float)
+            acts.append(Actuator(axis=tuple(axis), range_lo=lo, range_hi=hi,
+                                 gear=gear))
             pending_acts -= 1
             if pending_acts == 0:
                 edges.append(JointEdge(edge_head[0], edge_head[1], tuple(acts)))
@@ -567,9 +566,9 @@ def parse_morphology(text: str) -> MorphologyGraph:
         dof += len(e.actuators)
     nodes = [replace(n, dof_index=dof_of_child.get(n.node_id, -1)) for n in nodes]
     graph = MorphologyGraph(nodes=tuple(nodes), edges=tuple(edges),
-                            blueprint_tag=tag, variation=None,
-                            legs=derive_legs(tuple(nodes), tuple(edges)))
+                            blueprint_tag=tag, variation=None)
     problems = validate(graph)
     if problems:
         raise MorphologyParseError(ln, "; ".join(problems))
-    return graph
+    # Legs are derived from a valid tree only: on others the walk may not end.
+    return replace(graph, legs=derive_legs(graph.nodes, graph.edges))

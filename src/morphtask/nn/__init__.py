@@ -8,18 +8,13 @@ from .policies import (
     PolicyParams,
     ShapeError,
     UnsupportedVariantError,
-    gnn_forward,
     init_params,
-    mlp_forward,
     parameter_count,
-    policy_action,
-    tokenized_head_forward,
-    transformer_forward,
+    policy_inputs,
 )
 
 __all__ = [
     "autodiff", "NumericError", "Tensor", "ConfigError", "PolicyConfig",
-    "PolicyParams", "ShapeError", "UnsupportedVariantError", "gnn_forward",
-    "init_params", "mlp_forward", "parameter_count", "policy_action",
-    "tokenized_head_forward", "transformer_forward",
+    "PolicyParams", "ShapeError", "UnsupportedVariantError", "init_params",
+    "parameter_count", "policy_inputs",
 ]

@@ -60,9 +60,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
         self._grad_owned = False
@@ -281,19 +278,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _result(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    count = a.data.size if axis is None else np.prod(
-        [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-
-    def backward(g):
-        if a.requires_grad:
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape) / count)
-    return _result(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
-
-
 def _softmax_last(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in x's buffer."""
     x -= x.max(axis=-1, keepdims=True)
@@ -354,18 +338,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
                 t._accumulate(part)
     return _result(np.concatenate([t.data for t in tensors], axis=axis),
                    tuple(tensors), backward)
-
-
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    """First-axis slice with scatter-back gradient (position tables)."""
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[start:stop] = g
-            a._accumulate(full)
-    return _result(a.data[start:stop], (a,), backward)
 
 
 def gather_rows(a, index: np.ndarray) -> Tensor:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..control_graph import ControlGraph, detokenize, mu_law, quantize
+from ..control_graph import (ControlGraph, detokenize, mu_law, quantize,
+                             tokenize_features)
 from . import autodiff as ad
 from .autodiff import Tensor, check_finite
 
@@ -81,9 +82,6 @@ class PolicyParams:
     arch: str
     config: PolicyConfig
     tensors: dict[str, Tensor] = field(default_factory=dict)
-
-    def names(self) -> list[str]:
-        return list(self.tensors)
 
     def zero_grad(self):
         for t in self.tensors.values():
@@ -334,19 +332,6 @@ def transformer_grid(params: PolicyParams, feats: np.ndarray, mask: np.ndarray):
     return grid, batch.caller_attn()
 
 
-def actions_from_grid(grid: np.ndarray, cg: ControlGraph) -> np.ndarray:
-    out = np.empty(len(cg.actuator_map))
-    for dof, (node, slot) in enumerate(cg.actuator_map):
-        out[dof] = grid[node, slot]
-    return out
-
-
-def transformer_forward(params: PolicyParams, cg: ControlGraph):
-    """Action vector plus per-layer/head attention maps for one control graph."""
-    grid, attn = transformer_grid(params, cg.node_features[None], cg.action_mask[None])
-    return actions_from_grid(grid.data[0], cg), attn[0]
-
-
 # --- gnn ------------------------------------------------------------------------
 
 def adjacency(edges, n: int) -> np.ndarray:
@@ -373,15 +358,6 @@ def gnn_grid(params: PolicyParams, feats: np.ndarray, mask: np.ndarray,
     return ad.mul(grid, Tensor(mask))
 
 
-def gnn_forward(params: PolicyParams, cg: ControlGraph) -> np.ndarray:
-    """Message passing over the body tree; control graph v1 only."""
-    if cg.variant != "v1":
-        raise UnsupportedVariantError("gnn_forward requires control graph v1")
-    grid = gnn_grid(params, cg.node_features[None], cg.action_mask[None],
-                    adjacency(cg.edges, cg.n_nodes))
-    return actions_from_grid(grid.data[0], cg)
-
-
 # --- mlp ------------------------------------------------------------------------
 
 def flatten_features(feats: np.ndarray, max_nodes: int) -> np.ndarray:
@@ -393,11 +369,6 @@ def flatten_features(feats: np.ndarray, max_nodes: int) -> np.ndarray:
     flat = np.zeros(tuple(lead) + (max_nodes * F,))
     flat[..., :n * F] = feats.reshape(tuple(lead) + (n * F,))
     return flat
-
-
-def flatten_cg(cg: ControlGraph, max_nodes: int) -> np.ndarray:
-    """Row-major flatten zero-padded to the configured node budget."""
-    return flatten_features(cg.node_features, max_nodes)
 
 
 def mlp_vector(params: PolicyParams, flat: np.ndarray) -> Tensor:
@@ -414,31 +385,7 @@ def mlp_vector(params: PolicyParams, flat: np.ndarray) -> Tensor:
     return ad.tanh(ad.linear(h, t["out/W"], t["out/b"]))
 
 
-def mlp_forward(params: PolicyParams, cg: ControlGraph) -> np.ndarray:
-    """Flattened-input baseline; output truncated to the action dimension."""
-    flat = flatten_cg(cg, params.config.max_nodes)
-    vec = mlp_vector(params, flat[None])
-    n_act = len(cg.actuator_map)
-    if n_act > params.config.max_action:
-        raise ShapeError(
-            f"action dim {n_act} exceeds MLP head {params.config.max_action}")
-    return vec.data[0, :n_act].copy()
-
-
 # --- tokenized variants ------------------------------------------------------------
-
-def tokenized_head_forward(params: PolicyParams, token_grid: np.ndarray,
-                           cg: ControlGraph):
-    """Decode actions from an integer token grid (variants d / da / c).
-
-    The token embedding is the factored form: bin -> center value -> inverse
-    mu-law -> the trunk's linear node embedding.  With variant c the result
-    therefore coincides with transformer_forward on detokenized features.
-    """
-    feats = detokenize(token_grid, "center", params.config.n_bins)
-    grid, attn = _tokenized_grid(params, feats[None], cg.action_mask[None])
-    return actions_from_grid(grid[0], cg), attn[0]
-
 
 def _tokenized_grid(params: PolicyParams, feats: np.ndarray, mask: np.ndarray):
     """Inference action grid (B, n, 3) and attention of a tokenized policy on
@@ -466,42 +413,44 @@ def tokenize_actions(actions_grid: np.ndarray, n_bins: int = 1024) -> np.ndarray
     return quantize(mu_law(actions_grid), n_bins)
 
 
-def batch_grids(params: PolicyParams, feats: np.ndarray, mask: np.ndarray,
+def batch_grids(params: PolicyParams, inputs: np.ndarray, mask: np.ndarray,
                 adjacency: np.ndarray | None = None) -> np.ndarray:
-    """Inference-only action grids (B, n, 3) for the per-node architectures."""
+    """Inference-only outputs on the arrays policy_inputs builds: action
+    grids (B, n, 3), or the MLP's vectors (B, max_action)."""
     cfg = params.config
+    if cfg.arch == "mlp":
+        return mlp_vector(params, inputs).data
     if cfg.arch == "gnn":
-        return gnn_grid(params, feats, mask, adjacency).data
+        return gnn_grid(params, inputs, mask, adjacency).data
     if cfg.arch == "transformer":
-        return transformer_grid(params, feats, mask)[0].data
-    if cfg.arch == "transformer_tokenized":
-        tokens = quantize(mu_law(feats), cfg.n_bins)
-        return _tokenized_grid(params, detokenize(tokens, "center", cfg.n_bins),
-                               mask)[0]
-    raise ConfigError(f"batch_grids does not handle arch {cfg.arch!r}")
+        return transformer_grid(params, inputs, mask)[0].data
+    return _tokenized_grid(params, inputs, mask)[0]
 
 
-# --- dispatch ------------------------------------------------------------------------
+# --- policy inputs and outputs ---------------------------------------------------
 
-def backward(params: PolicyParams, cg_batch, loss_fn) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradients of loss_fn(params, cg_batch) per tensor."""
-    params.zero_grad()
-    loss = loss_fn(params, cg_batch)
-    loss.backward()
-    return {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in params.tensors.items()}
+def policy_inputs(feats: np.ndarray, config: PolicyConfig) -> np.ndarray:
+    """What the configured policy reads from node features (..., n, F): the
+    MLP's flattened, zero-padded rows; for the tokenized transformer the
+    features tokenized and mapped back to bin centers; else the features
+    themselves.  Training data and rollouts both go through here."""
+    if config.arch == "mlp":
+        return flatten_features(feats, config.max_nodes)
+    if config.arch == "transformer_tokenized":
+        return detokenize(tokenize_features(feats, config.n_bins), "center",
+                          config.n_bins)
+    return feats
 
 
-def policy_action(params: PolicyParams, cg: ControlGraph) -> np.ndarray:
-    """Action vector for one control graph under any architecture."""
-    if params.arch == "mlp":
-        return mlp_forward(params, cg)
-    if params.arch == "gnn":
-        return gnn_forward(params, cg)
-    if params.arch == "transformer":
-        return transformer_forward(params, cg)[0]
-    if params.arch == "transformer_tokenized":
-        from ..control_graph import tokenize_cg
-        return tokenized_head_forward(params, tokenize_cg(cg, params.config.n_bins),
-                                      cg)[0]
-    raise ConfigError(f"unknown architecture {params.arch!r}")
+def action_index(config: PolicyConfig, cg: ControlGraph) -> tuple:
+    """Where the actions of cg's env sit in a batch of policy outputs: the
+    first action-dimension entries of the MLP's vectors, else the actuated
+    (node, slot) cells of the grids.  Training scatters targets and
+    rollouts gather actions with it."""
+    n_act = len(cg.actuator_map)
+    if config.arch != "mlp":
+        return (slice(None),) + cg.actuator_index
+    if n_act > config.max_action:
+        raise ShapeError(f"action dimension {n_act} exceeds the MLP head "
+                         f"width max_action={config.max_action}")
+    return (slice(None), slice(0, n_act))

@@ -24,7 +24,6 @@ from morphtask.control_graph import (
     dequantize,
     mu_law,
     quantize,
-    tokenize_cg,
 )
 from morphtask.distill import (
     TrainConfig,
@@ -35,7 +34,6 @@ from morphtask.distill import (
     train,
 )
 from morphtask.env import (
-    goal_bindings,
     goal_distance,
     local_observations,
     make_env,
@@ -56,6 +54,7 @@ from morphtask.nn.policies import (
     transformer_grid,
 )
 
+from test_control_graph import goal_bindings
 from test_policies import directional_grad_check
 
 OBS = build_observation_spec(["p", "v", "q", "a", "ja", "jr", "m"])

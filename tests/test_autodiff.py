@@ -71,12 +71,6 @@ def test_relu_tanh_power():
     check_op(lambda t: ad.tsum(ad.power(t, -0.5)), rng.uniform(0.5, 2.0, size=(6,)))
 
 
-def test_mean_axes():
-    check_op(lambda t: ad.tsum(ad.tmean(t, axis=-1, keepdims=True)),
-             rng.normal(size=(3, 5)))
-    check_op(lambda t: ad.tmean(t), rng.normal(size=(3, 5)))
-
-
 def test_softmax_rows_sum_to_one_and_grad():
     x = rng.normal(size=(3, 5))
     y = ad.softmax(ad.Tensor(x))
@@ -99,7 +93,7 @@ def test_reshape_transpose_concat_slice():
     a = rng.normal(size=(3, 2))
     check_op(lambda t: ad.tsum(ad.concat([t, ad.Tensor(a)], axis=1)),
              rng.normal(size=(3, 5)))
-    check_op(lambda t: ad.tsum(ad.slice_rows(t, 1, 3)), rng.normal(size=(5, 2)))
+    check_op(lambda t: ad.tsum(ad.gather_rows(t, np.arange(1, 3))), rng.normal(size=(5, 2)))
 
 
 def test_layer_norm_matches_finite_differences():
@@ -121,7 +115,7 @@ def test_layer_norm_matches_finite_differences():
 
     def f_gamma(gm):
         return ad.tsum(ad.mul(ad.layer_norm(ad.Tensor(x), ad.Tensor(gm),
-                                            beta.detach()), w)).data.item()
+                                            ad.Tensor(beta.data)), w)).data.item()
 
     np.testing.assert_allclose(gamma.grad, numeric_grad(f_gamma, gamma.data),
                                rtol=1e-5, atol=1e-8)
@@ -211,12 +205,13 @@ def test_attention_keeps_leading_axes():
 NO_GRAD_OPS = {
     "add": lambda x, w: ad.add(x, w),
     "matmul/transpose": lambda x, w: ad.matmul(x, ad.transpose(w, (1, 0))),
-    "linear": lambda x, w: ad.linear(x, ad.slice_rows(w, 0, 4), ad.tsum(w, axis=0)),
+    "linear": lambda x, w: ad.linear(x, ad.gather_rows(w, np.arange(4)), ad.tsum(w, axis=0)),
     "tanh/relu/power": lambda x, w: ad.power(ad.relu(ad.tanh(ad.mul(x, w))), 2.0),
     "softmax/log_softmax": lambda x, w: ad.add(ad.softmax(x), ad.log_softmax(w)),
-    "layer_norm": lambda x, w: ad.layer_norm(x, ad.tmean(w, axis=0), ad.tsum(w, axis=0)),
+    "layer_norm": lambda x, w: ad.layer_norm(x, ad.mul(ad.tsum(w, axis=0), 1.0 / 6),
+                                            ad.tsum(w, axis=0)),
     "concat/slice/gather": lambda x, w: ad.gather_rows(
-        ad.slice_rows(ad.concat([x, w], axis=0), 1, 8), np.array([0, 6, 6])),
+        ad.gather_rows(ad.concat([x, w], axis=0), np.arange(1, 8)), np.array([0, 6, 6])),
     "attention": lambda x, w: ad.attention(ad.concat([x, w, x], axis=1),
                                            [(0, 2, 3)], 2)[0],
 }

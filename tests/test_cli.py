@@ -276,6 +276,20 @@ def test_directory_paths_are_data_errors(workspace, tmp_path, capsys):
     assert "Is a directory" in capsys.readouterr().err
 
 
+def test_distill_mlp_head_narrower_than_actions_is_data_error(workspace, tmp_path,
+                                                            capsys):
+    root, cfg, gen_dir = workspace
+    narrow = tmp_path / "narrow.txt"
+    narrow.write_text(cfg.read_text() + "max_action = 3\n")
+    out = tmp_path / "d"
+    rc = run(["distill", "--config", str(narrow), "--dataset",
+              str(gen_dir / "dataset.cgds"), "--out", str(out), "--arch", "mlp"])
+    assert rc == 2
+    assert "action dimension 4 exceeds the MLP head width max_action=3" in \
+        capsys.readouterr().err
+    assert not (out / "checkpoint.cgck").exists()
+
+
 def test_distill_empty_dataset_is_data_error(workspace, tmp_path, capsys):
     root, cfg, gen_dir = workspace
     empty = tmp_path / "empty.cgds"

@@ -15,14 +15,21 @@ from morphtask.control_graph import (
     mu_law,
     mu_law_inverse,
     quantize,
-    spec_from_bitmask,
-    stack_history,
-    tokenize_cg,
+    tokenize_features,
 )
-from morphtask.env import goal_bindings, local_observations, make_env, reset
+from morphtask.env import local_observations, make_env, reset, resolve_target
 from morphtask.morphology import generate_morphology
 
+from test_distill import stack_history
+
 BASE = ["p", "v", "q", "a", "ja", "jr"]
+
+
+def goal_bindings(state):
+    """(target node id, goal value) pairs of a state, as the control-graph
+    builders take them."""
+    return [(resolve_target(state.graph, tmpl.target_selector), state.goals[g])
+            for g, tmpl in enumerate(state.task.goals)]
 
 
 def obs_and_graph(env_id="ant_reach_4", flags=BASE + ["m"], seed=0):
@@ -46,10 +53,9 @@ def test_full_set_width_41():
     assert build_observation_spec(FLAG_ORDER).width == 41
 
 
-def test_canonical_order_and_bitmask():
+def test_canonical_order():
     spec = build_observation_spec(["m", "p", "ja"])
     assert spec.flags == ("p", "ja", "m")
-    assert spec_from_bitmask(spec.bitmask()) == spec
 
 
 def test_empty_flags_rejected():
@@ -168,7 +174,6 @@ def test_history_zero_fill_at_start():
     F = cg.width
     np.testing.assert_array_equal(out.node_features[:, :2 * F], 0.0)
     np.testing.assert_array_equal(out.node_features[:, 2 * F:], cg.node_features)
-    assert out.history_depth == 3
 
 
 def test_history_width_arithmetic():
@@ -265,14 +270,14 @@ def test_quantize_half_bin_bound(y):
 def test_tokenize_all_zero_features():
     obs, bindings, graph, ospec = obs_and_graph()
     cg = build_cg_v2(np.zeros_like(obs), [], graph, ospec)
-    tokens = tokenize_cg(cg)
+    tokens = tokenize_features(cg.node_features)
     np.testing.assert_array_equal(tokens, 512)
 
 
 def test_tokenize_shape_preserved_and_round_trip():
     obs, bindings, graph, ospec = obs_and_graph()
     cg = build_cg_v2(obs, bindings, graph, ospec)
-    tokens = tokenize_cg(cg)
+    tokens = tokenize_features(cg.node_features)
     assert tokens.shape == cg.node_features.shape
     back = detokenize(tokens, "center")
     # error bounded by the inverse image of a half bin around each value
@@ -286,7 +291,7 @@ def test_tokenize_rejects_non_finite():
     bad[0, 0] = np.nan
     cg = build_cg_v2(bad, bindings, graph, ospec)
     with pytest.raises(ValueError):
-        tokenize_cg(cg)
+        tokenize_features(cg.node_features)
 
 
 # --- action mask invariants --------------------------------------------------------------------

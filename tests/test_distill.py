@@ -11,10 +11,10 @@ from morphtask import artifacts, distill
 from morphtask import env as menv
 from morphtask.artifacts import seal
 from morphtask.control_graph import (
+    ControlGraph,
     build_observation_spec,
     detokenize,
-    stack_history,
-    tokenize_cg,
+    tokenize_features,
 )
 from morphtask.distill import (
     CorruptionError,
@@ -42,9 +42,9 @@ from morphtask.nn import autodiff as ad
 from morphtask.nn.policies import (
     ConfigError,
     PolicyConfig,
+    ShapeError,
     adjacency,
-    backward as policy_grads,
-    flatten_cg,
+    flatten_features,
     init_params,
     tokenize_actions,
     tokenized_logits,
@@ -52,6 +52,43 @@ from morphtask.nn.policies import (
 )
 
 from test_morphology import with_node_field
+
+
+def stack_history(cg_sequence, history_depth: int | None = None) -> ControlGraph:
+    """Concatenate the last H frames per node, newest rightmost: the
+    frame-by-frame oracle of history stacking.
+
+    Frames missing at episode start are zero-filled on the left.  Masks and
+    indicators are taken from the newest frame.
+    """
+    frames = list(cg_sequence)
+    if not frames:
+        raise ValueError("need at least one frame")
+    H = history_depth if history_depth is not None else len(frames)
+    if H < 1 or len(frames) > H:
+        raise ValueError(f"got {len(frames)} frames for history depth {H}")
+    newest = frames[-1]
+    for f in frames:
+        if f.node_features.shape != newest.node_features.shape:
+            raise ValueError("history frames disagree on feature shape")
+        if f.variant != newest.variant:
+            raise ValueError("history frames disagree on variant")
+    n, w = newest.node_features.shape
+    feats = np.zeros((n, w * H), dtype=np.float64)
+    pad = H - len(frames)
+    for i, f in enumerate(frames):
+        col = (pad + i) * w
+        feats[:, col: col + w] = f.node_features
+    return dataclasses.replace(newest, node_features=feats)
+
+
+def policy_grads(params, batch, loss_fn) -> dict[str, np.ndarray]:
+    """Exact reverse-mode gradients of loss_fn(params, batch) per tensor."""
+    params.zero_grad()
+    loss_fn(params, batch).backward()
+    return {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+            for name, t in params.tensors.items()}
+
 
 OBS = build_observation_spec(["p", "v", "q", "a", "ja", "jr", "m"])
 
@@ -383,7 +420,8 @@ def _per_row_packing(ds, config):
             targets = np.zeros((len(cgs), config.max_action))
             for i, act in enumerate(envd.actions):
                 targets[i, :n_act] = act
-            out.append({"feats": np.stack([flatten_cg(cg, config.max_nodes) for cg in cgs]),
+            out.append({"feats": np.stack([flatten_features(cg.node_features, config.max_nodes)
+                                            for cg in cgs]),
                         "target_grid": targets})
             continue
         targets = np.zeros((len(cgs),) + cgs[0].action_mask.shape)
@@ -395,7 +433,8 @@ def _per_row_packing(ds, config):
         if config.arch == "gnn":
             row["adjacency"] = adjacency(cgs[0].edges, cgs[0].n_nodes)
         if config.arch == "transformer_tokenized":
-            feats = detokenize(np.stack([tokenize_cg(cg, config.n_bins) for cg in cgs]),
+            feats = detokenize(np.stack([tokenize_features(cg.node_features, config.n_bins)
+                                          for cg in cgs]),
                                "center", config.n_bins)
             row["token_targets"] = tokenize_actions(targets, config.n_bins)
         out.append({**row, "feats": feats})
@@ -574,6 +613,16 @@ def test_gnn_and_mlp_training_paths():
                                           max_action=8), 0)
     _, curve = train(mlp, ds, TrainConfig(steps=10, batch_size=8, seed=0))
     assert np.isfinite(curve[-1][1])
+
+
+def test_mlp_head_narrower_than_actions_is_shape_error_in_training():
+    ds, _ = small_dataset(envs=("ant_reach_6",), n=10)
+    mlp = init_params("mlp", PolicyConfig(arch="mlp", feature_width=_width(),
+                                          mlp_hidden=8, max_nodes=24,
+                                          max_action=8), 0)
+    with pytest.raises(ShapeError, match="action dimension 12 exceeds the MLP "
+                                         "head width max_action=8"):
+        train(mlp, ds, TrainConfig(steps=1, batch_size=4, seed=0))
 
 
 def test_tokenized_training_paths():

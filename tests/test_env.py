@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morphtask import artifacts
 from morphtask import env as menv
 from morphtask.control_graph import build_observation_spec
+from morphtask.distill import (
+    DATASET_MAGIC,
+    CorruptionError,
+    dataset_bytes,
+    generate_dataset,
+    read_dataset,
+)
 from morphtask.env import (
     EnvSpec,
     EnvState,
@@ -33,7 +41,10 @@ from morphtask.morphology import (
     JointEdge,
     ModuleNode,
     MorphologyGraph,
+    MorphologyParseError,
     generate_morphology,
+    parse_morphology,
+    serialize_morphology,
 )
 
 
@@ -530,6 +541,85 @@ def test_task_round_trip():
 def test_task_parse_error_line():
     with pytest.raises(menv.TaskParseError):
         parse_task("task reach goals=2 episode=500\ngoal xy_position ee0 0 1 0 0 0.01 2\n")
+
+
+@pytest.mark.parametrize("goal_line,line_no,message", [
+    ("goal xy_position ee0 0 1 0 0 nan 2", 1, "goal 0: need finite 0 <= d_min < d_max"),
+    ("goal xy_position ee0 0 1 0 0 0.01 inf", 1, "goal 0: need finite 0 <= d_min < d_max"),
+    ("goal xy_position ee0 0 1 0 0 5.0 1.0", 1, "goal 0: need finite 0 <= d_min < d_max"),
+    ("goal xy_position ee0 0 one 0 0 0.01 2", 2, "could not convert string to float"),
+    ("goal xy_position ee0 0 inf 0 0 0.01 2", 2, "bad annulus"),
+    ("goal spiral ee0 0 1 0 0 0.01 2", 2, "unknown goal kind"),
+])
+def test_task_parse_rejects_bad_goal_line(goal_line, line_no, message):
+    with pytest.raises(menv.TaskParseError) as exc:
+        parse_task(f"task reach goals=1 episode=500\n{goal_line}\n")
+    assert exc.value.line_no == line_no
+    assert message in str(exc.value)
+
+
+def test_task_parse_rejects_bad_header_values():
+    goal = "goal xy_position ee0 0 1 0 0 0.01 2\n"
+    for header, message in (("task reach goals=1 episode=0", "episode length 0"),
+                            ("task dance goals=1 episode=500", "unknown task kind")):
+        with pytest.raises(menv.TaskParseError, match=f"line 1: {message}"):
+            parse_task(f"{header}\n{goal}")
+
+
+def test_dataset_with_nan_task_bound_is_rejected(tmp_path):
+    ds, _ = generate_dataset([make_env("ant_reach_2")], n_transitions=5, seed=0)
+    tag, meta, tensors = artifacts.parse(dataset_bytes(ds), DATASET_MAGIC)
+    env0 = meta["environments"][0]
+    header, goal = env0["task"].splitlines()
+    env0["task"] = f"{header}\n{' '.join(goal.split()[:7])} nan {goal.split()[8]}\n"
+    path = tmp_path / "nan.cgds"
+    path.write_bytes(artifacts.to_bytes(DATASET_MAGIC, tag, meta, list(tensors.items())))
+    with pytest.raises(CorruptionError, match="d_min"):
+        read_dataset(path)
+
+
+# --- text parsers under mutation ------------------------------------------------------------
+
+MUTATION_TOKENS = ("nan", "inf", "-inf", "1e999", "-1", "0", "-", "x", "#", "\n", "",
+                   "node", "edge", "act", "goal", "torso")
+
+
+def _mutated(data, text):
+    """text after one to three random truncations, bit flips, token
+    insertions or token replacements."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(("truncate", "flip", "insert", "replace")))
+        if op == "truncate" or not text:
+            text = text[:data.draw(st.integers(0, len(text)))]
+        elif op == "flip":
+            i = data.draw(st.integers(0, len(text) - 1))
+            text = text[:i] + chr(ord(text[i]) ^ (1 << data.draw(st.integers(0, 6)))) \
+                + text[i + 1:]
+        elif op == "insert":
+            i = data.draw(st.integers(0, len(text)))
+            text = text[:i] + data.draw(st.sampled_from(MUTATION_TOKENS)) + text[i:]
+        else:
+            words = text.split(" ")
+            words[data.draw(st.integers(0, len(words) - 1))] = \
+                data.draw(st.sampled_from(MUTATION_TOKENS))
+            text = " ".join(words)
+    return text
+
+
+@settings(settings.get_profile("ci"), max_examples=400, deadline=None)
+@given(st.data())
+def test_text_parsers_raise_only_their_own_error(data):
+    env_id = data.draw(st.sampled_from(("ant_reach_3", "claw_reach_hard_2",
+                                        "worm_push_2", "ant_reach_handsup2_4")))
+    spec = make_env(env_id)
+    for text, parse, error in ((serialize_morphology(spec.graph), parse_morphology,
+                                MorphologyParseError),
+                               (serialize_task(spec.task), parse_task,
+                                menv.TaskParseError)):
+        try:
+            parse(_mutated(data, text))
+        except error:
+            pass
 
 
 # --- env ids ------------------------------------------------------------------------------

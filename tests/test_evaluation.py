@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphtask.artifacts import seal
-from morphtask.distill import CorruptionError, cg_feature_width
-from morphtask.control_graph import build_observation_spec
-from morphtask.env import make_env
+from morphtask.distill import CorruptionError, build_cg, cg_feature_width
+from morphtask.control_graph import build_observation_spec, detokenize, tokenize_features
+from morphtask.env import local_observations, make_env, reset, step
+from morphtask import env as menv
 from morphtask.evaluation import (
     MetricResult,
     OrderingError,
@@ -23,7 +24,16 @@ from morphtask.evaluation import (
     subdomain_of,
     write_attention_export,
 )
-from morphtask.nn.policies import PolicyConfig, UnsupportedVariantError, init_params
+from morphtask.nn.policies import (
+    PolicyConfig,
+    ShapeError,
+    UnsupportedVariantError,
+    _tokenized_grid,
+    init_params,
+    transformer_grid,
+)
+
+from test_distill import stack_history
 
 OBS = build_observation_spec(["p", "v", "q", "a", "ja", "jr", "m"])
 
@@ -47,8 +57,9 @@ def test_zero_policy_constant_distances():
     traj = rollout(params, spec, seed=0, T=20)
     assert np.all(traj.actions == 0.0)
     assert np.allclose(traj.distances, traj.distances[0])
-    assert len(traj.states) == 21  # reset state plus one per step
-    assert len(traj.cgs) == 20
+    n = spec.graph.n_nodes + 1
+    assert traj.inputs.shape == (20, n, params.config.feature_width)
+    assert traj.template.n_nodes == n
 
 
 def test_rollout_deterministic():
@@ -83,6 +94,40 @@ def test_rollout_history_policy():
     params = tf_params(3, history=3)
     traj = rollout(params, spec, seed=0, T=5)
     assert traj.actions.shape == (5, spec.graph.action_dimension())
+
+
+def test_rollout_batch_history_equals_per_step_oracle():
+    # one control graph per seed and step, history stacked frame by frame
+    spec = make_env("ant_reach_3")
+    params = tf_params(4, history=3)
+    seeds = [0, 1, 2]
+    trajs = rollout_batch(params, spec, seeds, T=6)
+    for traj, seed in zip(trajs, seeds):
+        state = reset(spec, seed)
+        goals = np.concatenate(state.goals)
+        frames = []
+        for t in range(6):
+            cg = build_cg(spec, local_observations(state, OBS), goals, OBS, "v2")
+            frames = (frames + [cg])[-3:]
+            cg = stack_history(frames, 3)
+            grid, _ = transformer_grid(params, cg.node_features[None],
+                                       cg.action_mask[None])
+            action = np.array([grid.data[0, node, slot]
+                               for node, slot in cg.actuator_map])
+            np.testing.assert_array_equal(traj.actions[t], action)
+            state = step(state, action)
+            np.testing.assert_array_equal(traj.distances[t],
+                                          [menv.goal_distance(state, 0)])
+
+
+def test_mlp_head_narrower_than_actions_is_shape_error_in_rollouts():
+    spec = make_env("ant_reach_6")
+    width = cg_feature_width(OBS, "v2")
+    params = init_params("mlp", PolicyConfig(arch="mlp", feature_width=width,
+                                             mlp_hidden=8, max_nodes=24,
+                                             max_action=8), 0)
+    with pytest.raises(ShapeError, match="action dimension 12 .*max_action=8"):
+        rollout_batch(params, spec, [0, 1], T=3)
 
 
 def test_expert_style_policy_reaches_goal():
@@ -265,6 +310,27 @@ def test_damaged_attention_export_raises_only_corruption(tmp_path_factory, data)
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptionError):
         read_tensor_table(path)
+
+
+@pytest.mark.parametrize("variant", ["c", "d", "da"])
+def test_tokenized_attention_report_replays_the_policy_maps(variant):
+    # the maps the policy used are those of the tokenized and detokenized
+    # features it consumed, replayed here step by step from the env
+    spec = make_env("ant_reach_2")
+    params = tf_params(1, arch="transformer_tokenized", token_variant=variant,
+                       n_bins=64, layers=2)
+    traj = rollout(params, spec, seed=0, T=4)
+    attn, _ = attention_report(params, traj)
+    state = reset(spec, 0)
+    for t in range(4):
+        cg = build_cg(spec, local_observations(state, OBS),
+                      np.concatenate(state.goals), OBS, "v2")
+        feats = detokenize(tokenize_features(cg.node_features, 64), "center", 64)
+        grid, expect = _tokenized_grid(params, feats[None], cg.action_mask[None])
+        action = np.array([grid[0, node, slot] for node, slot in cg.actuator_map])
+        np.testing.assert_array_equal(traj.actions[t], action)
+        np.testing.assert_array_equal(attn[t], expect[0])
+        state = step(state, action)
 
 
 def test_attention_v1_has_no_goal_mass():

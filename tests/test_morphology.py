@@ -105,7 +105,7 @@ def test_missing_decrements_by_removed_edge_actuators():
     for bp, cnt in [("ant", 3), ("claw", 4), ("centipede", 2)]:
         g = generate_morphology(bp, cnt)
         removed = g.legs[1][-1]
-        edge = g.parent_edge(removed)
+        edge = g.parent_map[removed]
         m = apply_missing(g, 1)
         assert g.action_dimension() - m.action_dimension() == len(edge.actuators)
 
@@ -222,6 +222,37 @@ def test_parse_rejects_non_finite_or_out_of_range_values(field, value):
     with pytest.raises(MorphologyParseError) as exc:
         parse_morphology(with_node_field(text, 2, field, value))
     assert f"node 2: {field} must be finite" in str(exc.value)
+
+
+@pytest.mark.parametrize("directive,field", [("node", 1), ("edge", 2)])
+def test_parse_rejects_non_integer_fields(directive, field):
+    lines = serialize_morphology(generate_morphology("ant", 3)).splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(directive))
+    parts = lines[i].split()
+    parts[field] = "x"
+    lines[i] = " ".join(parts)
+    with pytest.raises(MorphologyParseError, match=f"line {i + 1}: expected int fields"):
+        parse_morphology("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n_nodes,edges", [
+    (2, [(0, 1), (1, 7)]),           # an edge to a node that does not exist
+    (3, [(2, 1), (1, 2), (0, 1)]),   # a limb cycle hanging off the torso
+])
+def test_parse_rejects_non_tree_before_deriving_legs(n_nodes, edges):
+    lines = [f"morphology x nodes={n_nodes} edges={len(edges)}",
+             "node 0 torso 0.25 0 1 0.01 0 0 0"]
+    lines += [f"node {i} limb_segment 0.08 0.4 1 0.01 0 0 0" for i in range(1, n_nodes)]
+    for parent, child in edges:
+        lines += [f"edge {parent} {child} 1", "act 0 0 1 -1 1 1"]
+    with pytest.raises(MorphologyParseError, match="not a tree"):
+        parse_morphology("\n".join(lines) + "\n")
+
+
+def test_parse_rejects_non_numeric_radius():
+    text = serialize_morphology(generate_morphology("ant", 3))
+    with pytest.raises(MorphologyParseError, match="expected float fields"):
+        parse_morphology(with_node_field(text, 2, "radius", "wide"))
 
 
 def test_validate_rejects_nan_joint_range():

@@ -8,31 +8,30 @@ from morphtask.control_graph import (
     build_cg_v2,
     build_observation_spec,
     detokenize,
-    tokenize_cg,
+    tokenize_features,
 )
-from morphtask.env import local_observations, make_env, reset, goal_bindings
+from morphtask.env import local_observations, make_env, reset
 from morphtask.nn import autodiff as ad
 from morphtask.nn.policies import (
     ConfigError,
     PolicyConfig,
     ShapeError,
-    UnsupportedVariantError,
-    actions_from_grid,
+    _tokenized_grid,
+    action_index,
     adjacency,
-    gnn_forward,
+    batch_grids,
+    flatten_features,
     gnn_grid,
     init_params,
-    mlp_forward,
     mlp_vector,
-    flatten_cg,
     param_shapes,
     parameter_count,
-    policy_action,
-    tokenized_head_forward,
+    policy_inputs,
     tokenized_logits,
-    transformer_forward,
     transformer_grid,
 )
+
+from test_control_graph import goal_bindings
 
 OBS = build_observation_spec(["p", "v", "q", "a", "ja", "jr", "m"])  # width 30
 
@@ -45,6 +44,14 @@ def sample_cg(env_id="ant_reach_3", variant="v2", seed=0):
     if variant == "v2":
         return build(obs, goal_bindings(state), spec.graph, OBS)
     return build(obs, goal_bindings(state), spec.graph)
+
+
+def cg_actions(params, cg):
+    """Action vector of one control graph the way rollouts take it:
+    policy_inputs, the architecture's forward, then action_index."""
+    x = policy_inputs(cg.node_features[None], params.config)
+    out = batch_grids(params, x, cg.action_mask[None], adjacency(cg.edges, cg.n_nodes))
+    return out[action_index(params.config, cg)][0]
 
 
 def tf_config(cg, **kw):
@@ -124,7 +131,7 @@ def test_mlp_zero_weights_zero_output():
     params = init_params("mlp", cfg, 0)
     for t in params.tensors.values():
         t.data[:] = 0.0
-    np.testing.assert_array_equal(mlp_forward(params, cg), 0.0)
+    np.testing.assert_array_equal(cg_actions(params, cg), 0.0)
 
 
 def test_mlp_outputs_in_open_interval():
@@ -132,7 +139,7 @@ def test_mlp_outputs_in_open_interval():
     cfg = PolicyConfig(arch="mlp", feature_width=cg.width, mlp_hidden=8,
                        max_nodes=12, max_action=16)
     params = init_params("mlp", cfg, 1)
-    out = mlp_forward(params, cg)
+    out = cg_actions(params, cg)
     assert out.shape == (len(cg.actuator_map),)
     assert np.all(np.abs(out) < 1.0)
 
@@ -159,20 +166,11 @@ def test_mlp_rejects_wide_input():
     cg = sample_cg(variant="v1")
     cfg = PolicyConfig(arch="mlp", feature_width=cg.width, mlp_hidden=8,
                        max_nodes=3, max_action=16)
-    params = init_params("mlp", cfg, 0)
     with pytest.raises(ShapeError):
-        mlp_forward(params, cg)
+        policy_inputs(cg.node_features[None], cfg)
 
 
 # --- gnn --------------------------------------------------------------------
-
-def test_gnn_requires_v1():
-    cg = sample_cg(variant="v2")
-    cfg = PolicyConfig(arch="gnn", feature_width=cg.width, gnn_hidden=8)
-    params = init_params("gnn", cfg, 0)
-    with pytest.raises(UnsupportedVariantError):
-        gnn_forward(params, cg)
-
 
 def test_gnn_zero_weights_zero_output():
     cg = sample_cg(variant="v1")
@@ -180,7 +178,7 @@ def test_gnn_zero_weights_zero_output():
     params = init_params("gnn", cfg, 0)
     for t in params.tensors.values():
         t.data[:] = 0.0
-    np.testing.assert_array_equal(gnn_forward(params, cg), 0.0)
+    np.testing.assert_array_equal(cg_actions(params, cg), 0.0)
 
 
 def test_gnn_round2_hand_computation():
@@ -210,7 +208,8 @@ def test_gnn_round2_hand_computation():
 def test_attention_rows_stochastic():
     cg = sample_cg()
     params = init_params("transformer", tf_config(cg), 3)
-    _, attn = transformer_forward(params, cg)
+    _, attn = transformer_grid(params, cg.node_features[None], cg.action_mask[None])
+    attn = attn[0]
     assert attn.shape == (2, 2, cg.n_nodes, cg.n_nodes)
     np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
     assert np.all(attn >= 0.0)
@@ -221,8 +220,7 @@ def test_zero_decode_weights_zero_actions():
     params = init_params("transformer", tf_config(cg), 3)
     params.tensors["decode/W"].data[:] = 0.0
     params.tensors["decode/b"].data[:] = 0.0
-    actions, _ = transformer_forward(params, cg)
-    np.testing.assert_array_equal(actions, 0.0)
+    np.testing.assert_array_equal(cg_actions(params, cg), 0.0)
 
 
 def test_masked_positions_exactly_zero():
@@ -263,7 +261,7 @@ def test_node_count_exceeding_pe_table():
     cg = sample_cg()
     params = init_params("transformer", tf_config(cg, max_nodes=4), 0)
     with pytest.raises(ShapeError):
-        transformer_forward(params, cg)
+        transformer_grid(params, cg.node_features[None], cg.action_mask[None])
     tok = init_params("transformer_tokenized",
                       tf_config(cg, max_nodes=4, token_variant="d", n_bins=16), 0)
     with pytest.raises(ShapeError):
@@ -400,7 +398,8 @@ def test_transformer_gradcheck():
     def loss_fn(p):
         grid, _ = transformer_grid(p, cg.node_features[None], cg.action_mask[None])
         diff = ad.sub(grid, target[None] * cg.action_mask[None])
-        return ad.tmean(ad.mul(ad.mul(diff, diff), cg.action_mask[None]))
+        return ad.mul(ad.tsum(ad.mul(ad.mul(diff, diff), cg.action_mask[None])),
+                      1.0 / diff.data.size)
 
     directional_grad_check(params, loss_fn)
 
@@ -416,7 +415,8 @@ def test_gnn_gradcheck():
     def loss_fn(p):
         grid = gnn_grid(p, cg.node_features[None], cg.action_mask[None], adj)
         diff = ad.sub(grid, target[None] * cg.action_mask[None])
-        return ad.tmean(ad.mul(ad.mul(diff, diff), cg.action_mask[None]))
+        return ad.mul(ad.tsum(ad.mul(ad.mul(diff, diff), cg.action_mask[None])),
+                      1.0 / diff.data.size)
 
     directional_grad_check(params, loss_fn)
 
@@ -426,13 +426,13 @@ def test_mlp_gradcheck():
     cfg = PolicyConfig(arch="mlp", feature_width=cg.width, mlp_hidden=6,
                        max_nodes=12, max_action=16)
     params = init_params("mlp", cfg, 2)
-    flat = flatten_cg(cg, cfg.max_nodes)[None]
+    flat = flatten_features(cg.node_features, cfg.max_nodes)[None]
     target = np.random.default_rng(3).uniform(-1, 1, (1, cfg.max_action))
 
     def loss_fn(p):
         vec = mlp_vector(p, flat)
         diff = ad.sub(vec, target)
-        return ad.tmean(ad.mul(diff, diff))
+        return ad.mul(ad.tsum(ad.mul(diff, diff)), 1.0 / diff.data.size)
 
     directional_grad_check(params, loss_fn)
 
@@ -474,12 +474,10 @@ def test_tokenized_c_equals_transformer_on_detokenized():
                         "token_variant": "c"}), 6)
     for k in params.tensors:
         tok_params.tensors[k].data[:] = params.tensors[k].data
-    tokens = tokenize_cg(cg)
-    actions_tok, _ = tokenized_head_forward(tok_params, tokens, cg)
-    detok = detokenize(tokens, "center")
-    from dataclasses import replace as dc_replace
-    cg_detok = dc_replace(cg, node_features=detok)
-    actions_ref, _ = transformer_forward(params, cg_detok)
+    actions_tok = cg_actions(tok_params, cg)
+    detok = detokenize(tokenize_features(cg.node_features), "center")
+    grid_ref, _ = transformer_grid(params, detok[None], cg.action_mask[None])
+    actions_ref = grid_ref.data[0][cg.actuator_index]
     np.testing.assert_allclose(actions_tok, actions_ref, atol=1e-9)
 
 
@@ -489,8 +487,7 @@ def test_tokenized_d_outputs_bin_center_images():
     cfg = PolicyConfig(**{**tf_config(cg).__dict__,
                           "arch": "transformer_tokenized", "token_variant": "d"})
     params = init_params("transformer_tokenized", cfg, 6)
-    tokens = tokenize_cg(cg)
-    actions, _ = tokenized_head_forward(params, tokens, cg)
+    actions = cg_actions(params, cg)
     centers = mu_law_inverse(dequantize(np.arange(1024), "center"))
     for a in actions:
         assert np.min(np.abs(centers - a)) < 1e-12
@@ -508,10 +505,20 @@ def test_tokenized_rejects_out_of_range():
     cfg = PolicyConfig(**{**tf_config(cg).__dict__,
                           "arch": "transformer_tokenized", "token_variant": "c"})
     params = init_params("transformer_tokenized", cfg, 6)
-    bad = tokenize_cg(cg)
+    bad = tokenize_features(cg.node_features)
     bad[0, 0] = 1024
     with pytest.raises(IndexError):
-        tokenized_head_forward(params, bad, cg)
+        _tokenized_grid(params, detokenize(bad, "center")[None], cg.action_mask[None])
+
+
+def test_tokenized_inputs_reject_non_finite_features():
+    cg = sample_cg()
+    cfg = PolicyConfig(**{**tf_config(cg).__dict__,
+                          "arch": "transformer_tokenized", "token_variant": "d"})
+    feats = cg.node_features.copy()
+    feats[0, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        policy_inputs(feats[None], cfg)
 
 
 # --- dispatch ---------------------------------------------------------------------
@@ -525,7 +532,7 @@ def test_policy_action_shapes():
                            attn_hidden=16, heads=2, layers=1, gnn_hidden=8,
                            max_nodes=24)
         params = init_params(arch, cfg, 0)
-        out = policy_action(params, cg)
+        out = cg_actions(params, cg)
         assert out.shape == (n_act,)
         assert np.all(np.abs(out) <= 1.0)
 
