@@ -28,6 +28,11 @@ MU_M = 256.0
 N_BINS = 1024
 
 
+class ShapeError(ValueError):
+    """An array's shape does not fit the body or policy it is given to.
+    The one class behind ``env.ShapeError`` and ``nn.ShapeError``."""
+
+
 @dataclass(frozen=True)
 class ObservationSpec:
     flags: tuple[str, ...]

@@ -106,6 +106,14 @@ def _episode_seed(seed: int, env_index: int, episode: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _state_key(state: menv.EnvState) -> bytes:
+    """Joint angles and box position as bytes: within one episode, all that
+    the expert's next action and step depend on.  Bytes, not values, so a
+    -0.0/0.0 difference can only hide a repeat, never invent one."""
+    box = b"" if state.box_pos is None else state.box_pos.tobytes()
+    return state.joint_angles.tobytes() + box
+
+
 def generate_dataset(env_specs, expert_gain: float = 1.0,
                      n_transitions: int = DEFAULT_TRANSITIONS,
                      seed: int = 0,
@@ -119,7 +127,10 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
     the attempted episodes must be kept: DataQualityError is raised as soon
     as no later outcome can bring the keep rate to 50%, and its message
     gives the kept/attempted counts at that moment.  Observations are built
-    only for the rows that reach the dataset.
+    only for the rows that reach the dataset.  A rejected episode ends at
+    its first repeated state (same joint angles and box, no goal set
+    satisfied yet): from there it can only cycle through states already
+    found unsatisfied, so stopping gives the same data as the full horizon.
     """
     obs_spec = obs_spec or build_observation_spec(
         ["p", "v", "q", "a", "ja", "jr", "m"])
@@ -141,6 +152,7 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
             room = n_transitions - len(rows)
             episode: list[tuple] = []  # (pre-step state, expert action) of storable rows
             satisfied_at = None
+            seen = {_state_key(state)}  # states of this episode before satisfaction
             for t in range(task.episode_length):
                 action = menv._expert_action(state, expert_gain, distances)
                 if t < room:
@@ -150,8 +162,17 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
                 if satisfied_at is None and all(
                         d <= d_min for d, d_min in zip(distances, task.d_min)):
                     satisfied_at = t
-                if satisfied_at is not None and t >= satisfied_at + HOLD_TAIL_STEPS:
+                if satisfied_at is not None:
+                    if t >= satisfied_at + HOLD_TAIL_STEPS:
+                        break
+                    continue
+                # The next state depends only on this key (goals and ball are
+                # fixed for the episode), so a repeated key means every later
+                # state repeats one already found unsatisfied: reject now.
+                key = _state_key(state)
+                if key in seen:
                     break
+                seen.add(key)
             if satisfied_at is None:
                 continue
             finals.append(sum(
@@ -219,8 +240,9 @@ def write_dataset(ds: TransitionDataset, path) -> None:
 
 def _env_dataset(header, arrays: dict[str, np.ndarray]) -> EnvDataset:
     """One environment of a dataset; CorruptionError unless the header is
-    well formed and every array has the dtype and shape it implies, with at
-    least one row and episode ids that start at 0 and never decrease."""
+    well formed, every goal names a node of its body, and every array has
+    the dtype and shape it implies, with at least one row and episode ids
+    that start at 0 and never decrease."""
     if not (isinstance(header, dict) and set(header) == set(_ENV_KEYS)
             and all(isinstance(header[k], str) for k in _ENV_KEYS[:3])
             and isinstance(header["obs_flags"], list)
@@ -230,6 +252,7 @@ def _env_dataset(header, arrays: dict[str, np.ndarray]) -> EnvDataset:
     try:
         obs_spec = build_observation_spec(flags)
         spec = menv.env_from_texts(env_id, morph_text, task_text)
+        goal_nodes(spec)           # every goal names a node of this body
     except (ValueError, LookupError) as exc:
         raise CorruptionError(f"unreadable header for env {env_id!r}: {exc}") from exc
     if list(obs_spec.flags) != flags:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .control_graph import FLAG_WIDTHS, ObservationSpec
+from .control_graph import FLAG_WIDTHS, ObservationSpec, ShapeError
 from .morphology import (
     MorphologyGraph,
     generate_morphology,
@@ -38,10 +38,6 @@ GOAL_KINDS = ("xy_position", "z_height", "ball_contact", "box_to_target")
 
 
 class EpisodeOverError(RuntimeError):
-    pass
-
-
-class ShapeError(ValueError):
     pass
 
 
@@ -186,7 +182,32 @@ class _Kinematics:
         self.reset_mid = 0.5 * (self.lo + self.hi)
         self.reset_span = RESET_ANGLE_FRACTION * (0.5 * (self.hi - self.lo))
         self.radii = np.array([n.radius for n in graph.nodes])
+        # The same recipe for the array FK: edges grouped by (depth, actuator
+        # count), so a group's parents are placed and its rotations align.
+        groups: dict[tuple[int, int], list] = {}
+        depth = {}
+        dof = 0
+        for parent, child, offset, act_axes, length in self.edges:
+            depth[child] = depth.get(parent, 0) + 1
+            groups.setdefault((depth[child], len(act_axes)), []).append(
+                (parent, child, offset, act_axes, range(dof, dof + len(act_axes)),
+                 length))
+            dof += len(act_axes)
+        self.levels = tuple(_fk_level(group) for _, group in sorted(groups.items()))
         _freeze_arrays(self)
+
+
+def _fk_level(edges):
+    """One group of edges as arrays: (parents, children, attach offset
+    components, per actuator (dof indices, axis components), lengths)."""
+    parents, children, offsets, axes, dofs, lengths = zip(*edges)
+
+    def components(vectors):
+        return tuple(np.array(c) for c in zip(*vectors))
+
+    turns = tuple((np.array(d), components(a)) for d, a in zip(zip(*dofs), zip(*axes)))
+    return (np.array(parents), np.array(children), components(offsets), turns,
+            np.array(lengths))
 
 
 def _freeze_arrays(tables) -> None:
@@ -208,17 +229,34 @@ def forward_kinematics(graph: MorphologyGraph, joint_angles) -> tuple[np.ndarray
     (..., n, 3) and orientations (..., n, 4).  The root stays at the origin
     with identity orientation; each child frame is the parent frame composed
     with the attach offset, the per-actuator rotations, then a translation by
-    (length, 0, 0).  Batches run fk_frames once per flattened batch row.
+    (length, 0, 0).  One array pass per (depth, actuator count) group of
+    edges, with fk_frames' per-component formulas, so every row equals
+    fk_frames bit for bit.  Per single state fk_frames is faster; this pass
+    pays from a batch of about 8.
     """
     theta = np.asarray(joint_angles, dtype=np.float64)
-    A = graph.action_dimension()
-    if theta.shape[-1] != A:
-        raise ShapeError(f"expected {A} joint angles, got {theta.shape[-1]}")
-    frames = [fk_frames(graph, th)
-              for th in theta.reshape(math.prod(theta.shape[:-1]), A)]
-    batch = theta.shape[:-1] + (graph.n_nodes,)
-    return (np.array([f[0] for f in frames]).reshape(batch + (3,)),
-            np.array([f[1] for f in frames]).reshape(batch + (4,)))
+    kin = _kinematics(graph)
+    if theta.shape[-1:] != (kin.A,):
+        raise ShapeError(f"expected {kin.A} joint angles, got shape {theta.shape}")
+    half = 0.5 * theta.reshape(-1, kin.A)
+    sin, cos = np.sin(half), np.cos(half)
+    pos = np.zeros((3, len(half), kin.n))        # component-major: x, y, z rows
+    quat = np.zeros((4, len(half), kin.n))
+    quat[0] = 1.0
+    for parents, children, offset, turns, length in kin.levels:
+        q = tuple(quat[:, :, parents])
+        px, py, pz = pos[:, :, parents]
+        ox, oy, oz = _qrot_s(q, offset)
+        ax, ay, az = px + ox, py + oy, pz + oz
+        for dofs, (ux, uy, uz) in turns:
+            s = sin[:, dofs]
+            q = _qmul_s(q, (cos[:, dofs], s * ux, s * uy, s * uz))
+        tx, ty, tz = _qrot_s(q, (length, 0.0, 0.0))
+        pos[:, :, children] = (ax + tx, ay + ty, az + tz)
+        quat[:, :, children] = q
+    batch = theta.shape[:-1] + (kin.n,)
+    return (np.moveaxis(pos, 0, -1).reshape(batch + (3,)),
+            np.moveaxis(quat, 0, -1).reshape(batch + (4,)))
 
 
 def fk_frames(graph: MorphologyGraph, joint_angles):
@@ -383,23 +421,30 @@ def sample_goals(task: TaskSpec, graph: MorphologyGraph, seed: int) -> list[np.n
     return out
 
 
-def reset(spec: EnvSpec, seed: int) -> EnvState:
-    """Sample goals, scene objects, and initial joint angles for one episode."""
-    goals = sample_goals(spec.task, spec.graph, seed)
+def _reset_draws(graph: MorphologyGraph, task: TaskSpec, seed: int):
+    """Goals, initial joint angles, ball and box of the episode reset(seed)
+    starts: (goals, theta, ball or None, box or None)."""
+    goals = sample_goals(task, graph, seed)
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(1))
-    kin = _kinematics(spec.graph)
+    kin = _kinematics(graph)
     theta = kin.reset_mid + kin.reset_span * rng.uniform(-1.0, 1.0, size=kin.A)
     ball = None
     box = None
-    for g, tmpl in enumerate(spec.task.goals):
+    for g, tmpl in enumerate(task.goals):
         if tmpl.goal_kind == "ball_contact":
             ball = goals[g].copy()
         elif tmpl.goal_kind == "box_to_target":
-            target = resolve_target(spec.graph, tmpl.target_selector)
-            center = chain_anchor(spec.graph, target)
+            target = resolve_target(graph, tmpl.target_selector)
+            center = chain_anchor(graph, target)
             angle = rng.uniform(0.0, 2.0 * math.pi)
             radius = rng.uniform(1.3 * tmpl.r_lo, 1.3 * tmpl.r_hi)
             box = center + radius * np.array([math.cos(angle), math.sin(angle), 0.0])
+    return goals, theta, ball, box
+
+
+def reset(spec: EnvSpec, seed: int) -> EnvState:
+    """Sample goals, scene objects, and initial joint angles for one episode."""
+    goals, theta, ball, box = _reset_draws(spec.graph, spec.task, seed)
     pos, quat, axes, anchors = fk_frames(spec.graph, theta)
     return EnvState(graph=spec.graph, task=spec.task, joint_angles=theta,
                     goals=tuple(goals), positions=pos, orientations=quat,
@@ -419,7 +464,14 @@ def step(state: EnvState, actions, dt: float = DT) -> EnvState:
     a = np.clip(a, -1.0, 1.0)
     theta = np.clip(state.joint_angles + kin.gears * a * OMEGA_MAX * dt,
                     kin.lo, kin.hi)
-    pos, quat, axes, anchors = fk_frames(state.graph, theta)
+    # At rest the frames are those of the same angles: reuse them.  Bytes,
+    # not ==: -0.0 == 0.0, but sin(-0.0) is -0.0, so their frames may differ
+    # in a zero's sign.
+    if state.dof_axes is not None and theta.tobytes() == state.joint_angles.tobytes():
+        pos, quat, axes, anchors = (state.positions, state.orientations,
+                                    state.dof_axes, state.dof_anchors)
+    else:
+        pos, quat, axes, anchors = fk_frames(state.graph, theta)
     box = state.box_pos
     if box is not None:
         box = resolve_box_push(pos, kin.radii, box)
@@ -673,17 +725,20 @@ def local_observations(state: EnvState, spec: ObservationSpec,
 
 # --- standard tasks and environment ids ----------------------------------------
 
-def _goal_distance_at_reset(spec_like: tuple[MorphologyGraph, TaskSpec],
-                            seed: int) -> list[float]:
-    graph, task = spec_like
-    return goal_distances(reset(EnvSpec("probe", graph, task), seed))
-
-
 def _with_probed_d_max(graph: MorphologyGraph, task: TaskSpec) -> TaskSpec:
-    """d_max per goal = mean initial distance over seeded probe resets."""
+    """d_max per goal = mean initial distance over seeded probe resets.
+
+    Each probe draws what reset draws; one array FK places every probe's
+    body, and the distances are summed in seed order.
+    """
+    draws = [_reset_draws(graph, task, D_MAX_PROBE_SEED + j)
+             for j in range(D_MAX_PROBE_RESETS)]
+    positions, orientations = forward_kinematics(graph, [d[1] for d in draws])
     sums = np.zeros(len(task.goals))
-    for j in range(D_MAX_PROBE_RESETS):
-        sums += _goal_distance_at_reset((graph, task), D_MAX_PROBE_SEED + j)
+    for (goals, theta, ball, box), pos, quat in zip(draws, positions, orientations):
+        sums += goal_distances(EnvState(
+            graph=graph, task=task, joint_angles=theta, goals=tuple(goals),
+            positions=pos, orientations=quat, ball_pos=ball, box_pos=box))
     means = sums / D_MAX_PROBE_RESETS
     d_max = tuple(q9(max(float(m), task.d_min[g] * 2.0))
                   for g, m in enumerate(means))

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..control_graph import (ControlGraph, detokenize, mu_law, quantize,
-                             tokenize_features)
+from ..control_graph import (ControlGraph, ShapeError, detokenize, mu_law,
+                             quantize, tokenize_features)
 from . import autodiff as ad
 from .autodiff import Tensor, check_finite
 
@@ -32,10 +32,6 @@ ARCHS = ("mlp", "gnn", "transformer", "transformer_tokenized")
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class ShapeError(ValueError):
     pass
 
 

@@ -264,6 +264,24 @@ def test_distill_dataset_with_nan_radius_is_data_error(workspace, tmp_path, caps
     assert "radius must be finite" in capsys.readouterr().err
 
 
+def test_distill_goal_on_missing_end_effector_is_data_error(workspace, tmp_path, capsys):
+    root, cfg, gen_dir = workspace
+    tag, meta, tensors = artifacts.parse((gen_dir / "dataset.cgds").read_bytes(),
+                                         DATASET_MAGIC)
+    env0 = meta["environments"][0]
+    assert " ee0 " in env0["task"]
+    env0["task"] = env0["task"].replace(" ee0 ", " ee9 ")
+    bad = tmp_path / "ee9.cgds"
+    bad.write_bytes(artifacts.to_bytes(DATASET_MAGIC, tag, meta, list(tensors.items())))
+    out = tmp_path / "d"
+    rc = run(["distill", "--config", str(cfg), "--dataset", str(bad), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "end effector 9 out of range (2 available)" in err
+    assert "Traceback" not in err
+    assert not (out / "checkpoint.cgck").exists()
+
+
 def test_directory_paths_are_data_errors(workspace, tmp_path, capsys):
     root, cfg, _ = workspace
     rc = run(["distill", "--config", str(cfg), "--dataset", str(tmp_path),

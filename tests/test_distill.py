@@ -244,6 +244,62 @@ def test_hopeless_env_stops_at_proficiency_bound(monkeypatch):
     assert (int(kept), int(attempts)) == (0, len(resets))
 
 
+def _full_horizon_rollout(spec, seed):
+    """Oracle: one expert episode rolled to its horizon.  Returns the step
+    count up to its first state whose joint angles and box repeat an earlier
+    state's bytes (the horizon if none does) and whether any step satisfied
+    every goal."""
+    state = menv.reset(spec, seed)
+    seen = {state.joint_angles.tobytes() + state.box_pos.tobytes()}
+    cut, satisfied = None, False
+    for t in range(spec.task.episode_length):
+        state = menv.step(state, menv.scripted_expert(state))
+        satisfied |= all(d <= d_min for d, d_min in
+                         zip(menv.goal_distances(state), spec.task.d_min))
+        key = state.joint_angles.tobytes() + state.box_pos.tobytes()
+        if cut is None and key in seen:
+            cut = t + 1
+        seen.add(key)
+    return cut or spec.task.episode_length, satisfied
+
+
+@pytest.mark.parametrize("env_id, seed", [("ant_push_3", 1), ("ant_push_3", 5),
+                                          ("worm_push_2", 1), ("worm_push_2", 5)])
+def test_rejected_episode_ends_at_first_repeated_state(monkeypatch, env_id, seed):
+    spec = make_env(env_id)
+    steps = []                           # step calls per attempt
+    monkeypatch.setattr(distill, "reset", lambda sp, s: steps.append(0)
+                        or menv.reset(sp, s))
+
+    def counting_step(state, action):
+        steps[-1] += 1
+        return menv.step(state, action)
+
+    monkeypatch.setattr(distill, "step", counting_step)
+    with pytest.raises(DataQualityError, match=r"proficient on only 0/17 episodes"):
+        generate_dataset([spec], n_transitions=250, seed=seed, obs_spec=OBS)
+    assert len(steps) == 17
+    assert sum(steps) < len(steps) * spec.task.episode_length
+    for attempt, n_steps in enumerate(steps):
+        cut, satisfied = _full_horizon_rollout(
+            spec, distill._episode_seed(seed, 0, attempt))
+        assert not satisfied
+        assert n_steps == cut
+
+
+def test_episode_at_rest_from_reset_ends_after_one_step(monkeypatch):
+    # gain 0: every action is zero, so the first step returns to the reset state
+    steps = []
+    monkeypatch.setattr(distill, "step", lambda state, action: steps.append(1)
+                        or menv.step(state, action))
+    with pytest.raises(DataQualityError) as info:
+        generate_dataset([_far_goal_spec()], expert_gain=0.0, n_transitions=10,
+                         seed=0, obs_spec=OBS)
+    kept, attempts = re.search(r"proficient on only (\d+)/(\d+) episodes",
+                               str(info.value)).groups()
+    assert int(kept) == 0 and len(steps) == int(attempts) > 1
+
+
 @pytest.mark.parametrize("env_id, seed", [("ant_reach_2", 0), ("claw_reach_4", 5)])
 def test_observations_built_only_for_stored_rows(monkeypatch, env_id, seed):
     calls = []
@@ -728,6 +784,10 @@ _MALFORMED = {
     "nan radius": _body("radius", "nan"),
     "inf mass": _body("mass", "inf"),
     "negative mass": _body("mass", "-2"),
+    "missing end effector": lambda tag, m, t: (tag, _env0(
+        m, task=m["environments"][0]["task"].replace(" ee0 ", " ee9 ")), t),
+    "unknown selector": lambda tag, m, t: (tag, _env0(
+        m, task=m["environments"][0]["task"].replace(" ee0 ", " hand ")), t),
 }
 
 

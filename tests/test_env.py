@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphtask import artifacts
+from morphtask import artifacts, nn
 from morphtask import env as menv
 from morphtask.control_graph import build_observation_spec
 from morphtask.distill import (
@@ -194,6 +194,51 @@ def test_fk_batched_matches_loop():
                 np.testing.assert_array_equal(batch_q[i, j], q)
 
 
+ARRAY_FK_ENVS = ("ant_reach_3", "claw_reach_3", "centipede_touch_3", "worm_touch_4",
+                 "ant_reach_4_missing_1", "ant_reach_hard_4_mass_0.5_1.0_3.0",
+                 "ant_reach_4_size_0.5_1.5_1.0")
+
+
+@pytest.mark.parametrize("env_id", ARRAY_FK_ENVS)
+def test_array_fk_equals_fk_frames_bit_for_bit(env_id):
+    g = make_env(env_id).graph
+    A = g.action_dimension()
+    rng = np.random.default_rng(7)
+    thetas = rng.uniform(-2.0, 2.0, size=(1000, A))
+    thetas[0] = 0.0
+    thetas[1] = -0.0                     # sin(-0.0) keeps the zero's sign
+    thetas[2, ::2] = -0.0
+    for rows in (thetas[:1], thetas[:3], thetas):
+        pos, quat = forward_kinematics(g, rows)
+        assert pos.shape == (len(rows), g.n_nodes, 3)
+        for b, theta in enumerate(rows):
+            ref_pos, ref_quat, _, _ = menv.fk_frames(g, theta)
+            assert pos[b].tobytes() == ref_pos.tobytes()
+            assert quat[b].tobytes() == ref_quat.tobytes()
+
+
+def _scalar_probed_d_max(graph, task):
+    """Reference: d_max as one reset and goal_distances per probe seed."""
+    sums = np.zeros(len(task.goals))
+    for j in range(menv.D_MAX_PROBE_RESETS):
+        state = reset(EnvSpec("probe", graph, task), menv.D_MAX_PROBE_SEED + j)
+        sums += menv.goal_distances(state)
+    means = sums / menv.D_MAX_PROBE_RESETS
+    return dataclasses.replace(task, d_max=tuple(
+        menv.q9(max(float(m), task.d_min[g] * 2.0)) for g, m in enumerate(means)))
+
+
+@pytest.mark.parametrize("env_id", (
+    "ant_reach_3", "ant_reach_handsup_5", "claw_reach_4", "claw_touch_handsup_3",
+    "centipede_touch_3", "centipede_reach_handsup2_4", "worm_touch_4", "worm_push_2",
+    "ant_push_3", "ant_reach_4_missing_1", "ant_reach_hard_4_mass_0.5_1.0_3.0",
+    "ant_reach_4_size_0.5_1.5_1.0"))
+def test_probed_task_text_equals_scalar_probe(env_id):
+    spec = make_env(env_id)
+    assert serialize_task(spec.task) == \
+        serialize_task(_scalar_probed_d_max(spec.graph, spec.task))
+
+
 # --- stepping -------------------------------------------------------------------
 
 def _toy_state(n_segments=2, r_lo=0.45, r_hi=0.75, seed=0):
@@ -312,6 +357,45 @@ def _replace_step(state, actions, dt=menv.DT):
         dof_axes=axes, dof_anchors=anchors, step_count=state.step_count + 1,
         box_pos=box, prev_joint_angles=state.joint_angles,
         prev_positions=state.positions, prev_orientations=state.orientations)
+
+
+@pytest.mark.parametrize("env_id", ["ant_reach_2", "worm_touch_2", "ant_push_3"])
+def test_step_at_rest_reuses_frames_equal_to_fresh_fk(env_id):
+    spec = make_env(env_id)
+    A = spec.graph.action_dimension()
+    s = reset(spec, 3)
+    reused = 0
+    for t in range(90):
+        # every third action is zero, so the angles stay put byte for byte
+        new = step(s, np.zeros(A) if t % 3 == 0 else scripted_expert(s))
+        fresh = menv.fk_frames(spec.graph, new.joint_angles)
+        for got, ref in zip((new.positions, new.orientations, new.dof_axes,
+                             new.dof_anchors), fresh):
+            assert got.tobytes() == ref.tobytes()
+        reused += new.positions is s.positions
+        s = new
+    assert reused >= 30
+
+
+def test_step_from_negative_zero_angle_runs_fk():
+    g = chain_graph(2)
+    theta = np.array([-0.0, 0.3])
+    pos, quat, axes, anchors = menv.fk_frames(g, theta)
+    s = EnvState(graph=g, task=reach_task(0.45, 0.75), joint_angles=theta,
+                 goals=(np.zeros(3),), positions=pos, orientations=quat,
+                 dof_axes=axes, dof_anchors=anchors)
+    new = step(s, np.zeros(2))           # -0.0 + 0.0 is +0.0: other bytes
+    assert new.joint_angles.tobytes() != theta.tobytes()
+    assert new.positions is not s.positions
+    for got, ref in zip((new.positions, new.orientations, new.dof_axes,
+                         new.dof_anchors), menv.fk_frames(g, new.joint_angles)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_one_shape_error_class():
+    assert ShapeError is nn.ShapeError
+    with pytest.raises(nn.ShapeError, match="expected 4 actions"):
+        step(reset(make_env("ant_reach_2"), 0), np.zeros(3))
 
 
 @pytest.mark.parametrize("env_id, scene", [("worm_touch_2", "ball_pos"),
