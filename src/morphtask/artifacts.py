@@ -1,9 +1,8 @@
 """The one binary container of datasets (``CGDS``), checkpoints and attention
 exports (``CGCK``), laid out as README "File formats" describes: magic,
 version, tag, JSON header, then named tensors, each with a dtype code, shape
-and little-endian data, then a checksum trailer.  Version 2, the one written,
-ends in a CRC-32; version 1, still read for checkpoints and attention
-exports, has no dtype codes (every tensor is <f8) and ends in a 64-bit FNV-1a.
+and little-endian data, then a CRC-32 trailer.  Version 2 is the one written
+and the one read; any other version is rejected.
 """
 from __future__ import annotations
 
@@ -28,22 +27,13 @@ class CorruptionError(RuntimeError):
     """A file that is not a well-formed artifact of the expected kind."""
 
 
-def fnv1a64(data) -> int:
-    h = 0xCBF29CE484222325
-    for b in data:
-        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def _trailer(version: int, payload) -> bytes:
-    if version == 1:
-        return struct.pack("<Q", fnv1a64(payload))
+def _trailer(payload) -> bytes:
     return struct.pack("<I", zlib.crc32(payload))
 
 
 def seal(payload: bytes) -> bytes:
     """A version-2 payload followed by its checksum trailer."""
-    return payload + _trailer(VERSION, payload)
+    return payload + _trailer(payload)
 
 
 def _str(s: str) -> bytes:
@@ -103,8 +93,8 @@ def to_bytes(magic: bytes, tag: str, meta, tensors) -> bytes:
     return fh.getvalue()
 
 
-def parse(buf, magic: bytes, versions=(VERSION,)) -> tuple[str, object, dict]:
-    """(tag, meta, {name: array}) of a table of kind magic in one of versions.
+def parse(buf, magic: bytes) -> tuple[str, object, dict]:
+    """(tag, meta, {name: array}) of a version-2 table of kind magic.
 
     Raises CorruptionError on a bad magic, another version, a checksum
     mismatch, invalid UTF-8 or JSON, an unknown dtype code, a repeated
@@ -116,11 +106,11 @@ def parse(buf, magic: bytes, versions=(VERSION,)) -> tuple[str, object, dict]:
     if len(view) < 8 or view[:4] != magic:
         raise CorruptionError(f"not a {kind} file (bad magic)")
     version = int.from_bytes(view[4:8], "little")
-    if version not in versions:
+    if version != VERSION:
         raise CorruptionError(f"unsupported {kind} version {version} (this "
-                              f"reader takes {', '.join(map(str, versions))})")
-    end = len(view) - len(_trailer(version, b""))
-    if end < 8 or view[end:] != _trailer(version, view[:end]):
+                              f"reader takes {VERSION})")
+    end = len(view) - 4                       # the CRC-32 trailer
+    if end < 8 or view[end:] != _trailer(view[:end]):
         raise CorruptionError(f"{kind} checksum mismatch")
     off = 8
 
@@ -149,7 +139,7 @@ def parse(buf, magic: bytes, versions=(VERSION,)) -> tuple[str, object, dict]:
     tensors = {}
     for _ in range(u32s(1)[0]):
         name = string()
-        code = take(1)[0] if version > 1 else ord("d")
+        code = take(1)[0]
         if code not in DTYPES:
             raise CorruptionError(f"tensor {name!r} has unknown dtype code {code}")
         if name in tensors:
@@ -163,6 +153,6 @@ def parse(buf, magic: bytes, versions=(VERSION,)) -> tuple[str, object, dict]:
     return tag, meta, tensors
 
 
-def load(path, magic: bytes, versions=(VERSION,)) -> tuple[str, object, dict]:
+def load(path, magic: bytes) -> tuple[str, object, dict]:
     with open(path, "rb") as fh:
-        return parse(fh.read(), magic, versions)
+        return parse(fh.read(), magic)

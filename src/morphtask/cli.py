@@ -80,6 +80,8 @@ _INTS = {"seed", "history", "embed", "attn_hidden", "heads", "layers",
          "mlp_hidden", "gnn_hidden", "max_nodes", "max_action", "batch_size",
          "steps", "transitions", "eval_seeds", "eval_horizon"}
 _FLOATS = {"learning_rate", "grad_clip", "expert_gain"}
+# Smallest value each count may take (eval_horizon 0 means the task's own).
+_LEAST = {"transitions": 1, "eval_seeds": 1, "history": 1, "eval_horizon": 0}
 
 
 def parse_config_file(path: Path) -> dict:
@@ -117,10 +119,15 @@ def resolve_config(args) -> dict:
             if cfg[key].lower() not in ("true", "false", "on", "off", "0", "1"):
                 raise UsageError(f"config key {key!r} must be boolean")
             cfg[key] = cfg[key].lower() in ("true", "on", "1")
-    for key in _INTS:
-        cfg[key] = int(cfg[key])
-    for key in _FLOATS:
-        cfg[key] = float(cfg[key])
+    for key in sorted(_INTS | _FLOATS):
+        kind, name = (int, "an integer") if key in _INTS else (float, "a number")
+        try:
+            cfg[key] = kind(cfg[key])
+        except ValueError:
+            raise UsageError(f"config key {key!r} must be {name}, got {cfg[key]!r}") from None
+    for key, least in _LEAST.items():
+        if cfg[key] < least:
+            raise UsageError(f"config key {key!r} must be >= {least}, got {cfg[key]}")
     return cfg
 
 

@@ -92,11 +92,12 @@ class ControlGraph:
 def action_structure(morphology: MorphologyGraph) -> tuple[np.ndarray, tuple]:
     """Per-node 3-slot actuator mask and the dof -> (node, slot) map."""
     mask = np.zeros((morphology.n_nodes, 3), dtype=np.float64)
-    amap = []
+    amap = [None] * morphology.action_dimension()
     for e in morphology.edges:
+        first = morphology.nodes[e.child_id].dof_index
         for slot, _ in enumerate(e.actuators):
             mask[e.child_id, slot] = 1.0
-            amap.append((e.child_id, slot))
+            amap[first + slot] = (e.child_id, slot)
     return mask, tuple(amap)
 
 

@@ -1,5 +1,5 @@
-"""Expert dataset generation, behavior-cloning objective, training loop,
-checkpointing, and fine-tuning warm starts.
+"""Expert dataset generation, behavior-cloning objective, training loop and
+checkpointing.
 
 Datasets (magic ``CGDS``) store raw per-node observations plus expert
 actions, goal values and episode ids per transition, so the same file can be
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import artifacts
 from . import env as menv
-from .artifacts import CorruptionError, fnv1a64  # noqa: F401  (fnv1a64: public name)
+from .artifacts import CorruptionError
 from .control_graph import (
     ControlGraph,
     ObservationSpec,
@@ -592,12 +592,6 @@ def train(params: PolicyParams, dataset: TransitionDataset,
     return params, curve
 
 
-def finetune(checkpoint: PolicyParams, dataset: TransitionDataset,
-             config: TrainConfig) -> tuple[PolicyParams, list[tuple[int, float]]]:
-    """Same loop as train, warm-started from a checkpoint's parameters."""
-    return train(checkpoint.clone(), dataset, config)
-
-
 # --- checkpoint format ----------------------------------------------------------------
 
 def _checkpoint_table(params: PolicyParams):
@@ -616,7 +610,7 @@ def save_checkpoint(params: PolicyParams, path) -> None:
 def load_checkpoint(path, expect_arch: str | None = None) -> PolicyParams:
     """Parameters of a checkpoint whose config and tensors are exactly those
     init_params would build; anything else raises CorruptionError."""
-    arch, values, tensors = artifacts.load(path, CHECKPOINT_MAGIC, versions=(1, 2))
+    arch, values, tensors = artifacts.load(path, CHECKPOINT_MAGIC)
     if expect_arch is not None and arch != expect_arch:
         raise ConfigError(
             f"checkpoint holds a {arch!r} policy, expected {expect_arch!r}")
@@ -634,3 +628,13 @@ def load_checkpoint(path, expect_arch: str | None = None) -> PolicyParams:
             "checkpoint tensors differ from what its config builds")
     return PolicyParams(arch=arch, config=config, tensors={
         name: ad.parameter(data) for name, data in tensors.items()})
+
+
+def fnv1a64(data) -> int:
+    """64-bit FNV-1a, the checksum that version-1 artifacts ended in.  No
+    reader calls it since version 1 is rejected; it stays only because
+    perfbench/spans.py traces distill.fnv1a64 by name."""
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h

@@ -16,6 +16,7 @@ import numpy as np
 from .control_graph import FLAG_WIDTHS, ObservationSpec, ShapeError
 from .morphology import (
     MorphologyGraph,
+    _fmt,
     generate_morphology,
     parse_morphology,
     q9,
@@ -161,19 +162,29 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     return q[..., 1:] * scale[..., None]
 
 
-# --- forward kinematics -------------------------------------------------------
+# --- the per-body table --------------------------------------------------------
 
-class _Kinematics:
-    """Per-graph constants of the single-state hot path, computed once."""
+_KIND_SLOTS = {"torso": (1.0, 0.0), "body": (0.0, 1.0), "limb_segment": (0.0, 0.0)}
+
+
+class _BodyTable:
+    """Every per-graph constant the environment uses, computed once per graph
+    and shared read-only: the FK recipe, actuator limits, reset ranges,
+    observation tables and, per node, what its root path gives.  Dof indices
+    are read from ModuleNode.dof_index, which morphology assigns."""
 
     def __init__(self, graph: MorphologyGraph):
-        self.n = graph.n_nodes
-        self.A = graph.action_dimension()
-        # FK recipe per edge: parent, child, attach offset, actuator axes, length.
-        self.edges = tuple(
-            (e.parent_id, e.child_id, graph.nodes[e.child_id].attach_offset,
-             tuple(act.axis for act in e.actuators), graph.nodes[e.child_id].length)
-            for e in graph.edges)
+        n = self.n = graph.n_nodes
+        A = self.A = graph.action_dimension()
+        parent = graph.parent_map
+        # FK recipe per edge: parent, child, attach offset, (dof, axis) per
+        # actuator, length.
+        edges = []
+        for e in graph.edges:
+            child = graph.nodes[e.child_id]
+            turns = tuple((child.dof_index + k, act.axis) for k, act in enumerate(e.actuators))
+            edges.append((e.parent_id, e.child_id, child.attach_offset, turns, child.length))
+        self.edges = tuple(edges)
         acts = [act for _, act in graph.dof_actuators()]
         self.gears = np.array([a.gear for a in acts])
         self.lo = np.array([a.range_lo for a in acts])
@@ -181,46 +192,129 @@ class _Kinematics:
         # Reset draws theta = mid + RESET_ANGLE_FRACTION * half * U(-1, 1).
         self.reset_mid = 0.5 * (self.lo + self.hi)
         self.reset_span = RESET_ANGLE_FRACTION * (0.5 * (self.hi - self.lo))
-        self.radii = np.array([n.radius for n in graph.nodes])
+        self.radii = np.array([node.radius for node in graph.nodes])
         # The same recipe for the array FK: edges grouped by (depth, actuator
         # count), so a group's parents are placed and its rotations align.
         groups: dict[tuple[int, int], list] = {}
         depth = {}
-        dof = 0
-        for parent, child, offset, act_axes, length in self.edges:
-            depth[child] = depth.get(parent, 0) + 1
-            groups.setdefault((depth[child], len(act_axes)), []).append(
-                (parent, child, offset, act_axes, range(dof, dof + len(act_axes)),
-                 length))
-            dof += len(act_axes)
+        for edge in self.edges:
+            parent_id, child_id, _, turns, _ = edge
+            depth[child_id] = depth.get(parent_id, 0) + 1
+            groups.setdefault((depth[child_id], len(turns)), []).append(edge)
         self.levels = tuple(_fk_level(group) for _, group in sorted(groups.items()))
-        _freeze_arrays(self)
+
+        # Per node, from one walk of its root path: the path's dofs, the
+        # expert's stable gain, the chain length and pitch reach the task
+        # builders scale goals by, and the zero-pose anchor of its first joint.
+        _, _, _, zero_anchors = self.frames([0.0] * A)
+        self.chain_anchor = np.zeros((n, 3))
+        path_dofs, stable_gain, chain_length, pitch_reach = [], [], [], []
+        for node in graph.nodes:
+            chain = []                       # parent edges, node inward
+            cur = node.node_id
+            while cur in parent:
+                chain.append(parent[cur])
+                cur = parent[cur].parent_id
+            dofs = sorted(graph.nodes[e.child_id].dof_index + k
+                          for e in chain for k in range(len(e.actuators)))
+            # A revolute joint at distance r from the node moves it by at most
+            # r * d(theta), so the expert's descent map contracts whenever
+            # gain * omega * dt * sum(r_j^2) <= 1.
+            length = reach_sq = 0.0
+            for e in chain:
+                length += graph.nodes[e.child_id].length
+                reach_sq += len(e.actuators) * length * length
+            # Max tip height: lengths from the first pitch-capable joint outward.
+            reach = 0.0
+            for e in reversed(chain):
+                if reach > 0.0 or any(abs(a.axis[2]) < 0.5 for a in e.actuators):
+                    reach += graph.nodes[e.child_id].length
+            path_dofs.append(tuple(dofs))
+            stable_gain.append(0.0 if reach_sq < 1e-9 else 1.0 / (OMEGA_MAX * DT * reach_sq))
+            chain_length.append(length)
+            pitch_reach.append(reach)
+            if dofs:
+                self.chain_anchor[node.node_id] = zero_anchors[dofs[0]]
+        self.path_dofs = tuple(path_dofs)
+        self.stable_gain = tuple(stable_gain)
+        self.chain_length = tuple(chain_length)
+        self.pitch_reach = tuple(pitch_reach)
+
+        # local_observations: rows of jointed (non-root) nodes and of their
+        # parents, whose relative slots are set; the root's stay zero.
+        self.child = np.array([node.node_id for node in graph.nodes
+                               if node.node_id in parent], dtype=np.intp)
+        self.parent = np.array([parent[i].parent_id for i in self.child.tolist()],
+                               dtype=np.intp)
+        # Gather index of the 3 joint slots into theta padded with one zero
+        # (index A) for missing actuators and the root.
+        self.joint_index = np.full((n, 3), A, dtype=np.intp)
+        self.jr = np.zeros((n, 6))
+        self.m = np.zeros((n, 8))
+        self.id = np.zeros((n, 1))
+        for node in graph.nodes:
+            i = node.node_id
+            self.id[i] = i / n
+            edge = parent.get(i)
+            gear = dof = 0.0
+            if edge is not None:
+                k = len(edge.actuators)
+                self.joint_index[i, :k] = range(node.dof_index, node.dof_index + k)
+                for j, act in enumerate(edge.actuators):
+                    self.jr[i, 2 * j] = act.range_lo
+                    self.jr[i, 2 * j + 1] = act.range_hi
+                gear = edge.actuators[0].gear
+                dof = node.dof_index / A
+            self.m[i] = (node.radius, node.length, node.mass, node.inertia,
+                         gear, dof, *_KIND_SLOTS[node.kind])
+        for value in vars(self).values():        # every caller shares them
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def frames(self, angles: list[float]):
+        """fk_frames of A plain floats, without the shape check."""
+        pos = [(0.0, 0.0, 0.0)] * self.n
+        quat = [(1.0, 0.0, 0.0, 0.0)] * self.n
+        axes = [None] * self.A
+        anchors = [None] * self.A
+        for parent, child, offset, turns, length in self.edges:
+            px, py, pz = pos[parent]
+            q = quat[parent]
+            ox, oy, oz = _qrot_s(q, offset)
+            anchor = (px + ox, py + oy, pz + oz)
+            for dof, axis in turns:
+                axes[dof] = _qrot_s(q, axis)
+                anchors[dof] = anchor
+                half = 0.5 * angles[dof]
+                s = math.sin(half)
+                ux, uy, uz = axis
+                q = _qmul_s(q, (math.cos(half), s * ux, s * uy, s * uz))
+            tx, ty, tz = _qrot_s(q, (length, 0.0, 0.0))
+            pos[child] = (anchor[0] + tx, anchor[1] + ty, anchor[2] + tz)
+            quat[child] = q
+        return (np.array(pos), np.array(quat),
+                np.array(axes).reshape(-1, 3), np.array(anchors).reshape(-1, 3))
 
 
 def _fk_level(edges):
-    """One group of edges as arrays: (parents, children, attach offset
-    components, per actuator (dof indices, axis components), lengths)."""
-    parents, children, offsets, axes, dofs, lengths = zip(*edges)
+    """One group of FK recipe edges as arrays: (parents, children, attach
+    offset components, per actuator (dof indices, axis components), lengths)."""
+    parents, children, offsets, turns, lengths = zip(*edges)
 
     def components(vectors):
         return tuple(np.array(c) for c in zip(*vectors))
 
-    turns = tuple((np.array(d), components(a)) for d, a in zip(zip(*dofs), zip(*axes)))
-    return (np.array(parents), np.array(children), components(offsets), turns,
-            np.array(lengths))
-
-
-def _freeze_arrays(tables) -> None:
-    """Make a cached table's arrays read-only: every caller shares them."""
-    for value in vars(tables).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+    slots = (zip(*slot) for slot in zip(*turns))
+    return (np.array(parents), np.array(children), components(offsets),
+            tuple((np.array(d), components(a)) for d, a in slots), np.array(lengths))
 
 
 @lru_cache(maxsize=1024)
-def _kinematics(graph: MorphologyGraph) -> _Kinematics:
-    return _Kinematics(graph)
+def _body_table(graph: MorphologyGraph) -> _BodyTable:
+    return _BodyTable(graph)
 
+
+# --- forward kinematics -------------------------------------------------------
 
 def forward_kinematics(graph: MorphologyGraph, joint_angles) -> tuple[np.ndarray, np.ndarray]:
     """Node tip positions and orientations for the given joint angles.
@@ -235,15 +329,15 @@ def forward_kinematics(graph: MorphologyGraph, joint_angles) -> tuple[np.ndarray
     pays from a batch of about 8.
     """
     theta = np.asarray(joint_angles, dtype=np.float64)
-    kin = _kinematics(graph)
-    if theta.shape[-1:] != (kin.A,):
-        raise ShapeError(f"expected {kin.A} joint angles, got shape {theta.shape}")
-    half = 0.5 * theta.reshape(-1, kin.A)
+    table = _body_table(graph)
+    if theta.shape[-1:] != (table.A,):
+        raise ShapeError(f"expected {table.A} joint angles, got shape {theta.shape}")
+    half = 0.5 * theta.reshape(-1, table.A)
     sin, cos = np.sin(half), np.cos(half)
-    pos = np.zeros((3, len(half), kin.n))        # component-major: x, y, z rows
-    quat = np.zeros((4, len(half), kin.n))
+    pos = np.zeros((3, len(half), table.n))        # component-major: x, y, z rows
+    quat = np.zeros((4, len(half), table.n))
     quat[0] = 1.0
-    for parents, children, offset, turns, length in kin.levels:
+    for parents, children, offset, turns, length in table.levels:
         q = tuple(quat[:, :, parents])
         px, py, pz = pos[:, :, parents]
         ox, oy, oz = _qrot_s(q, offset)
@@ -254,7 +348,7 @@ def forward_kinematics(graph: MorphologyGraph, joint_angles) -> tuple[np.ndarray
         tx, ty, tz = _qrot_s(q, (length, 0.0, 0.0))
         pos[:, :, children] = (ax + tx, ay + ty, az + tz)
         quat[:, :, children] = q
-    batch = theta.shape[:-1] + (kin.n,)
+    batch = theta.shape[:-1] + (table.n,)
     return (np.moveaxis(pos, 0, -1).reshape(batch + (3,)),
             np.moveaxis(quat, 0, -1).reshape(batch + (4,)))
 
@@ -266,51 +360,10 @@ def fk_frames(graph: MorphologyGraph, joint_angles):
     Returns positions (n, 3), orientations (n, 4), axes (A, 3), anchors (A, 3).
     """
     theta = np.asarray(joint_angles, dtype=np.float64)
-    kin = _kinematics(graph)
-    if theta.shape != (kin.A,):
-        raise ShapeError(f"expected shape ({kin.A},), got {theta.shape}")
-    angles = theta.tolist()
-    pos = [(0.0, 0.0, 0.0)] * kin.n
-    quat = [(1.0, 0.0, 0.0, 0.0)] * kin.n
-    axes = []
-    anchors = []
-    dof = 0
-    for parent, child, offset, act_axes, length in kin.edges:
-        px, py, pz = pos[parent]
-        q = quat[parent]
-        ox, oy, oz = _qrot_s(q, offset)
-        anchor = (px + ox, py + oy, pz + oz)
-        for axis in act_axes:
-            axes.append(_qrot_s(q, axis))
-            anchors.append(anchor)
-            half = 0.5 * angles[dof]
-            s = math.sin(half)
-            ux, uy, uz = axis
-            q = _qmul_s(q, (math.cos(half), s * ux, s * uy, s * uz))
-            dof += 1
-        tx, ty, tz = _qrot_s(q, (length, 0.0, 0.0))
-        pos[child] = (anchor[0] + tx, anchor[1] + ty, anchor[2] + tz)
-        quat[child] = q
-    return (np.array(pos), np.array(quat),
-            np.array(axes).reshape(-1, 3), np.array(anchors).reshape(-1, 3))
-
-
-@lru_cache(maxsize=4096)
-def _root_path_dofs(graph: MorphologyGraph, node_id: int) -> tuple[int, ...]:
-    """Global dof indices of every actuator on the root -> node path."""
-    parent = graph.parent_map
-    dof_start = {}
-    dof = 0
-    for e in graph.edges:
-        dof_start[e.child_id] = dof
-        dof += len(e.actuators)
-    out: list[int] = []
-    cur = node_id
-    while cur in parent:
-        e = parent[cur]
-        out.extend(range(dof_start[cur], dof_start[cur] + len(e.actuators)))
-        cur = e.parent_id
-    return tuple(sorted(out))
+    table = _body_table(graph)
+    if theta.shape != (table.A,):
+        raise ShapeError(f"expected shape ({table.A},), got {theta.shape}")
+    return table.frames(theta.tolist())
 
 
 def _jacobian(p: np.ndarray, axes: np.ndarray, anchors: np.ndarray,
@@ -334,7 +387,7 @@ def _jacobian(p: np.ndarray, axes: np.ndarray, anchors: np.ndarray,
 def position_jacobian(graph: MorphologyGraph, joint_angles, node_id: int) -> np.ndarray:
     """Analytic d(position of node)/d(theta), zero outside the root path."""
     pos, _, axes, anchors = fk_frames(graph, joint_angles)
-    return _jacobian(pos[node_id], axes, anchors, _root_path_dofs(graph, node_id),
+    return _jacobian(pos[node_id], axes, anchors, _body_table(graph).path_dofs[node_id],
                      graph.action_dimension())
 
 
@@ -359,47 +412,6 @@ def resolve_target(graph: MorphologyGraph, selector: str) -> int:
     raise ValueError(f"unknown target selector {selector!r}")
 
 
-@lru_cache(maxsize=4096)
-def _chain_anchor_cached(graph: MorphologyGraph, node_id: int) -> tuple[float, ...]:
-    dofs = _root_path_dofs(graph, node_id)
-    if not dofs:
-        return (0.0, 0.0, 0.0)
-    _, _, _, anchors = fk_frames(graph, np.zeros(graph.action_dimension()))
-    return tuple(anchors[dofs[0]])
-
-
-def chain_anchor(graph: MorphologyGraph, node_id: int) -> np.ndarray:
-    """World anchor of the first actuated joint on the root path (zero pose)."""
-    return np.array(_chain_anchor_cached(graph, node_id))
-
-
-def chain_length(graph: MorphologyGraph, node_id: int) -> float:
-    """Summed module lengths from the chain anchor out to the node."""
-    parent = graph.parent_map
-    total = 0.0
-    cur = node_id
-    while cur in parent:
-        total += graph.nodes[cur].length
-        cur = parent[cur].parent_id
-    return total
-
-
-def pitch_reach(graph: MorphologyGraph, node_id: int) -> float:
-    """Summed lengths from the first pitch-capable joint outward: max tip height."""
-    parent = graph.parent_map
-    chain = []
-    cur = node_id
-    while cur in parent:
-        chain.append(parent[cur])
-        cur = parent[cur].parent_id
-    total = 0.0
-    for e in reversed(chain):
-        has_pitch = any(abs(a.axis[2]) < 0.5 for a in e.actuators)
-        if total > 0.0 or has_pitch:
-            total += graph.nodes[e.child_id].length
-    return total
-
-
 def sample_goals(task: TaskSpec, graph: MorphologyGraph, seed: int) -> list[np.ndarray]:
     """Draw one value per goal template; deterministic in the seed.
 
@@ -407,6 +419,7 @@ def sample_goals(task: TaskSpec, graph: MorphologyGraph, seed: int) -> list[np.n
     centered on the target chain's anchor.  Height goals use z ~ U[z_lo, z_hi].
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
+    anchors = _body_table(graph).chain_anchor
     out = []
     for tmpl in task.goals:
         target = resolve_target(graph, tmpl.target_selector)
@@ -414,20 +427,20 @@ def sample_goals(task: TaskSpec, graph: MorphologyGraph, seed: int) -> list[np.n
             z = rng.uniform(tmpl.z_lo, tmpl.z_hi)
             out.append(np.array([0.0, 0.0, z]))
             continue
-        center = chain_anchor(graph, target)
+        center = anchors[target]
         angle = rng.uniform(0.0, 2.0 * math.pi)
         radius = rng.uniform(tmpl.r_lo, tmpl.r_hi)
         out.append(center + radius * np.array([math.cos(angle), math.sin(angle), 0.0]))
     return out
 
 
-def _reset_draws(graph: MorphologyGraph, task: TaskSpec, seed: int):
+def _reset_draws(table: _BodyTable, graph: MorphologyGraph, task: TaskSpec, seed: int):
     """Goals, initial joint angles, ball and box of the episode reset(seed)
-    starts: (goals, theta, ball or None, box or None)."""
+    starts on graph, whose table is given: (goals, theta, ball or None, box
+    or None)."""
     goals = sample_goals(task, graph, seed)
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(1))
-    kin = _kinematics(graph)
-    theta = kin.reset_mid + kin.reset_span * rng.uniform(-1.0, 1.0, size=kin.A)
+    theta = table.reset_mid + table.reset_span * rng.uniform(-1.0, 1.0, size=table.A)
     ball = None
     box = None
     for g, tmpl in enumerate(task.goals):
@@ -435,7 +448,7 @@ def _reset_draws(graph: MorphologyGraph, task: TaskSpec, seed: int):
             ball = goals[g].copy()
         elif tmpl.goal_kind == "box_to_target":
             target = resolve_target(graph, tmpl.target_selector)
-            center = chain_anchor(graph, target)
+            center = table.chain_anchor[target]
             angle = rng.uniform(0.0, 2.0 * math.pi)
             radius = rng.uniform(1.3 * tmpl.r_lo, 1.3 * tmpl.r_hi)
             box = center + radius * np.array([math.cos(angle), math.sin(angle), 0.0])
@@ -444,8 +457,9 @@ def _reset_draws(graph: MorphologyGraph, task: TaskSpec, seed: int):
 
 def reset(spec: EnvSpec, seed: int) -> EnvState:
     """Sample goals, scene objects, and initial joint angles for one episode."""
-    goals, theta, ball, box = _reset_draws(spec.graph, spec.task, seed)
-    pos, quat, axes, anchors = fk_frames(spec.graph, theta)
+    table = _body_table(spec.graph)
+    goals, theta, ball, box = _reset_draws(table, spec.graph, spec.task, seed)
+    pos, quat, axes, anchors = table.frames(theta.tolist())
     return EnvState(graph=spec.graph, task=spec.task, joint_angles=theta,
                     goals=tuple(goals), positions=pos, orientations=quat,
                     ball_pos=ball, box_pos=box, rng_stream=seed,
@@ -458,12 +472,12 @@ def step(state: EnvState, actions, dt: float = DT) -> EnvState:
         raise EpisodeOverError(
             f"episode already finished after {state.step_count} steps")
     a = np.asarray(actions, dtype=np.float64)
-    kin = _kinematics(state.graph)
-    if a.shape != (kin.A,):
-        raise ShapeError(f"expected {kin.A} actions, got shape {a.shape}")
+    table = _body_table(state.graph)
+    if a.shape != (table.A,):
+        raise ShapeError(f"expected {table.A} actions, got shape {a.shape}")
     a = np.clip(a, -1.0, 1.0)
-    theta = np.clip(state.joint_angles + kin.gears * a * OMEGA_MAX * dt,
-                    kin.lo, kin.hi)
+    theta = np.clip(state.joint_angles + table.gears * a * OMEGA_MAX * dt,
+                    table.lo, table.hi)
     # At rest the frames are those of the same angles: reuse them.  Bytes,
     # not ==: -0.0 == 0.0, but sin(-0.0) is -0.0, so their frames may differ
     # in a zero's sign.
@@ -471,10 +485,10 @@ def step(state: EnvState, actions, dt: float = DT) -> EnvState:
         pos, quat, axes, anchors = (state.positions, state.orientations,
                                     state.dof_axes, state.dof_anchors)
     else:
-        pos, quat, axes, anchors = fk_frames(state.graph, theta)
+        pos, quat, axes, anchors = table.frames(theta.tolist())
     box = state.box_pos
     if box is not None:
-        box = resolve_box_push(pos, kin.radii, box)
+        box = resolve_box_push(pos, table.radii, box)
     # Built field by field, which is cheaper than dataclasses.replace; a new
     # EnvState field must be added here too.
     return EnvState(graph=state.graph, task=state.task, joint_angles=theta,
@@ -575,27 +589,6 @@ def _goal_error_vector(state: EnvState, goal_index: int,
     raise ValueError(f"unknown goal kind {tmpl.goal_kind!r}")
 
 
-@lru_cache(maxsize=4096)
-def _stable_gain(graph: MorphologyGraph, node_id: int) -> float:
-    """Largest Jacobian-transpose gain that cannot overshoot for this chain.
-
-    A revolute joint at distance r from the target moves it by at most
-    r * d(theta), so the descent map contracts whenever
-    gain * omega * dt * sum(r_j^2) <= 1.
-    """
-    parent = graph.parent_map
-    reach_sq = 0.0
-    acc = 0.0
-    cur = node_id
-    while cur in parent:
-        acc += graph.nodes[cur].length
-        reach_sq += len(parent[cur].actuators) * acc * acc
-        cur = parent[cur].parent_id
-    if reach_sq < 1e-9:
-        return 0.0
-    return 1.0 / (OMEGA_MAX * DT * reach_sq)
-
-
 def scripted_expert(state: EnvState, gain: float = 1.0) -> np.ndarray:
     """Jacobian-transpose controller over all unsatisfied goals.
 
@@ -612,69 +605,22 @@ def _expert_action(state: EnvState, gain: float,
     """scripted_expert given the state's goal_distances, which a caller that
     has just checked them for its done test passes on instead of
     recomputing."""
-    graph = state.graph
-    A = graph.action_dimension()
+    table = _body_table(state.graph)
     axes, anchors = state.dof_axes, state.dof_anchors
     if axes is None:
-        _, _, axes, anchors = fk_frames(graph, state.joint_angles)
-    tau = np.zeros(A)
+        _, _, axes, anchors = table.frames(state.joint_angles.tolist())
+    tau = np.zeros(table.A)
     for g, d in enumerate(distances):
         if d <= state.task.d_min[g]:
             continue
         target, err = _goal_error_vector(state, g, state.positions)
         J = _jacobian(state.positions[target], axes, anchors,
-                      _root_path_dofs(graph, target), A)
-        tau += _stable_gain(graph, target) * (J.T @ err)
+                      table.path_dofs[target], table.A)
+        tau += table.stable_gain[target] * (J.T @ err)
     return np.clip(-gain * tau, -1.0, 1.0)
 
 
 # --- local observations --------------------------------------------------------
-
-_KIND_SLOTS = {"torso": (1.0, 0.0), "body": (0.0, 1.0), "limb_segment": (0.0, 0.0)}
-
-
-class _ObservationTables:
-    """Static per-graph inputs of local_observations, computed once."""
-
-    def __init__(self, graph: MorphologyGraph):
-        n = graph.n_nodes
-        A = graph.action_dimension()
-        parent = graph.parent_map
-        self.n = n
-        # Rows of jointed (non-root) nodes and of their parents; the root's
-        # relative slots stay zero.
-        self.child = np.array([node.node_id for node in graph.nodes
-                               if node.node_id in parent], dtype=np.intp)
-        self.parent = np.array([parent[i].parent_id for i in self.child.tolist()],
-                               dtype=np.intp)
-        # Gather index of the 3 joint slots into theta padded with one zero
-        # (index A) for missing actuators and the root.
-        self.joint_index = np.full((n, 3), A, dtype=np.intp)
-        self.jr = np.zeros((n, 6))
-        self.m = np.zeros((n, 8))
-        self.id = np.zeros((n, 1))
-        for node in graph.nodes:
-            i = node.node_id
-            self.id[i] = i / n
-            edge = parent.get(i)
-            gear = dof = 0.0
-            if edge is not None:
-                k = len(edge.actuators)
-                self.joint_index[i, :k] = range(node.dof_index, node.dof_index + k)
-                for j, act in enumerate(edge.actuators):
-                    self.jr[i, 2 * j] = act.range_lo
-                    self.jr[i, 2 * j + 1] = act.range_hi
-                gear = edge.actuators[0].gear
-                dof = node.dof_index / A
-            self.m[i] = (node.radius, node.length, node.mass, node.inertia,
-                         gear, dof, *_KIND_SLOTS[node.kind])
-        _freeze_arrays(self)
-
-
-@lru_cache(maxsize=1024)
-def _observation_tables(graph: MorphologyGraph) -> _ObservationTables:
-    return _ObservationTables(graph)
-
 
 def local_observations(state: EnvState, spec: ObservationSpec,
                        dt: float = DT) -> np.ndarray:
@@ -684,9 +630,9 @@ def local_observations(state: EnvState, spec: ObservationSpec,
     exactly zero at reset; joint-derived slots are zero for the root.  Each
     flag is one array operation over all nodes.
     """
-    tables = _observation_tables(state.graph)
+    table = _body_table(state.graph)
     moving = state.prev_joint_angles is not None
-    rows = np.zeros((tables.n, spec.width), dtype=np.float64)
+    rows = np.zeros((table.n, spec.width), dtype=np.float64)
     col = 0
     for flag in spec.flags:
         out = rows[:, col: col + FLAG_WIDTHS[flag]]
@@ -696,20 +642,20 @@ def local_observations(state: EnvState, spec: ObservationSpec,
         elif flag == "q":
             out[...] = state.orientations
         elif flag == "ja":
-            out[...] = np.append(state.joint_angles, 0.0)[tables.joint_index]
+            out[...] = np.append(state.joint_angles, 0.0)[table.joint_index]
         elif flag == "jr":
-            out[...] = tables.jr
+            out[...] = table.jr
         elif flag == "id":
-            out[...] = tables.id
+            out[...] = table.id
         elif flag == "rp":
             pos = state.positions
-            out[tables.child] = pos[tables.child] - pos[tables.parent]
+            out[table.child] = pos[table.child] - pos[table.parent]
         elif flag == "rr":
             quat = state.orientations
-            out[tables.child] = quat_mul(quat_conj(quat[tables.parent]),
-                                         quat[tables.child])
+            out[table.child] = quat_mul(quat_conj(quat[table.parent]),
+                                        quat[table.child])
         elif flag == "m":
-            out[...] = tables.m
+            out[...] = table.m
         elif not moving:
             continue                     # v, a, jv stay zero at reset
         elif flag == "v":
@@ -719,7 +665,7 @@ def local_observations(state: EnvState, spec: ObservationSpec,
             out[...] = quat_to_rotvec(dq) / dt
         elif flag == "jv":
             rate = (state.joint_angles - state.prev_joint_angles) / dt
-            out[...] = np.append(rate, 0.0)[tables.joint_index]
+            out[...] = np.append(rate, 0.0)[table.joint_index]
     return rows
 
 
@@ -731,7 +677,8 @@ def _with_probed_d_max(graph: MorphologyGraph, task: TaskSpec) -> TaskSpec:
     Each probe draws what reset draws; one array FK places every probe's
     body, and the distances are summed in seed order.
     """
-    draws = [_reset_draws(graph, task, D_MAX_PROBE_SEED + j)
+    table = _body_table(graph)
+    draws = [_reset_draws(table, graph, task, D_MAX_PROBE_SEED + j)
              for j in range(D_MAX_PROBE_RESETS)]
     positions, orientations = forward_kinematics(graph, [d[1] for d in draws])
     sums = np.zeros(len(task.goals))
@@ -758,17 +705,18 @@ def _twister_templates(graph: MorphologyGraph, name: str) -> list[GoalTemplate]:
     if len(specs) > len(ees):
         raise ValueError(f"{name} needs {len(specs)} limbs, "
                          f"{graph.blueprint_tag} has {len(ees)}")
+    table = _body_table(graph)
     out = []
     for k, kind in enumerate(specs):
         sel = f"ee{k}"
         target = resolve_target(graph, sel)
-        L = chain_length(graph, target)
+        L = table.chain_length[target]
         if kind in ("xy", "xy_hard"):
             lo, hi = (0.7, 0.97) if kind == "xy_hard" else (0.55, 0.9)
             out.append(GoalTemplate("xy_position", sel,
                                     r_lo=q9(lo * L), r_hi=q9(hi * L)))
         elif kind == "z":
-            zmax = pitch_reach(graph, target)
+            zmax = table.pitch_reach[target]
             out.append(GoalTemplate("z_height", sel,
                                     z_lo=q9(0.3 * zmax), z_hi=q9(0.7 * zmax)))
         elif kind == "ball":
@@ -782,9 +730,10 @@ def _twister_templates(graph: MorphologyGraph, name: str) -> list[GoalTemplate]:
 def make_task(graph: MorphologyGraph, task_name: str,
               episode_length: int = EPISODE_LENGTH) -> TaskSpec:
     """Build a workspace-scaled task for this body; d_max from probe resets."""
+    lengths = _body_table(graph).chain_length
     if task_name in ("reach", "reach_hard"):
         target = resolve_target(graph, "ee0")
-        L = chain_length(graph, target)
+        L = lengths[target]
         lo, hi = (0.7, 0.97) if task_name == "reach_hard" else (0.55, 0.9)
         goals = [GoalTemplate("xy_position", "ee0", r_lo=q9(lo * L), r_hi=q9(hi * L))]
         kind = task_name
@@ -792,14 +741,14 @@ def make_task(graph: MorphologyGraph, task_name: str,
         sel = "torso" if graph.blueprint_tag.split("_")[0] in ("centipede", "worm") \
             else "ee0"
         target = resolve_target(graph, sel)
-        L = chain_length(graph, target)
+        L = lengths[target]
         slack = graph.nodes[target].radius + BALL_RADIUS
         goals = [GoalTemplate("ball_contact", sel,
                               r_lo=q9(L + 0.2 * slack), r_hi=q9(L + 0.8 * slack))]
         kind = "touch"
     elif task_name == "push":
         target = resolve_target(graph, "ee0")
-        L = chain_length(graph, target)
+        L = lengths[target]
         goals = [GoalTemplate("box_to_target", "ee0",
                               r_lo=q9(0.35 * L), r_hi=q9(0.5 * L))]
         kind = "push"
@@ -858,10 +807,6 @@ def make_env(env_id: str) -> EnvSpec:
 
 
 # --- task spec text format ------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
 
 def serialize_task(task: TaskSpec) -> str:
     lines = [f"task {task.task_kind} goals={len(task.goals)} "

@@ -267,7 +267,7 @@ def write_attention_export(path, params: PolicyParams, attn: np.ndarray,
 
 
 def read_tensor_table(path) -> dict[str, np.ndarray]:
-    return artifacts.load(path, CHECKPOINT_MAGIC, versions=(1, 2))[2]
+    return artifacts.load(path, CHECKPOINT_MAGIC)[2]
 
 
 # --- report files ------------------------------------------------------------------

@@ -123,9 +123,6 @@ class MorphologyGraph:
         computed once per graph)."""
         return MappingProxyType({e.child_id: e for e in self.edges})
 
-    def children(self, node_id: int) -> list[int]:
-        return [e.child_id for e in self.edges if e.parent_id == node_id]
-
     def end_effectors(self) -> tuple[int, ...]:
         """Distal-most node of each leg, or the last body for legless chains."""
         if self.legs:
@@ -151,21 +148,18 @@ class _Builder:
         self.nodes: list[ModuleNode] = []
         self.edges: list[JointEdge] = []
         self.legs: list[tuple[int, ...]] = []
-        self._dof = 0
 
     def add_node(self, kind: str, offset: tuple[float, float, float],
                  radius: float = SEGMENT_RADIUS, length: float = SEGMENT_LENGTH,
                  parent: int | None = None,
                  actuators: tuple[Actuator, ...] = ()) -> int:
         nid = len(self.nodes)
-        dof = self._dof if parent is not None else -1
         self.nodes.append(ModuleNode(
             node_id=nid, kind=kind, radius=radius, length=length,
             mass=MODULE_MASS, inertia=MODULE_INERTIA,
-            attach_offset=tuple(q9(v) for v in offset), dof_index=dof))
+            attach_offset=tuple(q9(v) for v in offset), dof_index=-1))
         if parent is not None:
             self.edges.append(JointEdge(parent, nid, actuators))
-            self._dof += len(actuators)
         return nid
 
     def add_leg(self, parent: int, mount: tuple[float, float, float],
@@ -182,7 +176,7 @@ class _Builder:
 
     def build(self) -> MorphologyGraph:
         return MorphologyGraph(
-            nodes=tuple(self.nodes), edges=tuple(self.edges),
+            nodes=_numbered_dofs(self.nodes, self.edges), edges=tuple(self.edges),
             blueprint_tag=self.tag, variation=None,
             legs=tuple(self.legs))
 
@@ -266,24 +260,28 @@ def generate_morphology(blueprint: str, count: int,
     return graph
 
 
+def _numbered_dofs(nodes, edges) -> tuple[ModuleNode, ...]:
+    """nodes with their dof_index set.  This is where dofs are numbered:
+    each edge's actuators take the next indices in edge order, and a node's
+    dof_index is the first of its parent edge's, -1 for the root."""
+    first: dict[int, int] = {}
+    dof = 0
+    for e in edges:
+        first[e.child_id] = dof
+        dof += len(e.actuators)
+    return tuple(replace(n, dof_index=first.get(n.node_id, -1)) for n in nodes)
+
+
 def _redensify(nodes: list[ModuleNode], edges: list[JointEdge],
                legs: list[tuple[int, ...]]) -> tuple:
     """Renumber node ids densely and reassign dof indices in edge order."""
     idmap = {n.node_id: i for i, n in enumerate(nodes)}
-    new_edges = []
-    dof_of_child: dict[int, int] = {}
-    dof = 0
-    for e in edges:
-        new_edges.append(JointEdge(idmap[e.parent_id], idmap[e.child_id], e.actuators))
-        dof_of_child[idmap[e.child_id]] = dof
-        dof += len(e.actuators)
-    new_nodes = [
-        replace(n, node_id=idmap[n.node_id],
-                dof_index=dof_of_child.get(idmap[n.node_id], -1))
-        for n in nodes
-    ]
+    new_edges = tuple(JointEdge(idmap[e.parent_id], idmap[e.child_id], e.actuators)
+                      for e in edges)
+    new_nodes = _numbered_dofs([replace(n, node_id=idmap[n.node_id]) for n in nodes],
+                               new_edges)
     new_legs = tuple(tuple(idmap[i] for i in leg) for leg in legs)
-    return tuple(new_nodes), tuple(new_edges), new_legs
+    return new_nodes, new_edges, new_legs
 
 
 def apply_missing(graph: MorphologyGraph, leg_index: int) -> MorphologyGraph:
@@ -558,14 +556,7 @@ def parse_morphology(text: str) -> MorphologyGraph:
         raise MorphologyParseError(
             ln, f"missing edge section: header says {n_edges} edges, got {len(edges)}")
 
-    # Recompute dof indices from edge order.
-    dof_of_child: dict[int, int] = {}
-    dof = 0
-    for e in edges:
-        dof_of_child[e.child_id] = dof
-        dof += len(e.actuators)
-    nodes = [replace(n, dof_index=dof_of_child.get(n.node_id, -1)) for n in nodes]
-    graph = MorphologyGraph(nodes=tuple(nodes), edges=tuple(edges),
+    graph = MorphologyGraph(nodes=_numbered_dofs(nodes, edges), edges=tuple(edges),
                             blueprint_tag=tag, variation=None)
     problems = validate(graph)
     if problems:

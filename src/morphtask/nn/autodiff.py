@@ -103,22 +103,6 @@ class Tensor:
             self.grad = self.grad + g
             self._grad_owned = True
 
-    # Convenience arithmetic used all over the policies.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -258,15 +242,6 @@ def tanh(a) -> Tensor:
     return _result(y, (a,), backward)
 
 
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * p * np.power(a.data, p - 1.0))
-    return _result(np.power(a.data, p), (a,), backward)
-
-
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
 
@@ -316,16 +291,6 @@ def reshape(a, shape) -> Tensor:
         if a.requires_grad:
             a._accumulate(g.reshape(a.shape))
     return _result(a.data.reshape(shape), (a,), backward)
-
-
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    inverse = np.argsort(axes)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.transpose(inverse))
-    return _result(a.data.transpose(axes), (a,), backward)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:

@@ -1,10 +1,11 @@
-"""The shared artifact container: v2 layout, v1 fixtures, atomic writes.
+"""The shared artifact container: v2 layout, v1 rejection, atomic writes.
 
-The files in tests/data were written by the version-1 writers:
-v1_checkpoint.cgck holds _v1_checkpoint_params(), v1_attention.cgck the
-attention export rebuilt in test_v1_attention_fixture_loads_exact_tensors,
-and v1_dataset.cgds generate_dataset([make_env("ant_reach_2")],
-n_transitions=3, seed=0) with the p,v,q,a,ja,jr,m observation flags.
+The files in tests/data were written by the version-1 writers, which no
+reader takes any more: v1_checkpoint.cgck holds _small_params(),
+v1_attention.cgck an attention export of two steps, one
+layer and two heads, and v1_dataset.cgds generate_dataset(
+[make_env("ant_reach_2")], n_transitions=3, seed=0) with the
+p,v,q,a,ja,jr,m observation flags.
 """
 import struct
 import zlib
@@ -56,40 +57,30 @@ def test_streamed_file_equals_bytes(tmp_path):
     assert path.read_bytes() == distill.checkpoint_bytes(params)
 
 
-def _v1_checkpoint_params():
+def _small_params():
     config = PolicyConfig(arch="transformer",
                           feature_width=distill.cg_feature_width(OBS, "v2"),
                           embed=4, attn_hidden=4, heads=2, layers=1, max_nodes=4)
     return init_params("transformer", config, 4)
 
 
-def test_v1_checkpoint_fixture_loads_exact_tensors():
-    expect = _v1_checkpoint_params()
-    back = distill.load_checkpoint(DATA / "v1_checkpoint.cgck", expect_arch="transformer")
-    assert back.config == expect.config
-    assert list(back.tensors) == list(expect.tensors)
-    for name, t in expect.tensors.items():
-        assert back.tensors[name].data.dtype == np.float64
-        np.testing.assert_array_equal(back.tensors[name].data, t.data)
+def test_v1_checkpoint_fixture_is_rejected_naming_version_1():
+    with pytest.raises(CorruptionError, match="version 1"):
+        distill.load_checkpoint(DATA / "v1_checkpoint.cgck", expect_arch="transformer")
 
 
-def test_v1_attention_fixture_loads_exact_tensors():
-    attn = np.random.default_rng(0).uniform(size=(2, 1, 2, 3, 3))
-    table = evaluation.read_tensor_table(DATA / "v1_attention.cgck")
-    expect = {f"attn/{t}/0/{h}": attn[t, 0, h] for t in range(2) for h in range(2)}
-    expect["goal_mass"] = np.array([0.25, 0.5])
-    assert list(table) == list(expect)
-    for name, data in expect.items():
-        np.testing.assert_array_equal(table[name], data)
+def test_v1_attention_fixture_is_rejected_naming_version_1():
+    with pytest.raises(CorruptionError, match="version 1"):
+        evaluation.read_tensor_table(DATA / "v1_attention.cgck")
 
 
 def test_v1_fixture_checksum_is_fnv():
+    # The fixture is intact: its FNV-1a trailer holds, so the rejection is
+    # the version check's, not a checksum mismatch.
     raw = (DATA / "v1_checkpoint.cgck").read_bytes()
-    assert struct.unpack("<Q", raw[-8:])[0] == artifacts.fnv1a64(raw[:-8])
-    flipped = bytearray(raw)
-    flipped[40] ^= 0x01
-    with pytest.raises(CorruptionError, match="checksum"):
-        artifacts.parse(bytes(flipped), distill.CHECKPOINT_MAGIC, versions=(1, 2))
+    assert struct.unpack("<Q", raw[-8:])[0] == distill.fnv1a64(raw[:-8])
+    with pytest.raises(CorruptionError, match="unsupported CGCK version 1"):
+        artifacts.parse(raw, distill.CHECKPOINT_MAGIC)
 
 
 def test_v1_dataset_fixture_is_rejected_naming_version_1():
@@ -105,7 +96,7 @@ def _fail_replace(*args):
 def test_failed_replace_keeps_previous_file(tmp_path, monkeypatch, writer):
     path = tmp_path / "out.bin"
     path.write_bytes(b"previous")
-    params = _v1_checkpoint_params()
+    params = _small_params()
     write = {
         "checkpoint": lambda: distill.save_checkpoint(params, path),
         "dataset": lambda: distill.write_dataset(distill.TransitionDataset([]), path),

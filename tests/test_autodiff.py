@@ -65,10 +65,9 @@ def test_matmul_batched_against_shared_weight():
     check_op(lambda t: ad.tsum(ad.matmul(t, w0)), x, rtol=1e-5)
 
 
-def test_relu_tanh_power():
+def test_relu_tanh():
     check_op(lambda t: ad.tsum(ad.relu(t)), rng.normal(size=(6,)) + 0.3)
     check_op(lambda t: ad.tsum(ad.tanh(t)), rng.normal(size=(6,)))
-    check_op(lambda t: ad.tsum(ad.power(t, -0.5)), rng.uniform(0.5, 2.0, size=(6,)))
 
 
 def test_softmax_rows_sum_to_one_and_grad():
@@ -85,11 +84,10 @@ def test_log_softmax_grad():
     check_op(lambda t: ad.tsum(ad.mul(ad.log_softmax(t), w)), x, rtol=1e-5)
 
 
-def test_reshape_transpose_concat_slice():
+def test_reshape_concat_slice():
     x = rng.normal(size=(3, 4))
     w = rng.normal(size=(4, 3))
-    check_op(lambda t: ad.tsum(ad.mul(ad.transpose(ad.reshape(t, (3, 4)), (1, 0)), w)),
-             x)
+    check_op(lambda t: ad.tsum(ad.mul(ad.reshape(t, (4, 3)), w)), x)
     a = rng.normal(size=(3, 2))
     check_op(lambda t: ad.tsum(ad.concat([t, ad.Tensor(a)], axis=1)),
              rng.normal(size=(3, 5)))
@@ -204,9 +202,9 @@ def test_attention_keeps_leading_axes():
 
 NO_GRAD_OPS = {
     "add": lambda x, w: ad.add(x, w),
-    "matmul/transpose": lambda x, w: ad.matmul(x, ad.transpose(w, (1, 0))),
+    "matmul/reshape": lambda x, w: ad.matmul(x, ad.reshape(w, (4, 6))),
     "linear": lambda x, w: ad.linear(x, ad.gather_rows(w, np.arange(4)), ad.tsum(w, axis=0)),
-    "tanh/relu/power": lambda x, w: ad.power(ad.relu(ad.tanh(ad.mul(x, w))), 2.0),
+    "tanh/relu": lambda x, w: ad.relu(ad.tanh(ad.mul(x, w))),
     "softmax/log_softmax": lambda x, w: ad.add(ad.softmax(x), ad.log_softmax(w)),
     "layer_norm": lambda x, w: ad.layer_norm(x, ad.mul(ad.tsum(w, axis=0), 1.0 / 6),
                                             ad.tsum(w, axis=0)),

@@ -177,6 +177,20 @@ def test_unknown_config_key_is_usage_error(tmp_path):
                 str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("line, message", [
+    ("steps = abc", "config key 'steps' must be an integer, got 'abc'"),
+    ("eval_seeds = 0", "config key 'eval_seeds' must be >= 1, got 0"),
+    ("eval_horizon = -1", "config key 'eval_horizon' must be >= 0, got -1"),
+    ("transitions = 0", "config key 'transitions' must be >= 1, got 0"),
+])
+def test_bad_config_value_is_usage_error_naming_key(tmp_path, capsys, line, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"envs = ant_reach_2\n{line}\n")
+    assert run(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_flag_is_usage_error():
     assert run(["gen-data", "--arch", "perceiver"]) == 1
 
@@ -239,6 +253,15 @@ def test_distill_unknown_dataset_version_is_data_error(workspace, tmp_path):
     rc = run(["distill", "--config", str(cfg), "--dataset", str(bad),
               "--out", str(tmp_path / "d")])
     assert rc == 2
+
+
+def test_eval_v1_checkpoint_is_data_error(workspace, tmp_path, capsys):
+    root, cfg, _ = workspace
+    v1 = Path(__file__).parent / "data" / "v1_checkpoint.cgck"
+    rc = run(["eval", "--config", str(cfg), "--checkpoint", str(v1),
+              "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert "version 1" in capsys.readouterr().err
 
 
 def test_distill_v1_dataset_is_data_error(workspace, tmp_path, capsys):
@@ -338,7 +361,11 @@ def test_ablate_cross_product(workspace, tmp_path):
     rows = (out / "ablation.csv").read_text().strip().splitlines()
     assert len(rows) - 1 == 4  # 2 obs sets x 2 pe settings
     assert rows[0].startswith("obs_flags,use_pe,token,history,seed")
-    assert all(",1," in r or r.split(",")[4] == "1" or True for r in rows[1:])
+    cells = [r.split(",") for r in rows[1:]]
+    assert [(c[0], c[1]) for c in cells] == [
+        ("p+v+q+a+ja+jr", "True"), ("p+v+q+a+ja+jr", "False"),
+        ("p+v+q+a+ja+jr+m", "True"), ("p+v+q+a+ja+jr+m", "False")]
+    assert [c[4] for c in cells] == ["0"] * 4
 
 
 def test_ablate_empty_axes_is_usage_error(workspace, tmp_path):

@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     ("artifacts", "seal"),     # payload + CRC trailer, to build damaged files
     ("distill", "bc_loss"),    # the BC objective over (control graph, action) pairs
-    ("distill", "finetune"),   # the paper's fine-tuning warm start
 }
 
 

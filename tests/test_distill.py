@@ -27,7 +27,6 @@ from morphtask.distill import (
     checkpoint_bytes,
     clip_global_norm,
     dataset_bytes,
-    finetune,
     loss_from_groups,
     generate_dataset,
     load_checkpoint,
@@ -977,12 +976,12 @@ def test_damaged_dataset_raises_only_corruption(tmp_path_factory, dataset_raw, d
         read_dataset(path)
 
 
-# --- finetune ------------------------------------------------------------------------
+# --- fine-tuning: train warm-started from a checkpoint's clone -------------------------
 
 def test_finetune_zero_steps_returns_checkpoint():
     ds, _ = small_dataset(n=40)
     params = tf_params(_width(), seed=4)
-    tuned, curve = finetune(params, ds, TrainConfig(steps=0, batch_size=8, seed=0))
+    tuned, curve = train(params.clone(), ds, TrainConfig(steps=0, batch_size=8, seed=0))
     for k in params.tensors:
         np.testing.assert_array_equal(tuned.tensors[k].data,
                                       params.tensors[k].data)
@@ -993,8 +992,8 @@ def test_finetune_same_seed_same_curves():
     ds, _ = small_dataset(n=40)
     params = tf_params(_width(), seed=4)
     cfg = TrainConfig(steps=20, batch_size=8, seed=9)
-    a = finetune(params, ds, cfg)
-    b = finetune(params, ds, cfg)
+    a = train(params.clone(), ds, cfg)
+    b = train(params.clone(), ds, cfg)
     assert a[1] == b[1]
 
 
@@ -1005,8 +1004,8 @@ def test_finetune_init_loss_beats_random_on_held_out_envs():
     held_out, _ = small_dataset(envs=("ant_reach_3",), n=100)
     trained, _ = train(tf_params(_width(), seed=1, embed=32, attn_hidden=32),
                        train_ds, TrainConfig(steps=400, batch_size=16, seed=0))
-    _, tuned_curve = finetune(trained, held_out,
-                              TrainConfig(steps=0, batch_size=16, seed=1))
-    _, rand_curve = finetune(tf_params(_width(), seed=2, embed=32, attn_hidden=32),
-                             held_out, TrainConfig(steps=0, batch_size=16, seed=1))
+    _, tuned_curve = train(trained.clone(), held_out,
+                           TrainConfig(steps=0, batch_size=16, seed=1))
+    _, rand_curve = train(tf_params(_width(), seed=2, embed=32, attn_hidden=32),
+                          held_out, TrainConfig(steps=0, batch_size=16, seed=1))
     assert tuned_curve[0][1] <= rand_curve[0][1]

@@ -344,14 +344,14 @@ def test_box_push_exact_touch_leaves_box():
 
 def _replace_step(state, actions, dt=menv.DT):
     """Reference: step as a dataclasses.replace of the previous state."""
-    kin = menv._kinematics(state.graph)
+    table = menv._body_table(state.graph)
     a = np.clip(np.asarray(actions, dtype=np.float64), -1.0, 1.0)
-    theta = np.clip(state.joint_angles + kin.gears * a * menv.OMEGA_MAX * dt,
-                    kin.lo, kin.hi)
+    theta = np.clip(state.joint_angles + table.gears * a * menv.OMEGA_MAX * dt,
+                    table.lo, table.hi)
     pos, quat, axes, anchors = menv.fk_frames(state.graph, theta)
     box = state.box_pos
     if box is not None:
-        box = resolve_box_push(pos, kin.radii, box)
+        box = resolve_box_push(pos, table.radii, box)
     return dataclasses.replace(
         state, joint_angles=theta, positions=pos, orientations=quat,
         dof_axes=axes, dof_anchors=anchors, step_count=state.step_count + 1,
@@ -531,7 +531,7 @@ def test_expert_touches_only_target_path():
     s = reset(spec, 5)
     a = scripted_expert(s)
     target = spec.graph.end_effectors()[0]
-    path = list(menv._root_path_dofs(spec.graph, target))
+    path = list(_root_path_dofs(spec.graph, target))
     off_path = [i for i in range(spec.graph.action_dimension()) if i not in path]
     np.testing.assert_array_equal(a[off_path], 0.0)
     assert np.any(a[path] != 0.0)
@@ -818,8 +818,38 @@ def reference_expert(state, gain=1.0):
             continue
         target, err = menv._goal_error_vector(state, g, state.positions)
         J = position_jacobian(state.graph, state.joint_angles, target)
-        tau += menv._stable_gain(state.graph, target) * (J.T @ err)
+        tau += menv._body_table(state.graph).stable_gain[target] * (J.T @ err)
     return np.clip(-gain * tau, -1.0, 1.0)
+
+
+def _root_path_dofs(graph, node_id):
+    """Oracle: global dof indices on the root -> node path, with the dof
+    starts counted from edge order rather than read from dof_index."""
+    parent = graph.parent_map
+    dof_start = {}
+    dof = 0
+    for e in graph.edges:
+        dof_start[e.child_id] = dof
+        dof += len(e.actuators)
+    out = []
+    cur = node_id
+    while cur in parent:
+        e = parent[cur]
+        out.extend(range(dof_start[cur], dof_start[cur] + len(e.actuators)))
+        cur = e.parent_id
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("env_id", EQUIVALENCE_ENVS + ("claw_reach_handsup_3_missing_0",))
+def test_body_table_root_paths_equal_edge_order_walk(env_id):
+    g = make_env(env_id).graph
+    table = menv._body_table(g)
+    _, _, _, zero_anchors = menv.fk_frames(g, np.zeros(g.action_dimension()))
+    for node in range(g.n_nodes):
+        dofs = _root_path_dofs(g, node)
+        assert table.path_dofs[node] == dofs
+        expect = zero_anchors[dofs[0]] if dofs else np.zeros(3)
+        assert table.chain_anchor[node].tobytes() == expect.tobytes()
 
 
 def _expert_states(env_id, seed, n_steps=5):
@@ -857,7 +887,7 @@ def test_jacobian_from_stored_frames_equals_position_jacobian(env_id):
         assert np.array_equal(s.dof_axes, axes)
         assert np.array_equal(s.dof_anchors, anchors)
         for node in range(g.n_nodes):
-            path = menv._root_path_dofs(g, node)
+            path = menv._body_table(g).path_dofs[node]
             J = menv._jacobian(s.positions[node], s.dof_axes, s.dof_anchors, path, A)
             ref = position_jacobian(g, s.joint_angles, node)
             assert np.array_equal(J, ref)
@@ -871,11 +901,11 @@ def test_jacobian_from_stored_frames_equals_position_jacobian(env_id):
 
 def test_cached_graph_tables_are_read_only():
     g = make_env("ant_reach_3").graph
-    for tables in (menv._kinematics(g), menv._observation_tables(g)):
-        arrays = [v for v in vars(tables).values() if isinstance(v, np.ndarray)]
-        assert arrays
-        for a in arrays:
-            with pytest.raises(ValueError):
-                a[...] = 0
+    arrays = {k: v for k, v in vars(menv._body_table(g)).items() if isinstance(v, np.ndarray)}
+    # FK and reset constants beside the observation tables
+    assert {"gears", "reset_mid", "chain_anchor", "joint_index", "jr", "m"} <= set(arrays)
+    for a in arrays.values():
+        with pytest.raises(ValueError):
+            a[...] = 0
     with pytest.raises(TypeError):
         g.parent_map[0] = None
