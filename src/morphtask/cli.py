@@ -114,21 +114,29 @@ def resolve_config(args) -> dict:
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    for key in _BOOLS:
-        if isinstance(cfg[key], str):
-            if cfg[key].lower() not in ("true", "false", "on", "off", "0", "1"):
-                raise UsageError(f"config key {key!r} must be boolean")
-            cfg[key] = cfg[key].lower() in ("true", "on", "1")
-    for key in sorted(_INTS | _FLOATS):
-        kind, name = (int, "an integer") if key in _INTS else (float, "a number")
-        try:
-            cfg[key] = kind(cfg[key])
-        except ValueError:
-            raise UsageError(f"config key {key!r} must be {name}, got {cfg[key]!r}") from None
-    for key, least in _LEAST.items():
-        if cfg[key] < least:
-            raise UsageError(f"config key {key!r} must be >= {least}, got {cfg[key]}")
+    for key in sorted(_BOOLS | _INTS | _FLOATS):
+        cfg[key] = _typed(key, cfg[key])
     return cfg
+
+
+def _typed(key: str, value, label: str | None = None):
+    """value converted to config key ``key``'s type and checked against its
+    bound; a UsageError names ``label`` (default ``key``)."""
+    label = label or key
+    if key in _BOOLS:
+        if isinstance(value, str):
+            if value.lower() not in ("true", "false", "on", "off", "0", "1"):
+                raise UsageError(f"config key {label!r} must be boolean, got {value!r}")
+            value = value.lower() in ("true", "on", "1")
+        return value
+    kind, name = (int, "an integer") if key in _INTS else (float, "a number")
+    try:
+        value = kind(value)
+    except ValueError:
+        raise UsageError(f"config key {label!r} must be {name}, got {value!r}") from None
+    if key in _LEAST and value < _LEAST[key]:
+        raise UsageError(f"config key {label!r} must be >= {_LEAST[key]}, got {value}")
+    return value
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -277,22 +285,24 @@ def _read_report_aggregate(path: Path) -> float:
 
 
 def cmd_ablate(cfg: dict, dataset_path: str) -> int:
-    out = _out_dir(cfg)
-    ds = _read_training_dataset(dataset_path)
     obs_sets = [s for s in cfg["ablate_obs_sets"].split(";") if s.strip()]
-    pe_values = [s for s in cfg["ablate_pe"].split(",") if s.strip()]
+    pe_values = [_typed("use_pe", s.strip(), "ablate_pe")
+                 for s in cfg["ablate_pe"].split(",") if s.strip()]
     token_values = [s for s in cfg["ablate_token"].split(",") if s.strip()]
-    history_values = [s for s in cfg["ablate_history"].split(",") if s.strip()]
+    history_values = [_typed("history", s.strip(), "ablate_history")
+                      for s in cfg["ablate_history"].split(",") if s.strip()]
     axes = {
         "obs_flags": obs_sets or [cfg["obs_flags"]],
-        "use_pe": [v == "on" for v in pe_values] or [cfg["use_pe"]],
+        "use_pe": pe_values or [cfg["use_pe"]],
         "token_variant": token_values or [cfg["token_variant"]],
-        "history": [int(v) for v in history_values] or [cfg["history"]],
+        "history": history_values or [cfg["history"]],
     }
     if not (obs_sets or pe_values or token_values or history_values):
         raise UsageError("ablate needs at least one non-empty axis "
                          "(ablate_obs_sets / ablate_pe / ablate_token / "
                          "ablate_history)")
+    out = _out_dir(cfg)
+    ds = _read_training_dataset(dataset_path)
     rows = ["obs_flags,use_pe,token,history,seed,init_loss,final_loss,"
             "aggregate_dist"]
     for flags in axes["obs_flags"]:

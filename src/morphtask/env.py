@@ -8,6 +8,7 @@ A Jacobian-transpose controller serves as the scripted expert.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -412,57 +413,88 @@ def resolve_target(graph: MorphologyGraph, selector: str) -> int:
     raise ValueError(f"unknown target selector {selector!r}")
 
 
-def sample_goals(task: TaskSpec, graph: MorphologyGraph, seed: int) -> list[np.ndarray]:
-    """Draw one value per goal template; deterministic in the seed.
+# Philox counters of the two streams a reset seed keys: the goal stream of
+# Generator(Philox(key=seed)) and the angle-and-box stream of
+# Philox(key=seed).jumped(1), a jump of 2**128 draws.
+_GOAL_STREAM = (0, 0, 0, 0)
+_SCENE_STREAM = (0, 0, 1, 0)
+_WORD = (1 << 64) - 1
+
+
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """numpy's uniform(low, high) of the raw doubles u."""
+    return low + (high - low) * u
+
+
+def _on_circle(center: np.ndarray, angle: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """(B, 3) points center + radius * (cos, sin, 0) of each angle.  cos and
+    sin are math's per value: np.cos may use SIMD kernels whose last bit
+    differs by platform, and reset's bytes must not."""
+    cos = np.array([math.cos(a) for a in angle.tolist()])
+    sin = np.array([math.sin(a) for a in angle.tolist()])
+    return center + radius[:, None] * np.stack([cos, sin, np.zeros_like(cos)], axis=1)
+
+
+def _reset_draws(table: _BodyTable, graph: MorphologyGraph, task: TaskSpec, seeds):
+    """Goals (B, G, 3), initial joint angles (B, A), ball and box (B, 3) or
+    None of the episodes reset(seed) starts on graph, one row per seed.
+
+    Per seed the goals draw from Generator(Philox(key=seed)) and the angles,
+    then the box, from Philox(key=seed).jumped(1), every value numpy's
+    uniform of the next double.  One Philox, seeded from a constant so it
+    reads no OS entropy, is re-keyed to each stream through its state.
 
     XY-plane goals use a donut: angle ~ U[0, 2pi), radius ~ U[r_lo, r_hi],
     centered on the target chain's anchor.  Height goals use z ~ U[z_lo, z_hi].
+    Initial angles are mid + RESET_ANGLE_FRACTION * half-range * U(-1, 1).
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    anchors = _body_table(graph).chain_anchor
-    out = []
-    for tmpl in task.goals:
-        target = resolve_target(graph, tmpl.target_selector)
-        if tmpl.goal_kind == "z_height":
-            z = rng.uniform(tmpl.z_lo, tmpl.z_hi)
-            out.append(np.array([0.0, 0.0, z]))
-            continue
-        center = anchors[target]
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        radius = rng.uniform(tmpl.r_lo, tmpl.r_hi)
-        out.append(center + radius * np.array([math.cos(angle), math.sin(angle), 0.0]))
-    return out
+    seeds = [operator.index(s) for s in seeds]
+    boxes = sum(t.goal_kind == "box_to_target" for t in task.goals)
+    u_goal = np.empty((len(seeds), sum(1 if t.goal_kind == "z_height" else 2
+                                       for t in task.goals)))
+    u_scene = np.empty((len(seeds), table.A + 2 * boxes))
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    for row, seed in enumerate(seeds):
+        key = (seed & _WORD, seed >> 64)
+        for counter, u in ((_GOAL_STREAM, u_goal), (_SCENE_STREAM, u_scene)):
+            state["state"] = {"counter": counter, "key": key}
+            bitgen.state = state
+            rng.random(out=u[row])
 
-
-def _reset_draws(table: _BodyTable, graph: MorphologyGraph, task: TaskSpec, seed: int):
-    """Goals, initial joint angles, ball and box of the episode reset(seed)
-    starts on graph, whose table is given: (goals, theta, ball or None, box
-    or None)."""
-    goals = sample_goals(task, graph, seed)
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(1))
-    theta = table.reset_mid + table.reset_span * rng.uniform(-1.0, 1.0, size=table.A)
-    ball = None
-    box = None
+    goals = np.zeros((len(seeds), len(task.goals), 3))
+    theta = table.reset_mid + table.reset_span * _uniform(u_scene[:, :table.A], -1.0, 1.0)
+    ball = box = None
+    col, box_col = 0, table.A
     for g, tmpl in enumerate(task.goals):
+        center = table.chain_anchor[resolve_target(graph, tmpl.target_selector)]
+        if tmpl.goal_kind == "z_height":
+            goals[:, g, 2] = _uniform(u_goal[:, col], tmpl.z_lo, tmpl.z_hi)
+            col += 1
+            continue
+        goals[:, g] = _on_circle(center, _uniform(u_goal[:, col], 0.0, 2.0 * math.pi),
+                                 _uniform(u_goal[:, col + 1], tmpl.r_lo, tmpl.r_hi))
+        col += 2
         if tmpl.goal_kind == "ball_contact":
-            ball = goals[g].copy()
+            ball = goals[:, g].copy()
         elif tmpl.goal_kind == "box_to_target":
-            target = resolve_target(graph, tmpl.target_selector)
-            center = table.chain_anchor[target]
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            radius = rng.uniform(1.3 * tmpl.r_lo, 1.3 * tmpl.r_hi)
-            box = center + radius * np.array([math.cos(angle), math.sin(angle), 0.0])
+            box = _on_circle(center, _uniform(u_scene[:, box_col], 0.0, 2.0 * math.pi),
+                             _uniform(u_scene[:, box_col + 1],
+                                      1.3 * tmpl.r_lo, 1.3 * tmpl.r_hi))
+            box_col += 2
     return goals, theta, ball, box
 
 
 def reset(spec: EnvSpec, seed: int) -> EnvState:
     """Sample goals, scene objects, and initial joint angles for one episode."""
     table = _body_table(spec.graph)
-    goals, theta, ball, box = _reset_draws(table, spec.graph, spec.task, seed)
-    pos, quat, axes, anchors = table.frames(theta.tolist())
-    return EnvState(graph=spec.graph, task=spec.task, joint_angles=theta,
-                    goals=tuple(goals), positions=pos, orientations=quat,
-                    ball_pos=ball, box_pos=box, rng_stream=seed,
+    goals, theta, ball, box = _reset_draws(table, spec.graph, spec.task, [seed])
+    pos, quat, axes, anchors = table.frames(theta[0].tolist())
+    return EnvState(graph=spec.graph, task=spec.task, joint_angles=theta[0],
+                    goals=tuple(goals[0]), positions=pos, orientations=quat,
+                    ball_pos=None if ball is None else ball[0],
+                    box_pos=None if box is None else box[0], rng_stream=seed,
                     dof_axes=axes, dof_anchors=anchors)
 
 
@@ -671,22 +703,41 @@ def local_observations(state: EnvState, spec: ObservationSpec,
 
 # --- standard tasks and environment ids ----------------------------------------
 
-def _with_probed_d_max(graph: MorphologyGraph, task: TaskSpec) -> TaskSpec:
-    """d_max per goal = mean initial distance over seeded probe resets.
+def _norms(v: np.ndarray) -> np.ndarray:
+    """_norm of each row of v.  A stacked matmul takes each row's dot product
+    as v @ v does, which x*x + y*y does not always equal."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
-    Each probe draws what reset draws; one array FK places every probe's
-    body, and the distances are summed in seed order.
+
+def _probed_mean_distances(graph: MorphologyGraph, task: TaskSpec) -> np.ndarray:
+    """Mean initial goal_distance per goal over the seeded probe resets.
+
+    One _reset_draws call draws every probe, one array FK places every
+    probe's body, the distances take goal_distance's arithmetic over the
+    probes, and each goal's distances are summed in seed order.
     """
-    table = _body_table(graph)
-    draws = [_reset_draws(table, graph, task, D_MAX_PROBE_SEED + j)
-             for j in range(D_MAX_PROBE_RESETS)]
-    positions, orientations = forward_kinematics(graph, [d[1] for d in draws])
-    sums = np.zeros(len(task.goals))
-    for (goals, theta, ball, box), pos, quat in zip(draws, positions, orientations):
-        sums += goal_distances(EnvState(
-            graph=graph, task=task, joint_angles=theta, goals=tuple(goals),
-            positions=pos, orientations=quat, ball_pos=ball, box_pos=box))
-    means = sums / D_MAX_PROBE_RESETS
+    seeds = range(D_MAX_PROBE_SEED, D_MAX_PROBE_SEED + D_MAX_PROBE_RESETS)
+    goals, theta, ball, box = _reset_draws(_body_table(graph), graph, task, seeds)
+    positions, _ = forward_kinematics(graph, theta)
+    distances = np.empty((D_MAX_PROBE_RESETS, len(task.goals)))
+    for g, tmpl in enumerate(task.goals):
+        target = resolve_target(graph, tmpl.target_selector)
+        p, value = positions[:, target], goals[:, g]
+        if tmpl.goal_kind == "xy_position":
+            distances[:, g] = _norms(p[:, :2] - value[:, :2])
+        elif tmpl.goal_kind == "z_height":
+            distances[:, g] = np.abs(p[:, 2] - value[:, 2])
+        elif tmpl.goal_kind == "ball_contact":
+            gap = _norms(p - ball) - graph.nodes[target].radius - BALL_RADIUS
+            distances[:, g] = np.where(gap > 0.0, gap, 0.0)
+        else:
+            distances[:, g] = _norms(box[:, :2] - value[:, :2])
+    return np.cumsum(distances, axis=0)[-1] / D_MAX_PROBE_RESETS
+
+
+def _with_probed_d_max(graph: MorphologyGraph, task: TaskSpec) -> TaskSpec:
+    """d_max per goal = mean initial distance over seeded probe resets."""
+    means = _probed_mean_distances(graph, task)
     d_max = tuple(q9(max(float(m), task.d_min[g] * 2.0))
                   for g, m in enumerate(means))
     return replace(task, d_max=d_max)
@@ -767,8 +818,16 @@ TASK_NAMES = ("reach", "reach_hard", "touch", "push", "reach_handsup",
               "touch_handsup")
 
 
+# Env-id variant suffixes: token -> (variation key, value count, value type).
+_VARIANTS = {"missing": ("missing", 1, int), "mass": ("mass_scales", 3, float),
+             "size": ("size_scales", 3, float)}
+
+
 def parse_env_id(env_id: str) -> tuple[str, str, int, dict]:
-    """'<blueprint>_<task>_<count>[_missing_k|_mass_a_b_c|_size_a_b_c]'."""
+    """'<blueprint>_<task>_<count>[_missing_k|_mass_a_b_c|_size_a_b_c]'.
+
+    A malformed id (unknown task or suffix, a suffix with too few values, a
+    value that is not a number) raises ValueError naming the id."""
     parts = env_id.split("_")
     blueprint = parts[0]
     rest = parts[1:]
@@ -781,19 +840,21 @@ def parse_env_id(env_id: str) -> tuple[str, str, int, dict]:
             break
     if task_name is None or not rest:
         raise ValueError(f"cannot parse env id {env_id!r}")
-    count = int(rest[0])
-    rest = rest[1:]
-    variation: dict = {}
-    while rest:
-        if rest[0] == "missing":
-            variation["missing"] = int(rest[1])
-            rest = rest[2:]
-        elif rest[0] in ("mass", "size"):
-            key = f"{rest[0]}_scales"
-            variation[key] = tuple(float(x) for x in rest[1:4])
-            rest = rest[4:]
-        else:
-            raise ValueError(f"unknown variant tokens {rest} in {env_id!r}")
+    try:
+        count = int(rest[0])
+        rest = rest[1:]
+        variation: dict = {}
+        while rest:
+            if rest[0] not in _VARIANTS:
+                raise ValueError(f"unknown variant tokens {rest}")
+            key, arity, kind = _VARIANTS[rest[0]]
+            if len(rest) <= arity:
+                raise ValueError(f"variant {rest[0]!r} needs {arity} value(s)")
+            values = tuple(kind(x) for x in rest[1:1 + arity])
+            variation[key] = values[0] if arity == 1 else values
+            rest = rest[1 + arity:]
+    except ValueError as exc:
+        raise ValueError(f"cannot parse env id {env_id!r}: {exc}") from None
     return blueprint, task_name, count, variation
 
 

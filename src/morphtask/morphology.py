@@ -257,6 +257,11 @@ def generate_morphology(blueprint: str, count: int,
         if "size_scales" in variation:
             graph = apply_size_scaling(graph, variation["size_scales"])
         graph = replace(graph, blueprint_tag=f"{blueprint}_{count}")
+        # A nan or inf scale passes the scalings; refuse the body it makes.
+        problems = validate(graph)
+        if problems:
+            raise MorphologyError(f"variation {variation} gives an invalid body: "
+                                  + "; ".join(problems))
     return graph
 
 

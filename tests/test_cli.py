@@ -373,3 +373,29 @@ def test_ablate_empty_axes_is_usage_error(workspace, tmp_path):
     assert run(["ablate", "--config", str(cfg), "--dataset",
                 str(gen_dir / "dataset.cgds"), "--out",
                 str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("ablate_pe = on,yes", "config key 'ablate_pe' must be boolean, got 'yes'"),
+    ("ablate_history = x", "config key 'ablate_history' must be an integer, got 'x'"),
+    ("ablate_history = 0", "config key 'ablate_history' must be >= 1, got 0"),
+])
+def test_bad_ablate_axis_is_usage_error_naming_key(workspace, tmp_path, capsys,
+                                                  line, message):
+    root, cfg, gen_dir = workspace
+    bad = tmp_path / "ablate.txt"
+    bad.write_text("envs = ant_reach_2\nsteps = 2\nbatch_size = 4\nembed = 16\n"
+                   f"attn_hidden = 16\nlayers = 1\neval_seeds = 1\n{line}\n")
+    out = tmp_path / "o"
+    assert run(["ablate", "--config", str(bad), "--dataset",
+                str(gen_dir / "dataset.cgds"), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_short_env_id_suffix_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "config.txt"
+    cfg.write_text("envs = ant_reach_3_missing\ntransitions = 5\n")
+    out = tmp_path / "o"
+    assert run(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "cannot parse env id 'ant_reach_3_missing'" in capsys.readouterr().err

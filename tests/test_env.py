@@ -31,7 +31,6 @@ from morphtask.env import (
     position_jacobian,
     reset,
     resolve_box_push,
-    sample_goals,
     scripted_expert,
     serialize_task,
     step,
@@ -69,11 +68,15 @@ def reach_task(r_lo, r_hi, d_min=0.01, d_max=2.0, episode=500):
 
 # --- goal sampling -----------------------------------------------------------
 
+def _goals(task, graph, seeds):
+    """(B, G, 3) goal values of reset(seed) per seed."""
+    return menv._reset_draws(menv._body_table(graph), graph, task, seeds)[0]
+
+
 def test_degenerate_annulus_radius_exact():
     g = chain_graph(1)
     task = reach_task(1.0, 1.0)
-    for seed in range(20):
-        (goal,) = sample_goals(task, g, seed)
+    for goal in _goals(task, g, range(20))[:, 0]:
         assert abs(np.linalg.norm(goal[:2]) - 1.0) <= 1e-9
         assert goal[2] == 0.0
 
@@ -81,16 +84,106 @@ def test_degenerate_annulus_radius_exact():
 def test_sampling_deterministic_in_seed():
     g = generate_morphology("ant", 4)
     spec = make_env("ant_reach_4")
-    a = sample_goals(spec.task, g, 123)
-    b = sample_goals(spec.task, g, 123)
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    a = _goals(spec.task, g, [123, 5, 123])
+    b = _goals(spec.task, g, [123])
+    assert a[0].tobytes() == a[2].tobytes() == b[0].tobytes()
+    assert a[0].tobytes() != a[1].tobytes()
 
 
 def test_mean_radius_law_of_large_numbers():
     g = chain_graph(1)
     task = reach_task(0.5, 1.5)
-    radii = [np.linalg.norm(sample_goals(task, g, s)[0][:2]) for s in range(100_000)]
+    radii = np.linalg.norm(_goals(task, g, range(100_000))[:, 0, :2], axis=1)
     assert np.mean(radii) == pytest.approx(1.0, abs=0.01)
+
+
+def _oracle_draws(graph, task, seed):
+    """Reference for env._reset_draws on one seed: a generator object per
+    stream, Generator(Philox(key=seed)) for the goals and
+    Philox(key=seed).jumped(1) for the angles and then the box, and scalar
+    uniform draws.  Returns (goals (G, 3), theta, ball or None, box or None)."""
+    table = menv._body_table(graph)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    goals = []
+    for tmpl in task.goals:
+        target = menv.resolve_target(graph, tmpl.target_selector)
+        if tmpl.goal_kind == "z_height":
+            goals.append(np.array([0.0, 0.0, rng.uniform(tmpl.z_lo, tmpl.z_hi)]))
+            continue
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        radius = rng.uniform(tmpl.r_lo, tmpl.r_hi)
+        goals.append(table.chain_anchor[target]
+                     + radius * np.array([math.cos(angle), math.sin(angle), 0.0]))
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(1))
+    theta = table.reset_mid + table.reset_span * rng.uniform(-1.0, 1.0, size=table.A)
+    ball = box = None
+    for g, tmpl in enumerate(task.goals):
+        if tmpl.goal_kind == "ball_contact":
+            ball = goals[g].copy()
+        elif tmpl.goal_kind == "box_to_target":
+            target = menv.resolve_target(graph, tmpl.target_selector)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            radius = rng.uniform(1.3 * tmpl.r_lo, 1.3 * tmpl.r_hi)
+            box = table.chain_anchor[target] \
+                + radius * np.array([math.cos(angle), math.sin(angle), 0.0])
+    return np.array(goals).reshape(-1, 3), theta, ball, box
+
+
+# Every goal kind: xy (reach), z (handsup), ball (touch) and box (push).
+PROBE_ENVS = (
+    "ant_reach_3", "ant_reach_handsup_5", "claw_reach_4", "claw_touch_handsup_3",
+    "centipede_touch_3", "centipede_reach_handsup2_4", "worm_touch_4", "worm_push_2",
+    "ant_push_3", "ant_reach_4_missing_1", "ant_reach_hard_4_mass_0.5_1.0_3.0",
+    "ant_reach_4_size_0.5_1.5_1.0")
+PROBE_SEEDS = tuple(range(menv.D_MAX_PROBE_SEED,
+                          menv.D_MAX_PROBE_SEED + menv.D_MAX_PROBE_RESETS))
+
+
+@pytest.mark.parametrize("env_id", PROBE_ENVS)
+def test_reset_draws_equal_generator_oracle(env_id):
+    spec = make_env(env_id)
+    seeds = (0, 1, 2**32, 2**63, 2**64 - 1, np.int64(7)) + PROBE_SEEDS
+    goals, theta, ball, box = menv._reset_draws(
+        menv._body_table(spec.graph), spec.graph, spec.task, seeds)
+    assert goals.shape == (len(seeds), len(spec.task.goals), 3)
+    for b, seed in enumerate(seeds):
+        ref_goals, ref_theta, ref_ball, ref_box = _oracle_draws(spec.graph, spec.task, seed)
+        assert goals[b].tobytes() == ref_goals.tobytes()
+        assert theta[b].tobytes() == ref_theta.tobytes()
+        for got, ref in ((ball, ref_ball), (box, ref_box)):
+            assert (got is None) == (ref is None)
+            assert got is None or got[b].tobytes() == ref.tobytes()
+
+
+def test_reset_draws_reject_seeds_outside_philox_keys():
+    spec = make_env("ant_reach_3")
+    table = menv._body_table(spec.graph)
+    for seed in (-1, 2**128):
+        with pytest.raises((ValueError, OverflowError)):
+            np.random.Philox(key=seed)
+        with pytest.raises((ValueError, OverflowError)):
+            menv._reset_draws(table, spec.graph, spec.task, [seed])
+    with pytest.raises(TypeError):
+        reset(spec, 1.5)
+
+
+def test_make_env_and_reset_read_no_os_entropy(monkeypatch):
+    """numpy seeds an unseeded bit generator from OS entropy through
+    numpy.random.bit_generator.randbits; make_env's probe and reset must
+    never need one."""
+    from numpy.random import bit_generator
+    draws = []
+    real = bit_generator.randbits
+    monkeypatch.setattr(bit_generator, "randbits",
+                        lambda bits: draws.append(bits) or real(bits))
+    np.random.Philox()                   # control: the spy sees an unseeded build
+    assert len(draws) == 1
+    draws.clear()
+    for cache in (make_env, menv._body_table, menv.resolve_target):
+        cache.cache_clear()
+    spec = make_env("ant_push_3")
+    reset(spec, 17)
+    assert draws == []
 
 
 # --- forward kinematics --------------------------------------------------------
@@ -218,25 +311,27 @@ def test_array_fk_equals_fk_frames_bit_for_bit(env_id):
 
 
 def _scalar_probed_d_max(graph, task):
-    """Reference: d_max as one reset and goal_distances per probe seed."""
+    """Reference for the d_max probe: per probe seed the oracle's draws,
+    scalar FK and goal_distances, summed in seed order.  Returns the
+    unrounded means and the task with d_max set from them."""
     sums = np.zeros(len(task.goals))
-    for j in range(menv.D_MAX_PROBE_RESETS):
-        state = reset(EnvSpec("probe", graph, task), menv.D_MAX_PROBE_SEED + j)
-        sums += menv.goal_distances(state)
+    for seed in PROBE_SEEDS:
+        goals, theta, ball, box = _oracle_draws(graph, task, seed)
+        pos, quat, _, _ = menv.fk_frames(graph, theta)
+        sums += menv.goal_distances(EnvState(
+            graph=graph, task=task, joint_angles=theta, goals=tuple(goals),
+            positions=pos, orientations=quat, ball_pos=ball, box_pos=box))
     means = sums / menv.D_MAX_PROBE_RESETS
-    return dataclasses.replace(task, d_max=tuple(
+    return means, dataclasses.replace(task, d_max=tuple(
         menv.q9(max(float(m), task.d_min[g] * 2.0)) for g, m in enumerate(means)))
 
 
-@pytest.mark.parametrize("env_id", (
-    "ant_reach_3", "ant_reach_handsup_5", "claw_reach_4", "claw_touch_handsup_3",
-    "centipede_touch_3", "centipede_reach_handsup2_4", "worm_touch_4", "worm_push_2",
-    "ant_push_3", "ant_reach_4_missing_1", "ant_reach_hard_4_mass_0.5_1.0_3.0",
-    "ant_reach_4_size_0.5_1.5_1.0"))
+@pytest.mark.parametrize("env_id", PROBE_ENVS)
 def test_probed_task_text_equals_scalar_probe(env_id):
     spec = make_env(env_id)
-    assert serialize_task(spec.task) == \
-        serialize_task(_scalar_probed_d_max(spec.graph, spec.task))
+    means, task = _scalar_probed_d_max(spec.graph, spec.task)
+    assert menv._probed_mean_distances(spec.graph, spec.task).tobytes() == means.tobytes()
+    assert serialize_task(spec.task) == serialize_task(task)
 
 
 # --- stepping -------------------------------------------------------------------
@@ -717,6 +812,61 @@ def test_parse_env_ids():
     assert (bp, task, count) == ("ant", "reach_hard", 4)
     assert var == {"mass_scales": (0.5, 1.0, 3.0)}
     assert parse_env_id("ant_reach_4_missing_1")[3] == {"missing": 1}
+
+
+@pytest.mark.parametrize("env_id, reason", [
+    ("ant_reach_3_missing", "variant 'missing' needs 1 value"),
+    ("ant_reach_3_mass_1.0", "variant 'mass' needs 3 value"),
+    ("ant_reach_3_size_1.0_2.0", "variant 'size' needs 3 value"),
+    ("ant_reach_3_missing_x", "invalid literal for int"),
+    ("ant_reach_3_mass_1.0_x_2.0", "could not convert string to float"),
+    ("ant_reach_x", "invalid literal for int"),
+    ("ant_reach_3_mass_1_1_1_1", "unknown variant tokens"),
+    ("ant_reach", "cannot parse"),
+    ("ant_fly_3", "cannot parse"),
+])
+def test_malformed_env_id_is_value_error_naming_it(env_id, reason):
+    with pytest.raises(ValueError) as info:
+        parse_env_id(env_id)
+    assert repr(env_id) in str(info.value) and reason in str(info.value)
+
+
+@pytest.mark.parametrize("env_id", ["ant_reach_3_size_inf_1_1", "ant_reach_3_mass_nan_1_1"])
+def test_non_finite_scale_is_value_error(env_id):
+    with pytest.raises(ValueError, match="invalid body"):
+        make_env(env_id)
+
+
+ENV_ID_TOKENS = ("missing", "mass", "size", "reach", "hard", "handsup", "handsup2",
+                 "touch", "push", "ant", "worm", "0", "1", "3", "9", "-1", "1.0",
+                 "0.5", "nan", "inf", "1e999", "x", "")
+
+
+@settings(settings.get_profile("ci"), max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_env_ids_raise_only_value_error(data):
+    tokens = data.draw(st.sampled_from((
+        "ant_reach_3", "claw_reach_hard_2", "worm_push_2", "ant_reach_handsup2_4",
+        "centipede_touch_handsup_4_missing_1", "ant_reach_4_mass_0.5_1.0_3.0",
+        "claw_reach_3_size_0.5_1.5_1.0"))).split("_")
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(("drop", "insert", "replace", "flip")))
+        i = data.draw(st.integers(0, len(tokens) - 1)) if tokens else 0
+        if op == "drop" and tokens:
+            del tokens[i]
+        elif op == "insert" or not tokens:
+            tokens.insert(i, data.draw(st.sampled_from(ENV_ID_TOKENS)))
+        elif op == "replace":
+            tokens[i] = data.draw(st.sampled_from(ENV_ID_TOKENS))
+        elif tokens[i]:
+            j = data.draw(st.integers(0, len(tokens[i]) - 1))
+            tokens[i] = tokens[i][:j] + chr(ord(tokens[i][j]) ^ 1) + tokens[i][j + 1:]
+    env_id = "_".join(tokens)
+    for build in (parse_env_id, make_env):
+        try:
+            build(env_id)
+        except ValueError:
+            pass
 
 
 def test_make_env_deterministic_and_valid():
