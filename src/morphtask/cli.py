@@ -80,6 +80,7 @@ _INTS = {"seed", "history", "embed", "attn_hidden", "heads", "layers",
          "mlp_hidden", "gnn_hidden", "max_nodes", "max_action", "batch_size",
          "steps", "transitions", "eval_seeds", "eval_horizon"}
 _FLOATS = {"learning_rate", "grad_clip", "expert_gain"}
+_TOKENS = ("none", "d", "da", "c")     # token_variant values; none = untokenized
 # Smallest value each count may take (eval_horizon 0 means the task's own).
 _LEAST = {"transitions": 1, "eval_seeds": 1, "history": 1, "eval_horizon": 0}
 
@@ -286,9 +287,18 @@ def _read_report_aggregate(path: Path) -> float:
 
 def cmd_ablate(cfg: dict, dataset_path: str) -> int:
     obs_sets = [s for s in cfg["ablate_obs_sets"].split(";") if s.strip()]
+    for flags in obs_sets:
+        try:
+            build_observation_spec([f.strip() for f in flags.split(",")])
+        except ValueError as exc:
+            raise UsageError(f"config key 'ablate_obs_sets': {exc}") from None
     pe_values = [_typed("use_pe", s.strip(), "ablate_pe")
                  for s in cfg["ablate_pe"].split(",") if s.strip()]
-    token_values = [s for s in cfg["ablate_token"].split(",") if s.strip()]
+    token_values = [s.strip() for s in cfg["ablate_token"].split(",") if s.strip()]
+    for token in token_values:
+        if token not in _TOKENS:
+            raise UsageError(f"config key 'ablate_token' must be one of "
+                             f"{', '.join(_TOKENS)}, got {token!r}")
     history_values = [_typed("history", s.strip(), "ablate_history")
                       for s in cfg["ablate_history"].split(",") if s.strip()]
     axes = {
@@ -301,12 +311,12 @@ def cmd_ablate(cfg: dict, dataset_path: str) -> int:
         raise UsageError("ablate needs at least one non-empty axis "
                          "(ablate_obs_sets / ablate_pe / ablate_token / "
                          "ablate_history)")
-    out = _out_dir(cfg)
     ds = _read_training_dataset(dataset_path)
+    subsets = [(flags, _subset_dataset(ds, flags)) for flags in axes["obs_flags"]]
+    out = _out_dir(cfg)
     rows = ["obs_flags,use_pe,token,history,seed,init_loss,final_loss,"
             "aggregate_dist"]
-    for flags in axes["obs_flags"]:
-        sliced = _subset_dataset(ds, flags)
+    for flags, sliced in subsets:
         for pe in axes["use_pe"]:
             for token in axes["token_variant"]:
                 for history in axes["history"]:
@@ -359,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--arch", choices=["mlp", "gnn", "transformer"])
         p.add_argument("--cg", choices=["v1", "v2"])
-        p.add_argument("--token", choices=["none", "d", "da", "c"])
+        p.add_argument("--token", choices=list(_TOKENS))
         p.add_argument("--pe", choices=["on", "off"])
         p.add_argument("--history", type=int)
         p.add_argument("--transitions", type=int)

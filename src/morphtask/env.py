@@ -100,10 +100,13 @@ class EnvSpec:
 
 @dataclass(frozen=True)
 class EnvState:
+    """One episode's state, or B episodes of one env in lockstep
+    (reset_batch): then every array has a leading seed axis, (B, A) angles,
+    (B, 3) goal values, ball and box, and there are no dof axes."""
     graph: MorphologyGraph
     task: TaskSpec
     joint_angles: np.ndarray             # (A,)
-    goals: tuple[np.ndarray, ...]        # sampled values, 3-vectors
+    goals: tuple[np.ndarray, ...]        # sampled values per goal, 3-vectors
     positions: np.ndarray                # (n, 3) node tips
     orientations: np.ndarray             # (n, 4) unit quaternions (w, x, y, z)
     step_count: int = 0
@@ -112,7 +115,6 @@ class EnvState:
     prev_joint_angles: np.ndarray | None = None
     prev_positions: np.ndarray | None = None
     prev_orientations: np.ndarray | None = None
-    rng_stream: int = 0                  # reset seed; kinematics has no noise
     # Per-dof world rotation axes and anchors (A, 3) from the FK pass that
     # produced ``positions``; the expert builds its Jacobians from them.
     dof_axes: np.ndarray | None = None
@@ -247,9 +249,10 @@ class _BodyTable:
                                if node.node_id in parent], dtype=np.intp)
         self.parent = np.array([parent[i].parent_id for i in self.child.tolist()],
                                dtype=np.intp)
-        # Gather index of the 3 joint slots into theta padded with one zero
-        # (index A) for missing actuators and the root.
-        self.joint_index = np.full((n, 3), A, dtype=np.intp)
+        # Gather index of the 3 joint slots into theta, and which slots have
+        # an actuator: the others, and the root's, read zero.
+        self.joint_index = np.zeros((n, 3), dtype=np.intp)
+        self.jointed = np.zeros((n, 3), dtype=bool)
         self.jr = np.zeros((n, 6))
         self.m = np.zeros((n, 8))
         self.id = np.zeros((n, 1))
@@ -261,6 +264,7 @@ class _BodyTable:
             if edge is not None:
                 k = len(edge.actuators)
                 self.joint_index[i, :k] = range(node.dof_index, node.dof_index + k)
+                self.jointed[i, :k] = True
                 for j, act in enumerate(edge.actuators):
                     self.jr[i, 2 * j] = act.range_lo
                     self.jr[i, 2 * j + 1] = act.range_hi
@@ -494,33 +498,51 @@ def reset(spec: EnvSpec, seed: int) -> EnvState:
     return EnvState(graph=spec.graph, task=spec.task, joint_angles=theta[0],
                     goals=tuple(goals[0]), positions=pos, orientations=quat,
                     ball_pos=None if ball is None else ball[0],
-                    box_pos=None if box is None else box[0], rng_stream=seed,
+                    box_pos=None if box is None else box[0],
                     dof_axes=axes, dof_anchors=anchors)
 
 
+def reset_batch(spec: EnvSpec, seeds) -> EnvState:
+    """reset of every seed as one lockstep state: one draw call, one array FK."""
+    goals, theta, ball, box = _reset_draws(_body_table(spec.graph), spec.graph,
+                                           spec.task, seeds)
+    pos, quat = forward_kinematics(spec.graph, theta)
+    return EnvState(graph=spec.graph, task=spec.task, joint_angles=theta,
+                    goals=tuple(goals.transpose(1, 0, 2)), positions=pos,
+                    orientations=quat, ball_pos=ball, box_pos=box)
+
+
 def step(state: EnvState, actions, dt: float = DT) -> EnvState:
-    """Integrate clamped joint velocities for one tick; quasi-static box push."""
+    """Integrate clamped joint velocities for one tick; quasi-static box push.
+
+    A lockstep state (reset_batch) steps all its rows with one array FK, each
+    row equal to its own episode's step bit for bit."""
     if state.step_count >= state.task.episode_length:
         raise EpisodeOverError(
             f"episode already finished after {state.step_count} steps")
     a = np.asarray(actions, dtype=np.float64)
     table = _body_table(state.graph)
-    if a.shape != (table.A,):
+    if a.shape != state.joint_angles.shape:
         raise ShapeError(f"expected {table.A} actions, got shape {a.shape}")
     a = np.clip(a, -1.0, 1.0)
     theta = np.clip(state.joint_angles + table.gears * a * OMEGA_MAX * dt,
                     table.lo, table.hi)
-    # At rest the frames are those of the same angles: reuse them.  Bytes,
-    # not ==: -0.0 == 0.0, but sin(-0.0) is -0.0, so their frames may differ
-    # in a zero's sign.
-    if state.dof_axes is not None and theta.tobytes() == state.joint_angles.tobytes():
-        pos, quat, axes, anchors = (state.positions, state.orientations,
-                                    state.dof_axes, state.dof_anchors)
-    else:
-        pos, quat, axes, anchors = table.frames(theta.tolist())
     box = state.box_pos
-    if box is not None:
-        box = resolve_box_push(pos, table.radii, box)
+    if theta.ndim > 1:
+        (pos, quat), axes, anchors = forward_kinematics(state.graph, theta), None, None
+        if box is not None:
+            box = np.array([resolve_box_push(p, table.radii, b) for p, b in zip(pos, box)])
+    else:
+        # At rest the frames are those of the same angles: reuse them.  Bytes,
+        # not ==: -0.0 == 0.0, but sin(-0.0) is -0.0, so their frames may
+        # differ in a zero's sign.
+        if state.dof_axes is not None and theta.tobytes() == state.joint_angles.tobytes():
+            pos, quat, axes, anchors = (state.positions, state.orientations,
+                                        state.dof_axes, state.dof_anchors)
+        else:
+            pos, quat, axes, anchors = table.frames(theta.tolist())
+        if box is not None:
+            box = resolve_box_push(pos, table.radii, box)
     # Built field by field, which is cheaper than dataclasses.replace; a new
     # EnvState field must be added here too.
     return EnvState(graph=state.graph, task=state.task, joint_angles=theta,
@@ -529,7 +551,7 @@ def step(state: EnvState, actions, dt: float = DT) -> EnvState:
                     box_pos=box, prev_joint_angles=state.joint_angles,
                     prev_positions=state.positions,
                     prev_orientations=state.orientations,
-                    rng_stream=state.rng_stream, dof_axes=axes, dof_anchors=anchors)
+                    dof_axes=axes, dof_anchors=anchors)
 
 
 def resolve_box_push(node_positions: np.ndarray, node_radii: np.ndarray,
@@ -581,6 +603,32 @@ def goal_distance(state: EnvState, goal_index: int) -> float:
 def goal_distances(state: EnvState) -> list[float]:
     """goal_distance of every goal, in goal order."""
     return [goal_distance(state, g) for g in range(len(state.task.goals))]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """_norm of each row of v.  A stacked matmul takes each row's dot product
+    as v @ v does, which x*x + y*y does not always equal."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
+def batch_goal_distances(state: EnvState) -> np.ndarray:
+    """goal_distances of every episode of a lockstep state, (B, G), with
+    goal_distance's arithmetic over arrays: each value equals it bit for bit."""
+    graph = state.graph
+    distances = np.empty((len(state.joint_angles), len(state.goals)))
+    for g, (tmpl, value) in enumerate(zip(state.task.goals, state.goals)):
+        target = resolve_target(graph, tmpl.target_selector)
+        p = state.positions[:, target]
+        if tmpl.goal_kind == "xy_position":
+            distances[:, g] = _norms(p[:, :2] - value[:, :2])
+        elif tmpl.goal_kind == "z_height":
+            distances[:, g] = np.abs(p[:, 2] - value[:, 2])
+        elif tmpl.goal_kind == "ball_contact":
+            gap = _norms(p - state.ball_pos) - graph.nodes[target].radius - BALL_RADIUS
+            distances[:, g] = np.where(gap > 0.0, gap, 0.0)
+        else:
+            distances[:, g] = _norms(state.box_pos[:, :2] - value[:, :2])
+    return distances
 
 
 def _goal_error_vector(state: EnvState, goal_index: int,
@@ -656,82 +704,59 @@ def _expert_action(state: EnvState, gain: float,
 
 def local_observations(state: EnvState, spec: ObservationSpec,
                        dt: float = DT) -> np.ndarray:
-    """Per-node feature rows in canonical flag order.
+    """Per-node feature rows in canonical flag order, (n, F), or (B, n, F)
+    for a lockstep state.
 
     Velocity-like slots (v, a, jv) are one-step finite differences and are
     exactly zero at reset; joint-derived slots are zero for the root.  Each
-    flag is one array operation over all nodes.
+    flag is one array operation over all nodes (and episodes).
     """
     table = _body_table(state.graph)
     moving = state.prev_joint_angles is not None
-    rows = np.zeros((table.n, spec.width), dtype=np.float64)
+    pos, quat = state.positions, state.orientations
+    child, parent = table.child, table.parent
+    rows = np.zeros(pos.shape[:-1] + (spec.width,), dtype=np.float64)
     col = 0
     for flag in spec.flags:
-        out = rows[:, col: col + FLAG_WIDTHS[flag]]
+        out = rows[..., col: col + FLAG_WIDTHS[flag]]
         col += FLAG_WIDTHS[flag]
         if flag == "p":
-            out[...] = state.positions
+            out[...] = pos
         elif flag == "q":
-            out[...] = state.orientations
+            out[...] = quat
         elif flag == "ja":
-            out[...] = np.append(state.joint_angles, 0.0)[table.joint_index]
+            out[...] = np.where(table.jointed, state.joint_angles[..., table.joint_index], 0.0)
         elif flag == "jr":
             out[...] = table.jr
         elif flag == "id":
             out[...] = table.id
         elif flag == "rp":
-            pos = state.positions
-            out[table.child] = pos[table.child] - pos[table.parent]
+            out[..., child, :] = pos[..., child, :] - pos[..., parent, :]
         elif flag == "rr":
-            quat = state.orientations
-            out[table.child] = quat_mul(quat_conj(quat[table.parent]),
-                                        quat[table.child])
+            out[..., child, :] = quat_mul(quat_conj(quat[..., parent, :]),
+                                          quat[..., child, :])
         elif flag == "m":
             out[...] = table.m
         elif not moving:
             continue                     # v, a, jv stay zero at reset
         elif flag == "v":
-            out[...] = (state.positions - state.prev_positions) / dt
+            out[...] = (pos - state.prev_positions) / dt
         elif flag == "a":
-            dq = quat_mul(state.orientations, quat_conj(state.prev_orientations))
+            dq = quat_mul(quat, quat_conj(state.prev_orientations))
             out[...] = quat_to_rotvec(dq) / dt
         elif flag == "jv":
             rate = (state.joint_angles - state.prev_joint_angles) / dt
-            out[...] = np.append(rate, 0.0)[table.joint_index]
+            out[...] = np.where(table.jointed, rate[..., table.joint_index], 0.0)
     return rows
 
 
 # --- standard tasks and environment ids ----------------------------------------
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """_norm of each row of v.  A stacked matmul takes each row's dot product
-    as v @ v does, which x*x + y*y does not always equal."""
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
-
-
 def _probed_mean_distances(graph: MorphologyGraph, task: TaskSpec) -> np.ndarray:
-    """Mean initial goal_distance per goal over the seeded probe resets.
-
-    One _reset_draws call draws every probe, one array FK places every
-    probe's body, the distances take goal_distance's arithmetic over the
-    probes, and each goal's distances are summed in seed order.
-    """
+    """Mean initial goal_distance per goal over the seeded probe resets: one
+    reset_batch of every probe, each goal's distances summed in seed order."""
     seeds = range(D_MAX_PROBE_SEED, D_MAX_PROBE_SEED + D_MAX_PROBE_RESETS)
-    goals, theta, ball, box = _reset_draws(_body_table(graph), graph, task, seeds)
-    positions, _ = forward_kinematics(graph, theta)
-    distances = np.empty((D_MAX_PROBE_RESETS, len(task.goals)))
-    for g, tmpl in enumerate(task.goals):
-        target = resolve_target(graph, tmpl.target_selector)
-        p, value = positions[:, target], goals[:, g]
-        if tmpl.goal_kind == "xy_position":
-            distances[:, g] = _norms(p[:, :2] - value[:, :2])
-        elif tmpl.goal_kind == "z_height":
-            distances[:, g] = np.abs(p[:, 2] - value[:, 2])
-        elif tmpl.goal_kind == "ball_contact":
-            gap = _norms(p - ball) - graph.nodes[target].radius - BALL_RADIUS
-            distances[:, g] = np.where(gap > 0.0, gap, 0.0)
-        else:
-            distances[:, g] = _norms(box[:, :2] - value[:, :2])
+    distances = batch_goal_distances(reset_batch(EnvSpec("probe", graph, task), seeds))
     return np.cumsum(distances, axis=0)[-1] / D_MAX_PROBE_RESETS
 
 
@@ -863,7 +888,11 @@ def make_env(env_id: str) -> EnvSpec:
     """Build the (morphology, task) pair named by an environment id."""
     blueprint, task_name, count, variation = parse_env_id(env_id)
     graph = generate_morphology(blueprint, count, variation or None)
-    task = make_task(graph, task_name)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            task = make_task(graph, task_name)
+    except FloatingPointError as exc:    # a finite but huge variation scale
+        raise ValueError(f"env id {env_id!r}: its task overflows ({exc})") from None
     return EnvSpec(env_id=env_id, graph=graph, task=task)
 
 

@@ -10,13 +10,14 @@ from . import artifacts
 from . import env as menv
 from .control_graph import ControlGraph, build_observation_spec, graph_features
 from .distill import CHECKPOINT_MAGIC, build_cg, goal_nodes
-from .env import EnvSpec, local_observations, parse_env_id, reset, step
+from .env import EnvSpec, local_observations, parse_env_id, step
 from .nn.policies import (
     PolicyParams,
     UnsupportedVariantError,
     action_index,
     adjacency,
     batch_grids,
+    fused_qkv,
     policy_inputs,
     transformer_grid,
 )
@@ -81,24 +82,26 @@ def rollout(params: PolicyParams, spec: EnvSpec, seed: int,
 
 def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
                   T: int | None = None, keep_inputs: bool = False) -> list[Trajectory]:
-    """Lockstep rollouts over several seeds; the policy runs batched.
+    """Lockstep rollouts over several seeds: the env steps every seed as one
+    state (reset_batch) and the policy runs batched.
 
     Each step's node features of every seed come from one graph_features
     call and reach the policy through policy_inputs, as training data does.
     With history H the features are a window of the last H frames, newest
-    rightmost and zero-filled at the episode start.
+    rightmost and zero-filled at the episode start.  Fixed weights' fused
+    Q|K|V is built once per rollout.
     """
+    if not len(seeds):
+        raise ValueError("rollouts need at least one seed")
     horizon = spec.task.episode_length if T is None else min(T, spec.task.episode_length)
     cfg = params.config
     obs_spec = build_observation_spec(cfg.obs_flags)
     variant = "v1" if params.arch == "gnn" else cfg.cg_variant
-    states = [reset(spec, s) for s in seeds]
-    B = len(states)
-    # Goals are fixed for an episode, so the goal values are taken once.
-    goals = np.stack([np.concatenate(st.goals) if st.goals else np.zeros(0)
-                      for st in states])
-    template = build_cg(spec, local_observations(states[0], obs_spec), goals[0],
-                        obs_spec, variant)
+    state = menv.reset_batch(spec, seeds)
+    B = len(seeds)
+    goals = np.stack(state.goals, axis=1)    # (B, G, 3), fixed for an episode
+    template = build_cg(spec, local_observations(state, obs_spec)[0],
+                        goals[0].reshape(-1), obs_spec, variant)
     index = action_index(cfg, template)
     mask = np.broadcast_to(template.action_mask, (B,) + template.action_mask.shape)
     adj = adjacency(template.edges, template.n_nodes) if params.arch == "gnn" else None
@@ -106,18 +109,19 @@ def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
     w = template.width
     window = np.zeros((B, template.n_nodes, w * cfg.history))
     actions, distances, inputs = [], [], []
-    for _ in range(horizon):
-        obs = np.stack([local_observations(st, obs_spec) for st in states])
-        frame = graph_features(obs, goals.reshape(B, -1, 3), nodes, variant, obs_spec)
-        window = np.concatenate([window[:, :, w:], frame], axis=-1)
-        x = policy_inputs(window, cfg)
-        if keep_inputs:
-            inputs.append(x)
-        with no_grad():
-            acts = batch_grids(params, x, mask, adj)[index]
-        states = [step(st, act) for st, act in zip(states, acts)]
-        actions.append(acts)
-        distances.append([menv.goal_distances(st) for st in states])
+    with no_grad():
+        qkv = fused_qkv(params)
+        for _ in range(horizon):
+            obs = local_observations(state, obs_spec)
+            frame = graph_features(obs, goals, nodes, variant, obs_spec)
+            window = np.concatenate([window[:, :, w:], frame], axis=-1)
+            x = policy_inputs(window, cfg)
+            if keep_inputs:
+                inputs.append(x)
+            acts = batch_grids(params, x, mask, adj, qkv)[index]
+            state = step(state, acts)
+            actions.append(acts)
+            distances.append(menv.batch_goal_distances(state))
     return [Trajectory(env_id=spec.env_id, seed=s,
                        actions=np.array([a[i] for a in actions]),
                        distances=np.array([d[i] for d in distances]),

@@ -12,8 +12,8 @@ A training batch holds one group of samples per environment, and groups
 may differ in node count.  Their canonical rows are stacked and run through
 one pass: each row-wise layer is one op over all rows and only attention
 walks the per-group segments.  Training takes its loss on those rows
-directly; inference (one group) scatters the outputs and attention maps
-back to the caller's order.
+directly; inference (one group) scatters the outputs back to the caller's
+order, and the attention maps too where a caller asks for them.
 """
 from __future__ import annotations
 
@@ -237,13 +237,25 @@ class CanonicalBatch:
 
 # --- transformer -------------------------------------------------------------
 
-def _trunk(params: PolicyParams, feats_c: np.ndarray, batch: CanonicalBatch) -> Tensor:
+def fused_qkv(params: PolicyParams) -> list[tuple[Tensor, Tensor]] | None:
+    """Per layer the concatenated Wq|Wk|Wv and bq|bk|bv of its one Q|K|V
+    GEMM (None for the MLP and GNN); a rollout builds them once."""
+    if params.arch not in ("transformer", "transformer_tokenized"):
+        return None
+    t = params.tensors
+    return [(ad.concat([t[f"layer{layer}/attn/W{c}"] for c in "qkv"], axis=1),
+             ad.concat([t[f"layer{layer}/attn/b{c}"] for c in "qkv"], axis=0))
+            for layer in range(params.config.layers)]
+
+
+def _trunk(params: PolicyParams, feats_c: np.ndarray, batch: CanonicalBatch,
+           qkv=None) -> Tensor:
     """Embed + L transformer blocks on canonically ordered features in the
     batch's layout, (B, n, F) or stacked rows (R, F).
 
     Every row-wise layer runs once on all rows; only attention looks at
-    the segments.  Each layer's Wq|Wk|Wv (and bq|bk|bv) are concatenated
-    for one GEMM; the attention maps are recorded in ``batch.attn``.
+    the segments.  Each layer's Q|K|V is one GEMM on fused_qkv's weights
+    (built here unless passed); the attention maps go to ``batch.attn``.
     """
     cfg = params.config
     t = params.tensors
@@ -253,11 +265,9 @@ def _trunk(params: PolicyParams, feats_c: np.ndarray, batch: CanonicalBatch) -> 
     if cfg.use_embed_ln:
         z = ad.layer_norm(z, t["embed_ln/gamma"], t["embed_ln/beta"], LN_EPS)
     check_finite("embed", z)
-    for layer in range(cfg.layers):
+    for layer, (w_qkv, b_qkv) in enumerate(qkv or fused_qkv(params)):
         p = f"layer{layer}"
         a = f"{p}/attn"
-        w_qkv = ad.concat([t[f"{a}/Wq"], t[f"{a}/Wk"], t[f"{a}/Wv"]], axis=1)
-        b_qkv = ad.concat([t[f"{a}/bq"], t[f"{a}/bk"], t[f"{a}/bv"]], axis=0)
         mixed, attn = ad.attention(ad.linear(z, w_qkv, b_qkv), batch.segments,
                                    cfg.heads)
         batch.attn.append(attn)
@@ -271,7 +281,8 @@ def _trunk(params: PolicyParams, feats_c: np.ndarray, batch: CanonicalBatch) -> 
     return z
 
 
-def _canonical_forward(params: PolicyParams, groups) -> tuple[Tensor, CanonicalBatch]:
+def _canonical_forward(params: PolicyParams, groups,
+                       qkv=None) -> tuple[Tensor, CanonicalBatch]:
     """One ragged pass over every group of a batch.
 
     groups lists (feats (B, n, F), mask (B, n, 3)); n may differ between
@@ -294,7 +305,7 @@ def _canonical_forward(params: PolicyParams, groups) -> tuple[Tensor, CanonicalB
         offset += B * n
     batch = CanonicalBatch(perms, segments)
     feats_c = batch.rows([feats for feats, _ in groups])
-    z = _trunk(params, feats_c, batch)
+    z = _trunk(params, feats_c, batch, qkv)
     return ad.concat([z, Tensor(feats_c)], axis=-1), batch
 
 
@@ -309,13 +320,14 @@ def _logits_head(params: PolicyParams, dec: Tensor) -> Tensor:
     return ad.reshape(logits, dec.shape[:-1] + (3, params.config.n_bins))
 
 
-def transformer_rows(params: PolicyParams, groups) -> tuple[Tensor, CanonicalBatch]:
-    """Training head over every group of a batch in one pass, in the
+def transformer_rows(params: PolicyParams, groups,
+                     qkv=None) -> tuple[Tensor, CanonicalBatch]:
+    """The trained head over every group of a batch in one pass, in the
     batch's canonical layout: the unmasked tanh grid (..., 3), or per-slot
     bin logits (..., 3, n_bins) for the discretized tokenized heads
     (variants d, da)."""
     cfg = params.config
-    dec, batch = _canonical_forward(params, groups)
+    dec, batch = _canonical_forward(params, groups, qkv)
     discrete = cfg.arch == "transformer_tokenized" and cfg.token_variant in ("d", "da")
     return (_logits_head if discrete else _tanh_head)(params, dec), batch
 
@@ -383,44 +395,29 @@ def mlp_vector(params: PolicyParams, flat: np.ndarray) -> Tensor:
 
 # --- tokenized variants ------------------------------------------------------------
 
-def _tokenized_grid(params: PolicyParams, feats: np.ndarray, mask: np.ndarray):
-    """Inference action grid (B, n, 3) and attention of a tokenized policy on
-    detokenized features: the tanh head for variant c, else the argmax bin's
-    value (bin center for d, window average for da)."""
-    cfg = params.config
-    if cfg.token_variant == "c":
-        grid, attn = transformer_grid(params, feats, mask)
-        return grid.data, attn
-    logits, attn = tokenized_logits(params, feats, mask)
-    bins = np.argmax(logits.data, axis=-1)
-    mode = "center" if cfg.token_variant == "d" else "average_window"
-    return detokenize(bins, mode, cfg.n_bins) * mask, attn
-
-
-def tokenized_logits(params: PolicyParams, feats: np.ndarray, mask: np.ndarray):
-    """Per-slot bin logits (B, n, 3, n_bins) of the discretized heads, plus
-    attention, both in the caller's node order."""
-    dec, batch = _canonical_forward(params, [(feats, mask)])
-    return batch.caller_order(_logits_head(params, dec)), batch.caller_attn()
-
-
 def tokenize_actions(actions_grid: np.ndarray, n_bins: int = 1024) -> np.ndarray:
     """Expert action grid -> target bins for the discretized heads."""
     return quantize(mu_law(actions_grid), n_bins)
 
 
 def batch_grids(params: PolicyParams, inputs: np.ndarray, mask: np.ndarray,
-                adjacency: np.ndarray | None = None) -> np.ndarray:
+                adjacency: np.ndarray | None = None, qkv=None) -> np.ndarray:
     """Inference-only outputs on the arrays policy_inputs builds: action
-    grids (B, n, 3), or the MLP's vectors (B, max_action)."""
+    grids (B, n, 3), or the MLP's vectors (B, max_action).  A transformer's
+    grid is the tanh head's, or for tokenized variants d and da the argmax
+    bin's value (bin center for d, window average for da).  qkv is
+    fused_qkv's, built here if not passed; no attention map is reordered."""
     cfg = params.config
     if cfg.arch == "mlp":
         return mlp_vector(params, inputs).data
     if cfg.arch == "gnn":
         return gnn_grid(params, inputs, mask, adjacency).data
-    if cfg.arch == "transformer":
-        return transformer_grid(params, inputs, mask)[0].data
-    return _tokenized_grid(params, inputs, mask)[0]
+    out, batch = transformer_rows(params, [(inputs, mask)], qkv)
+    out = batch.caller_order(out).data
+    if cfg.arch == "transformer" or cfg.token_variant == "c":
+        return out * mask
+    mode = "center" if cfg.token_variant == "d" else "average_window"
+    return detokenize(np.argmax(out, axis=-1), mode, cfg.n_bins) * mask
 
 
 # --- policy inputs and outputs ---------------------------------------------------

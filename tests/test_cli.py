@@ -379,6 +379,12 @@ def test_ablate_empty_axes_is_usage_error(workspace, tmp_path):
     ("ablate_pe = on,yes", "config key 'ablate_pe' must be boolean, got 'yes'"),
     ("ablate_history = x", "config key 'ablate_history' must be an integer, got 'x'"),
     ("ablate_history = 0", "config key 'ablate_history' must be >= 1, got 0"),
+    ("ablate_token = d,xyz",
+     "config key 'ablate_token' must be one of none, d, da, c, got 'xyz'"),
+    ("ablate_obs_sets = p;zz",
+     "config key 'ablate_obs_sets': unknown observation flags: ['zz']"),
+    ("ablate_obs_sets = p;p,rp",
+     "dataset lacks observation flags ['rp'] needed for ablation cell 'p,rp'"),
 ])
 def test_bad_ablate_axis_is_usage_error_naming_key(workspace, tmp_path, capsys,
                                                   line, message):

@@ -46,11 +46,19 @@ from morphtask.nn.policies import (
     flatten_features,
     init_params,
     tokenize_actions,
-    tokenized_logits,
     transformer_grid,
 )
+from morphtask.nn import policies
 
 from test_morphology import with_node_field
+
+
+def tokenized_logits(params, feats, mask):
+    """Per-slot bin logits (B, n, 3, n_bins) of the discretized heads, plus
+    attention, both in the caller's node order: transformer_grid with the
+    logits head, the oracle of the tokenized training and rollout paths."""
+    dec, batch = policies._canonical_forward(params, [(feats, mask)])
+    return batch.caller_order(policies._logits_head(params, dec)), batch.caller_attn()
 
 
 def stack_history(cg_sequence, history_depth: int | None = None) -> ControlGraph:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1059,3 +1060,79 @@ def test_cached_graph_tables_are_read_only():
             a[...] = 0
     with pytest.raises(TypeError):
         g.parent_map[0] = None
+
+
+# --- the lockstep step against one-episode steps ---------------------------------
+
+def _oracle_actions(rng, t, states):
+    """Step t's actions (B, A): 1.5x the scripted expert's plus noise, so
+    many saturate (|a| > 1); all zero every 9th step (the angles stay put);
+    +3 over steps 120-199 and -3 over 200-279, which drive every joint into
+    its limits and hold it there."""
+    A = states[0].joint_angles.shape[0]
+    if t % 9 == 0:
+        return np.zeros((len(states), A))
+    if 120 <= t < 280:
+        return np.full((len(states), A), 3.0 if t < 200 else -3.0)
+    return 1.5 * np.stack([scripted_expert(s) for s in states]) + \
+        rng.normal(0.0, 0.5, (len(states), A))
+
+
+@pytest.mark.parametrize("env_id", ["ant_reach_3", "worm_touch_3",
+                                    "ant_reach_handsup2_4", "ant_push_3"])
+def test_lockstep_step_equals_one_episode_steps_over_full_horizon(env_id):
+    # reach (xy), touch (ball), twister (xy + two z goals) and push (box)
+    spec = make_env(env_id)
+    table = menv._body_table(spec.graph)
+    seeds = range(16)
+    rng = np.random.default_rng(5)
+    states = [reset(spec, s) for s in seeds]
+    batch = menv.reset_batch(spec, seeds)
+    for g, values in enumerate(batch.goals):
+        assert values.tobytes() == np.stack([s.goals[g] for s in states]).tobytes()
+    at_rest = at_limit = 0
+    for t in range(spec.task.episode_length + 1):
+        assert batch.step_count == t and batch.dof_axes is None
+        for name in ("joint_angles", "positions", "orientations", "ball_pos",
+                     "box_pos", "prev_joint_angles", "prev_positions",
+                     "prev_orientations"):
+            rows = getattr(batch, name)
+            scalar = [getattr(s, name) for s in states]
+            assert (rows is None) == (scalar[0] is None), name
+            if rows is not None:
+                assert rows.tobytes() == np.stack(scalar).tobytes(), (t, name)
+        assert menv.batch_goal_distances(batch).tobytes() == \
+            np.array([menv.goal_distances(s) for s in states]).tobytes(), t
+        if t % 4 == 0:                   # the per-seed calls dominate the cost
+            assert local_observations(batch, ALL_FLAGS).tobytes() == \
+                np.stack([local_observations(s, ALL_FLAGS) for s in states]).tobytes(), t
+        if t == spec.task.episode_length:
+            break
+        actions = _oracle_actions(rng, t, states)
+        new = [step(s, a) for s, a in zip(states, actions)]
+        at_rest += sum(n.positions is s.positions for n, s in zip(new, states))
+        batch, states = step(batch, actions), new
+        at_limit += np.sum((batch.joint_angles == table.lo) |
+                           (batch.joint_angles == table.hi))
+    with pytest.raises(EpisodeOverError):
+        step(batch, actions)
+    # the scalar path reused its frames at rest, and joints sat on limits
+    assert at_rest > 0 and at_limit > 0
+    if batch.box_pos is not None:        # the expert pushed some box
+        start = menv.reset_batch(spec, seeds).box_pos
+        assert np.any(batch.box_pos != start)
+
+
+def test_lockstep_step_rejects_wrong_action_shape():
+    batch = menv.reset_batch(make_env("ant_reach_2"), [0, 1])
+    for actions in (np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(4)):
+        with pytest.raises(ShapeError, match="expected 4 actions"):
+            step(batch, actions)
+
+
+def test_huge_variation_scale_is_value_error_naming_env_id():
+    env_id = "ant_reach_3_size_1e200_1e200_1e200"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"env id '{env_id}'.*overflow"):
+            make_env(env_id)

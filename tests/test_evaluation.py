@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphtask.artifacts import seal
-from morphtask.distill import CorruptionError, build_cg, cg_feature_width
-from morphtask.control_graph import build_observation_spec, detokenize, tokenize_features
+from morphtask.distill import CorruptionError, build_cg, cg_feature_width, goal_nodes
+from morphtask.control_graph import (build_observation_spec, detokenize, graph_features,
+                                     tokenize_features)
 from morphtask.env import local_observations, make_env, reset, step
 from morphtask import env as menv
 from morphtask.evaluation import (
@@ -28,12 +29,16 @@ from morphtask.nn.policies import (
     PolicyConfig,
     ShapeError,
     UnsupportedVariantError,
-    _tokenized_grid,
+    action_index,
+    adjacency,
+    batch_grids,
     init_params,
+    policy_inputs,
     transformer_grid,
 )
+from morphtask.nn.autodiff import no_grad
 
-from test_distill import stack_history
+from test_distill import stack_history, tokenized_logits
 
 OBS = build_observation_spec(["p", "v", "q", "a", "ja", "jr", "m"])
 
@@ -118,6 +123,84 @@ def test_rollout_batch_history_equals_per_step_oracle():
             state = step(state, action)
             np.testing.assert_array_equal(traj.distances[t],
                                           [menv.goal_distance(state, 0)])
+
+
+def _per_seed_rollouts(params, spec, seeds, T=None, keep_inputs=False):
+    """The rollout loop before lockstep env steps, kept as rollout_batch's
+    oracle: the policy runs batched, but every seed has its own EnvState,
+    and reset, local_observations, step and goal_distances run per seed."""
+    horizon = spec.task.episode_length if T is None else min(T, spec.task.episode_length)
+    cfg = params.config
+    obs_spec = build_observation_spec(cfg.obs_flags)
+    variant = "v1" if params.arch == "gnn" else cfg.cg_variant
+    states = [reset(spec, s) for s in seeds]
+    B = len(states)
+    goals = np.stack([np.concatenate(st.goals) if st.goals else np.zeros(0)
+                      for st in states])
+    template = build_cg(spec, local_observations(states[0], obs_spec), goals[0],
+                        obs_spec, variant)
+    index = action_index(cfg, template)
+    mask = np.broadcast_to(template.action_mask, (B,) + template.action_mask.shape)
+    adj = adjacency(template.edges, template.n_nodes) if params.arch == "gnn" else None
+    nodes = goal_nodes(spec)
+    w = template.width
+    window = np.zeros((B, template.n_nodes, w * cfg.history))
+    actions, distances, inputs = [], [], []
+    for _ in range(horizon):
+        obs = np.stack([local_observations(st, obs_spec) for st in states])
+        frame = graph_features(obs, goals.reshape(B, -1, 3), nodes, variant, obs_spec)
+        window = np.concatenate([window[:, :, w:], frame], axis=-1)
+        x = policy_inputs(window, cfg)
+        if keep_inputs:
+            inputs.append(x)
+        with no_grad():
+            acts = batch_grids(params, x, mask, adj)[index]
+        states = [step(st, act) for st, act in zip(states, acts)]
+        actions.append(acts)
+        distances.append([menv.goal_distances(st) for st in states])
+    return [Trajectory(env_id=spec.env_id, seed=s,
+                       actions=np.array([a[i] for a in actions]),
+                       distances=np.array([d[i] for d in distances]),
+                       inputs=np.array([x[i] for x in inputs]) if keep_inputs else None,
+                       template=template if keep_inputs else None)
+            for i, s in enumerate(seeds)]
+
+
+@pytest.mark.parametrize("policy", [
+    dict(),
+    dict(arch="transformer_tokenized", token_variant="c", n_bins=64),
+    dict(arch="transformer_tokenized", token_variant="d", n_bins=64),
+    dict(arch="gnn", cg_variant="v1", gnn_hidden=8, gnn_layers=2),
+    dict(arch="mlp", mlp_hidden=16, max_action=24),
+    dict(history=3),
+], ids=["transformer", "tokenized_c", "tokenized_d", "gnn", "mlp", "history_3"])
+def test_rollout_batch_equals_per_seed_oracle(policy):
+    params = tf_params(2, layers=2, **policy)
+    seeds = [0, 1, 5, 2**40]
+    for env_id in ("ant_push_3", "worm_touch_2", "ant_reach_handsup_3"):
+        spec = make_env(env_id)
+        got = rollout_batch(params, spec, seeds, T=30, keep_inputs=True)
+        for traj, ref in zip(got, _per_seed_rollouts(params, spec, seeds, T=30,
+                                                     keep_inputs=True)):
+            assert traj.seed == ref.seed
+            for name in ("actions", "distances", "inputs", "final_distances"):
+                x, y = getattr(traj, name), getattr(ref, name)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), (env_id, name)
+            for name, value in vars(ref.template).items():
+                other = getattr(traj.template, name)
+                assert np.array_equal(other, value) if isinstance(value, np.ndarray) \
+                    else other == value, (env_id, name)
+
+
+def test_rollout_batch_without_seeds_or_steps_as_per_seed_oracle():
+    params = tf_params(3)
+    spec = make_env("ant_reach_2")
+    for roll in (rollout_batch, _per_seed_rollouts):
+        with pytest.raises(ValueError):
+            roll(params, spec, [], T=5)
+        for traj in roll(params, spec, [0, 1], T=0):
+            assert traj.actions.shape == traj.distances.shape == (0,)
+            assert traj.final_distances is None
 
 
 def test_mlp_head_narrower_than_actions_is_shape_error_in_rollouts():
@@ -326,7 +409,9 @@ def test_tokenized_attention_report_replays_the_policy_maps(variant):
         cg = build_cg(spec, local_observations(state, OBS),
                       np.concatenate(state.goals), OBS, "v2")
         feats = detokenize(tokenize_features(cg.node_features, 64), "center", 64)
-        grid, expect = _tokenized_grid(params, feats[None], cg.action_mask[None])
+        grid = batch_grids(params, feats[None], cg.action_mask[None])
+        head = transformer_grid if variant == "c" else tokenized_logits
+        _, expect = head(params, feats[None], cg.action_mask[None])
         action = np.array([grid[0, node, slot] for node, slot in cg.actuator_map])
         np.testing.assert_array_equal(traj.actions[t], action)
         np.testing.assert_array_equal(attn[t], expect[0])

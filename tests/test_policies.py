@@ -16,7 +16,6 @@ from morphtask.nn.policies import (
     ConfigError,
     PolicyConfig,
     ShapeError,
-    _tokenized_grid,
     action_index,
     adjacency,
     batch_grids,
@@ -27,11 +26,11 @@ from morphtask.nn.policies import (
     param_shapes,
     parameter_count,
     policy_inputs,
-    tokenized_logits,
     transformer_grid,
 )
 
 from test_control_graph import goal_bindings
+from test_distill import tokenized_logits
 
 OBS = build_observation_spec(["p", "v", "q", "a", "ja", "jr", "m"])  # width 30
 
@@ -508,7 +507,7 @@ def test_tokenized_rejects_out_of_range():
     bad = tokenize_features(cg.node_features)
     bad[0, 0] = 1024
     with pytest.raises(IndexError):
-        _tokenized_grid(params, detokenize(bad, "center")[None], cg.action_mask[None])
+        batch_grids(params, detokenize(bad, "center")[None], cg.action_mask[None])
 
 
 def test_tokenized_inputs_reject_non_finite_features():
