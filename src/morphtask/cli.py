@@ -80,7 +80,13 @@ _INTS = {"seed", "history", "embed", "attn_hidden", "heads", "layers",
          "mlp_hidden", "gnn_hidden", "max_nodes", "max_action", "batch_size",
          "steps", "transitions", "eval_seeds", "eval_horizon"}
 _FLOATS = {"learning_rate", "grad_clip", "expert_gain"}
-_TOKENS = ("none", "d", "da", "c")     # token_variant values; none = untokenized
+SPLIT_NAMES = {"indist": "in_distribution",
+               "comp-morph": "compositional_morphology",
+               "comp-task": "compositional_task",
+               "ood": "out_of_distribution"}
+# Choice-valued keys, for flags and config files alike; token_variant none = untokenized.
+_CHOICES = {"arch": ("mlp", "gnn", "transformer"), "cg_variant": ("v1", "v2"),
+            "token_variant": ("none", "d", "da", "c"), "split": tuple(SPLIT_NAMES)}
 # Smallest value each count may take (eval_horizon 0 means the task's own).
 _LEAST = {"transitions": 1, "eval_seeds": 1, "history": 1, "eval_horizon": 0}
 
@@ -115,15 +121,33 @@ def resolve_config(args) -> dict:
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    for key in sorted(_BOOLS | _INTS | _FLOATS):
+    for key in sorted(_BOOLS | _INTS | _FLOATS | set(_CHOICES)):
         cfg[key] = _typed(key, cfg[key])
+    _holdout(cfg)
     return cfg
+
+
+def _holdout(cfg):
+    """Held-out morphology counts under comp-morph, else the task name."""
+    holdout = cfg["holdout"]
+    if cfg["split"] != "comp-morph" or not holdout:
+        return holdout or None
+    try:
+        return [int(x) for x in holdout.split(",")]
+    except ValueError:
+        raise UsageError(f"config key 'holdout' must list integers under split "
+                         f"comp-morph, got {holdout!r}") from None
 
 
 def _typed(key: str, value, label: str | None = None):
     """value converted to config key ``key``'s type and checked against its
-    bound; a UsageError names ``label`` (default ``key``)."""
+    bound or choices; a UsageError names ``label`` (default ``key``)."""
     label = label or key
+    if key in _CHOICES:
+        if value not in _CHOICES[key]:
+            raise UsageError(f"config key {label!r} must be one of "
+                             f"{', '.join(_CHOICES[key])}, got {value!r}")
+        return value
     if key in _BOOLS:
         if isinstance(value, str):
             if value.lower() not in ("true", "false", "on", "off", "0", "1"):
@@ -236,20 +260,12 @@ def cmd_distill(cfg: dict, dataset_path: str) -> int:
     return 0
 
 
-SPLIT_NAMES = {"indist": "in_distribution",
-               "comp-morph": "compositional_morphology",
-               "comp-task": "compositional_task",
-               "ood": "out_of_distribution"}
-
-
 def cmd_eval(cfg: dict, checkpoint_path: str, compare: str | None) -> int:
     out = _out_dir(cfg)
     params = load_checkpoint(checkpoint_path)
     universe = _env_list(cfg)
-    holdout = cfg["holdout"] or None
-    if cfg["split"] in ("comp-morph",) and holdout:
-        holdout = [int(x) for x in str(holdout).split(",")]
-    plan = meval.split_environments(universe, SPLIT_NAMES[cfg["split"]], holdout)
+    plan = meval.split_environments(universe, SPLIT_NAMES[cfg["split"]],
+                                    _holdout(cfg))
     seeds = list(range(cfg["eval_seeds"]))
     horizon = cfg["eval_horizon"] or None
     result = meval.evaluate_policy(params, plan.test, seeds, horizon)
@@ -294,11 +310,8 @@ def cmd_ablate(cfg: dict, dataset_path: str) -> int:
             raise UsageError(f"config key 'ablate_obs_sets': {exc}") from None
     pe_values = [_typed("use_pe", s.strip(), "ablate_pe")
                  for s in cfg["ablate_pe"].split(",") if s.strip()]
-    token_values = [s.strip() for s in cfg["ablate_token"].split(",") if s.strip()]
-    for token in token_values:
-        if token not in _TOKENS:
-            raise UsageError(f"config key 'ablate_token' must be one of "
-                             f"{', '.join(_TOKENS)}, got {token!r}")
+    token_values = [_typed("token_variant", s.strip(), "ablate_token")
+                    for s in cfg["ablate_token"].split(",") if s.strip()]
     history_values = [_typed("history", s.strip(), "ablate_history")
                       for s in cfg["ablate_history"].split(",") if s.strip()]
     axes = {
@@ -367,14 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--arch", choices=["mlp", "gnn", "transformer"])
-        p.add_argument("--cg", choices=["v1", "v2"])
-        p.add_argument("--token", choices=list(_TOKENS))
+        p.add_argument("--arch", choices=_CHOICES["arch"])
+        p.add_argument("--cg", choices=_CHOICES["cg_variant"])
+        p.add_argument("--token", choices=_CHOICES["token_variant"])
         p.add_argument("--pe", choices=["on", "off"])
         p.add_argument("--history", type=int)
         p.add_argument("--transitions", type=int)
         p.add_argument("--steps", type=int)
-        p.add_argument("--split", choices=list(SPLIT_NAMES))
+        p.add_argument("--split", choices=_CHOICES["split"])
 
     g = sub.add_parser("gen-data", help="roll the scripted expert into a dataset")
     common(g)
@@ -405,9 +418,7 @@ def main(argv=None) -> int:
             return cmd_distill(cfg, args.dataset)
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint, args.compare)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, args.dataset)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_ablate(cfg, args.dataset)     # argparse allows no other command
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

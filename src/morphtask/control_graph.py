@@ -67,7 +67,6 @@ class ControlGraph:
     node_features: np.ndarray          # (n_nodes, F)
     n_body_nodes: int
     n_goal_nodes: int                  # 0 for v1
-    target_indicator: np.ndarray       # (n_nodes, G) of {0, 1}
     action_mask: np.ndarray            # (n_nodes, 3) of {0, 1}
     actuator_map: tuple[tuple[int, int], ...]  # dof -> (node, slot)
     variant: str                       # "v1" | "v2"
@@ -145,47 +144,34 @@ def graph_features(observations: np.ndarray, goal_values: np.ndarray,
     return feats
 
 
-def build_cg_v1(observations: np.ndarray, goals,
-                morphology: MorphologyGraph) -> ControlGraph:
-    """Goals folded into target-node rows: [obs | 3x3 goal slots | 3 indicators]."""
+def _control_graph(observations: np.ndarray, goals, morphology: MorphologyGraph,
+                   variant: str, spec: ObservationSpec | None = None) -> ControlGraph:
     obs = np.asarray(observations, dtype=np.float64)
     goals = _check_goals(goals, morphology)
     n = obs.shape[0]
+    G = len(goals) if variant == "v2" else 0      # appended goal rows
     values = np.array([value for _, value in goals]).reshape(1, -1, 3)
     feats = graph_features(obs[None], values, [node for node, _ in goals],
-                           "v1")[0]
-    indicator = np.zeros((n, len(goals)), dtype=np.float64)
-    for g, (node, _) in enumerate(goals):
-        indicator[node, g] = 1.0
-    mask, amap = action_structure(morphology)
+                           variant, spec)[0]
+    body_mask, amap = action_structure(morphology)
+    mask = np.concatenate([body_mask, np.zeros((G, 3))])
     edges = tuple((e.parent_id, e.child_id) for e in morphology.edges)
-    return ControlGraph(node_features=feats, n_body_nodes=n, n_goal_nodes=0,
-                        target_indicator=indicator, action_mask=mask,
-                        actuator_map=amap, variant="v1", edges=edges)
+    return ControlGraph(node_features=feats, n_body_nodes=n, n_goal_nodes=G,
+                        action_mask=mask, actuator_map=amap, variant=variant,
+                        edges=edges)
+
+
+def build_cg_v1(observations: np.ndarray, goals,
+                morphology: MorphologyGraph) -> ControlGraph:
+    """Goals folded into target-node rows: [obs | 3x3 goal slots | 3 indicators]."""
+    return _control_graph(observations, goals, morphology, "v1")
 
 
 def build_cg_v2(observations: np.ndarray, goals,
                 morphology: MorphologyGraph,
                 spec: ObservationSpec | None = None) -> ControlGraph:
     """Goals appended as disjoint masked rows: [obs | G_MAX indicators]."""
-    obs = np.asarray(observations, dtype=np.float64)
-    goals = _check_goals(goals, morphology)
-    n = obs.shape[0]
-    G = len(goals)
-    values = np.array([value for _, value in goals]).reshape(1, -1, 3)
-    feats = graph_features(obs[None], values, [node for node, _ in goals],
-                           "v2", spec)[0]
-    indicator = np.zeros((n + G, G), dtype=np.float64)
-    for g, (node, _) in enumerate(goals):
-        indicator[node, g] = 1.0
-        indicator[n + g, g] = 1.0
-    body_mask, amap = action_structure(morphology)
-    mask = np.zeros((n + G, 3), dtype=np.float64)
-    mask[:n] = body_mask
-    edges = tuple((e.parent_id, e.child_id) for e in morphology.edges)
-    return ControlGraph(node_features=feats, n_body_nodes=n, n_goal_nodes=G,
-                        target_indicator=indicator, action_mask=mask,
-                        actuator_map=amap, variant="v2", edges=edges)
+    return _control_graph(observations, goals, morphology, "v2", spec)
 
 
 # --- mu-law companding and discretization -----------------------------------

@@ -45,11 +45,11 @@ class Trajectory:
     # (T, W), and the control graph whose mask, actuators and edges they share.
     inputs: np.ndarray | None = None
     template: ControlGraph | None = None
-    final_distances: np.ndarray = None
 
-    def __post_init__(self):
-        if self.final_distances is None and len(self.distances):
-            self.final_distances = self.distances[-1]
+    @property
+    def final_distances(self) -> np.ndarray | None:
+        """(G,) goal distances after the last step; None without steps."""
+        return self.distances[-1] if len(self.distances) else None
 
 
 @dataclass
@@ -174,6 +174,8 @@ def normalized_final_distance(groups) -> MetricResult:
 def evaluate_policy(params: PolicyParams, env_ids, seeds=None,
                     T: int | None = None) -> MetricResult:
     """Roll the policy on each environment over the seed list and score it."""
+    if T is not None and T < 1:
+        raise ValueError(f"evaluation horizon T must be >= 1 step, got {T}")
     seeds = list(range(DEFAULT_EVAL_SEEDS)) if seeds is None else list(seeds)
     groups = []
     for env_id in env_ids:

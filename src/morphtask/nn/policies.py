@@ -137,7 +137,7 @@ def param_shapes(config: PolicyConfig) -> dict[str, tuple[tuple[int, ...], str]]
         p = f"layer{layer}"
         for w in ("Wq", "Wk", "Wv", "Wo"):
             add(f"{p}/attn/{w}", (E, E), "glorot")
-        for b in ("bq", "bk", "bv", "bo"):
+        for b in ("bq", "bv", "bo"):      # no key bias: softmax cannot see it
             add(f"{p}/attn/{b}", (E,), "zeros")
         add(f"{p}/ln1/gamma", (E,), "ones")
         add(f"{p}/ln1/beta", (E,), "zeros")
@@ -238,14 +238,15 @@ class CanonicalBatch:
 # --- transformer -------------------------------------------------------------
 
 def fused_qkv(params: PolicyParams) -> list[tuple[Tensor, Tensor]] | None:
-    """Per layer the concatenated Wq|Wk|Wv and bq|bk|bv of its one Q|K|V
-    GEMM (None for the MLP and GNN); a rollout builds them once."""
+    """Per layer the concatenated Wq|Wk|Wv and bq|0|bv of its one Q|K|V
+    GEMM (None for the MLP and GNN); a rollout builds them once.  The key
+    bias is a constant zero: q.bk shifts all of one query's scores alike."""
     if params.arch not in ("transformer", "transformer_tokenized"):
         return None
-    t = params.tensors
-    return [(ad.concat([t[f"layer{layer}/attn/W{c}"] for c in "qkv"], axis=1),
-             ad.concat([t[f"layer{layer}/attn/b{c}"] for c in "qkv"], axis=0))
-            for layer in range(params.config.layers)]
+    t, bk = params.tensors, Tensor(np.zeros(params.config.embed))
+    return [(ad.concat([t[f"layer{i}/attn/W{c}"] for c in "qkv"], axis=1),
+             ad.concat([t[f"layer{i}/attn/bq"], bk, t[f"layer{i}/attn/bv"]]))
+            for i in range(params.config.layers)]
 
 
 def _trunk(params: PolicyParams, feats_c: np.ndarray, batch: CanonicalBatch,

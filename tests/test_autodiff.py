@@ -189,6 +189,20 @@ def test_attention_gradcheck_over_ragged_segments(heads):
              rng.normal(size=(17, 12)), rtol=1e-6, atol=1e-9)
 
 
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_ignores_a_shared_key_shift(heads):
+    # q.c is the same for every key of a query and softmax drops it, which is
+    # why the transformer stores no key bias
+    qkv = rng.normal(size=(17, 12))
+    shifted = qkv.copy()
+    shifted[:, 4:8] += rng.normal(size=4) * 3.0      # one constant per key column
+    mixed, weights = ad.attention(ad.Tensor(qkv), SEGMENTS, heads)
+    mixed_s, weights_s = ad.attention(ad.Tensor(shifted), SEGMENTS, heads)
+    np.testing.assert_allclose(mixed_s.data, mixed.data, rtol=0, atol=1e-12)
+    for w, w_s in zip(weights, weights_s):
+        np.testing.assert_allclose(w_s, w, rtol=0, atol=1e-12)
+
+
 def test_attention_keeps_leading_axes():
     # a (B, n, 3E) input is the one-segment case of its flattened rows
     qkv = rng.normal(size=(3, 4, 12))

@@ -17,6 +17,7 @@ from morphtask.distill import (
     write_dataset,
 )
 from morphtask.evaluation import read_tensor_table
+from morphtask.nn import autodiff as ad
 
 from test_morphology import with_node_field
 
@@ -182,13 +183,25 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     ("eval_seeds = 0", "config key 'eval_seeds' must be >= 1, got 0"),
     ("eval_horizon = -1", "config key 'eval_horizon' must be >= 0, got -1"),
     ("transitions = 0", "config key 'transitions' must be >= 1, got 0"),
+    ("arch = foo", "config key 'arch' must be one of mlp, gnn, transformer, got 'foo'"),
+    ("cg_variant = v9", "config key 'cg_variant' must be one of v1, v2, got 'v9'"),
+    ("token_variant = xyz",
+     "config key 'token_variant' must be one of none, d, da, c, got 'xyz'"),
+    ("split = foo",
+     "config key 'split' must be one of indist, comp-morph, comp-task, ood, got 'foo'"),
+    ("split = comp-morph\nholdout = 4,x",
+     "config key 'holdout' must list integers under split comp-morph, got '4,x'"),
 ])
 def test_bad_config_value_is_usage_error_naming_key(tmp_path, capsys, line, message):
     bad = tmp_path / "bad.txt"
     bad.write_text(f"envs = ant_reach_2\n{line}\n")
-    assert run(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    for inputs in (["gen-data"], ["distill", "--dataset", str(tmp_path / "d.cgds")],
+                   ["eval", "--checkpoint", str(tmp_path / "c.cgck")]):
+        assert run(inputs + ["--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_bad_flag_is_usage_error():
@@ -225,6 +238,27 @@ def test_eval_checkpoint_missing_tensor_is_data_error(workspace, trained_checkpo
               "--out", str(tmp_path / "e")])
     assert rc == 2
     assert "tensors differ" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_key_bias_is_data_error(workspace, trained_checkpoint,
+                                                    tmp_path, capsys):
+    # the layout of checkpoints written before layers dropped attn/bk
+    root, cfg, _ = workspace
+    params = load_checkpoint(trained_checkpoint)
+    tensors = {}
+    for name, t in params.tensors.items():
+        tensors[name] = t
+        if name == "layer0/attn/bq":
+            tensors["layer0/attn/bk"] = ad.parameter(np.zeros_like(t.data))
+    params.tensors = tensors
+    bad = tmp_path / "bk.cgck"
+    bad.write_bytes(checkpoint_bytes(params))
+    out = tmp_path / "e"
+    rc = run(["eval", "--config", str(cfg), "--checkpoint", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert "error: checkpoint tensors differ from what its config builds" in \
+        capsys.readouterr().err
+    assert not (out / "report.csv").exists()
 
 
 def test_eval_checkpoint_unknown_config_key_is_data_error(workspace, trained_checkpoint,

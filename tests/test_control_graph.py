@@ -130,11 +130,16 @@ def test_v2_three_goals_indicator_pairs():
     spec = make_env("ant_reach_handsup2_4")
     state = reset(spec, 0)
     obs = local_observations(state, ospec)
-    cg = build_cg_v2(obs, goal_bindings(state), spec.graph, ospec)
+    bindings = goal_bindings(state)
+    cg = build_cg_v2(obs, bindings, spec.graph, ospec)
+    n, w = spec.graph.n_nodes, obs.shape[1]
     assert cg.n_goal_nodes == 3
-    assert cg.n_nodes == spec.graph.n_nodes + 3
-    for g in range(3):
-        assert cg.target_indicator[:, g].sum() == 2.0
+    assert cg.n_nodes == n + 3
+    for g, (target, _) in enumerate(bindings):
+        # indicator column g is set in the goal's target row and its own row
+        column = cg.node_features[:, w + g]
+        assert column.sum() == 2.0
+        assert set(np.flatnonzero(column)) == {target, n + g}
 
 
 def test_v1_v2_body_feature_correspondence():

@@ -449,3 +449,9 @@ def test_evaluate_policy_and_report():
     assert sum(1 for ln in lines if not ln.startswith("#")) == 1 + 3
     assert any("aggregate_env_mean" in ln for ln in lines)
     assert any("aggregate_subdomain_mean" in ln for ln in lines)
+
+
+@pytest.mark.parametrize("T", [0, -3])
+def test_evaluate_policy_without_steps_is_value_error_naming_horizon(T):
+    with pytest.raises(ValueError, match=f"horizon T must be >= 1 step, got {T}"):
+        evaluate_policy(tf_params(2), ["ant_reach_2"], seeds=[0], T=T)

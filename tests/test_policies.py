@@ -97,6 +97,13 @@ def test_param_shapes_describe_init_params(arch, extra):
         [(k, shape) for k, (shape, _) in param_shapes(cfg).items()]
 
 
+@pytest.mark.parametrize("arch", ["transformer", "transformer_tokenized"])
+def test_no_key_bias(arch):
+    names = param_shapes(tf_config(sample_cg(), arch=arch, layers=2))
+    assert [n for n in names if n.endswith("/bk")] == []
+    assert "layer1/attn/bq" in names and "layer1/attn/bv" in names
+
+
 def test_embed_not_divisible_by_heads():
     with pytest.raises(ConfigError):
         PolicyConfig(arch="transformer", feature_width=30, embed=30, heads=4)
@@ -111,7 +118,7 @@ def test_parameter_count_closed_form():
         F * E + E            # embed
         + N * E              # position table
         + L * (
-            4 * (E * E + E)  # attention projections
+            4 * E * E + 3 * E  # attention projections, no key bias
             + 2 * E          # ln1
             + E * A + A + A * E + E  # ffn
             + 2 * E          # ln2
@@ -311,7 +318,7 @@ def _transformer_oracle(params, feats, mask):
     for layer in range(cfg.layers):
         p = f"layer{layer}"
         q = z @ t[f"{p}/attn/Wq"] + t[f"{p}/attn/bq"]
-        k = z @ t[f"{p}/attn/Wk"] + t[f"{p}/attn/bk"]
+        k = z @ t[f"{p}/attn/Wk"]
         v = z @ t[f"{p}/attn/Wv"] + t[f"{p}/attn/bv"]
         mixed = np.zeros((n, E))
         for h in range(H):
