@@ -215,17 +215,19 @@ def _train_policy(cfg, ds):
 
 
 def _out_dir(cfg) -> Path:
+    """The output directory, made just before the first write: a command that
+    fails on its inputs or its work leaves no directory behind."""
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_gen_data(cfg: dict) -> int:
-    out = _out_dir(cfg)
     specs = [menv.make_env(e) for e in _env_list(cfg)]
     ds, reports = generate_dataset(specs, expert_gain=cfg["expert_gain"],
                                    n_transitions=cfg["transitions"],
                                    seed=cfg["seed"], obs_spec=_obs_spec(cfg))
+    out = _out_dir(cfg)
     write_dataset(ds, out / "dataset.cgds")
     lines = ["env_id,transitions,attempts,episodes_kept,success_rate,"
              "mean_normalized_final"]
@@ -248,9 +250,9 @@ def _read_training_dataset(path: str):
 
 
 def cmd_distill(cfg: dict, dataset_path: str) -> int:
-    out = _out_dir(cfg)
     ds = _read_training_dataset(dataset_path)
     params, curve = _train_policy(cfg, ds)
+    out = _out_dir(cfg)
     save_checkpoint(params, out / "checkpoint.cgck")
     _write_text(out / "loss.csv",
                 "step,loss\n" + "\n".join(f"{s},{v!r}" for s, v in curve) + "\n")
@@ -261,7 +263,6 @@ def cmd_distill(cfg: dict, dataset_path: str) -> int:
 
 
 def cmd_eval(cfg: dict, checkpoint_path: str, compare: str | None) -> int:
-    out = _out_dir(cfg)
     params = load_checkpoint(checkpoint_path)
     universe = _env_list(cfg)
     plan = meval.split_environments(universe, SPLIT_NAMES[cfg["split"]],
@@ -269,7 +270,6 @@ def cmd_eval(cfg: dict, checkpoint_path: str, compare: str | None) -> int:
     seeds = list(range(cfg["eval_seeds"]))
     horizon = cfg["eval_horizon"] or None
     result = meval.evaluate_policy(params, plan.test, seeds, horizon)
-    _write_text(out / "report.csv", meval.metric_report_csv(result, seeds))
     summary = [f"split={plan.kind}",
                f"train_envs={','.join(plan.train)}",
                f"test_envs={','.join(plan.test)}",
@@ -286,6 +286,8 @@ def cmd_eval(cfg: dict, checkpoint_path: str, compare: str | None) -> int:
             pct = 0.0
         summary.append(f"baseline_env_mean={baseline!r}")
         summary.append(f"improvement_pct={pct!r}")
+    out = _out_dir(cfg)
+    _write_text(out / "report.csv", meval.metric_report_csv(result, seeds))
     _write_text(out / "summary.txt", "\n".join(summary) + "\n")
     write_resolved_config(cfg, out)
     print("\n".join(summary))
@@ -326,7 +328,6 @@ def cmd_ablate(cfg: dict, dataset_path: str) -> int:
                          "ablate_history)")
     ds = _read_training_dataset(dataset_path)
     subsets = [(flags, _subset_dataset(ds, flags)) for flags in axes["obs_flags"]]
-    out = _out_dir(cfg)
     rows = ["obs_flags,use_pe,token,history,seed,init_loss,final_loss,"
             "aggregate_dist"]
     for flags, sliced in subsets:
@@ -344,6 +345,7 @@ def cmd_ablate(cfg: dict, dataset_path: str) -> int:
                         f"{flags.replace(',', '+')},{pe},{token},{history},"
                         f"{cell['seed']},{curve[0][1]!r},{curve[-1][1]!r},"
                         f"{result.aggregate!r}")
+    out = _out_dir(cfg)
     _write_text(out / "ablation.csv", "\n".join(rows) + "\n")
     write_resolved_config(cfg, out)
     print(f"wrote {out / 'ablation.csv'} ({len(rows) - 1} cells)")

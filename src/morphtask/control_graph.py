@@ -69,7 +69,6 @@ class ControlGraph:
     n_goal_nodes: int                  # 0 for v1
     action_mask: np.ndarray            # (n_nodes, 3) of {0, 1}
     actuator_map: tuple[tuple[int, int], ...]  # dof -> (node, slot)
-    variant: str                       # "v1" | "v2"
     # Tree edges of the body (goal rows are disjoint); message passing needs them.
     edges: tuple[tuple[int, int], ...] = ()
 
@@ -157,8 +156,7 @@ def _control_graph(observations: np.ndarray, goals, morphology: MorphologyGraph,
     mask = np.concatenate([body_mask, np.zeros((G, 3))])
     edges = tuple((e.parent_id, e.child_id) for e in morphology.edges)
     return ControlGraph(node_features=feats, n_body_nodes=n, n_goal_nodes=G,
-                        action_mask=mask, actuator_map=amap, variant=variant,
-                        edges=edges)
+                        action_mask=mask, actuator_map=amap, edges=edges)
 
 
 def build_cg_v1(observations: np.ndarray, goals,

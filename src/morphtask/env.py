@@ -760,87 +760,60 @@ def _probed_mean_distances(graph: MorphologyGraph, task: TaskSpec) -> np.ndarray
     return np.cumsum(distances, axis=0)[-1] / D_MAX_PROBE_RESETS
 
 
-def _with_probed_d_max(graph: MorphologyGraph, task: TaskSpec) -> TaskSpec:
-    """d_max per goal = mean initial distance over seeded probe resets."""
-    means = _probed_mean_distances(graph, task)
-    d_max = tuple(q9(max(float(m), task.d_min[g] * 2.0))
-                  for g, m in enumerate(means))
-    return replace(task, d_max=d_max)
-
-
-def _twister_templates(graph: MorphologyGraph, name: str) -> list[GoalTemplate]:
-    """Goals assigned to distinct end effectors in leg order."""
-    ees = graph.end_effectors()
-    specs = {
-        "reach_handsup": ("xy", "z"),
-        "reach_hard_handsup": ("xy_hard", "z"),
-        "reach2_handsup": ("xy", "xy", "z"),
-        "reach_handsup2": ("xy", "z", "z"),
-        "touch_handsup": ("ball", "z"),
-    }[name]
-    if len(specs) > len(ees):
-        raise ValueError(f"{name} needs {len(specs)} limbs, "
-                         f"{graph.blueprint_tag} has {len(ees)}")
-    table = _body_table(graph)
-    out = []
-    for k, kind in enumerate(specs):
-        sel = f"ee{k}"
-        target = resolve_target(graph, sel)
-        L = table.chain_length[target]
-        if kind in ("xy", "xy_hard"):
-            lo, hi = (0.7, 0.97) if kind == "xy_hard" else (0.55, 0.9)
-            out.append(GoalTemplate("xy_position", sel,
-                                    r_lo=q9(lo * L), r_hi=q9(hi * L)))
-        elif kind == "z":
-            zmax = table.pitch_reach[target]
-            out.append(GoalTemplate("z_height", sel,
-                                    z_lo=q9(0.3 * zmax), z_hi=q9(0.7 * zmax)))
-        elif kind == "ball":
-            slack = graph.nodes[target].radius + BALL_RADIUS
-            out.append(GoalTemplate("ball_contact", sel,
-                                    r_lo=q9(L + 0.2 * slack),
-                                    r_hi=q9(L + 0.8 * slack)))
-    return out
+# Task name -> (task kind, one goal spec per limb in leg order).  Specs: xy
+# and xy_hard an annulus around the limb's anchor, z a tip height, ball a
+# static ball to touch, box a box to push onto a goal.
+_TASKS = {
+    "reach": ("reach", ("xy",)),
+    "reach_hard": ("reach_hard", ("xy_hard",)),
+    "touch": ("touch", ("ball",)),
+    "push": ("push", ("box",)),
+    "reach_handsup": ("twister", ("xy", "z")),
+    "reach_hard_handsup": ("twister", ("xy_hard", "z")),
+    "reach2_handsup": ("twister", ("xy", "xy", "z")),
+    "reach_handsup2": ("twister", ("xy", "z", "z")),
+    "touch_handsup": ("twister", ("ball", "z")),
+}
+TASK_NAMES = tuple(_TASKS)
 
 
 def make_task(graph: MorphologyGraph, task_name: str,
               episode_length: int = EPISODE_LENGTH) -> TaskSpec:
-    """Build a workspace-scaled task for this body; d_max from probe resets."""
-    lengths = _body_table(graph).chain_length
-    if task_name in ("reach", "reach_hard"):
-        target = resolve_target(graph, "ee0")
-        L = lengths[target]
-        lo, hi = (0.7, 0.97) if task_name == "reach_hard" else (0.55, 0.9)
-        goals = [GoalTemplate("xy_position", "ee0", r_lo=q9(lo * L), r_hi=q9(hi * L))]
-        kind = task_name
-    elif task_name == "touch":
-        sel = "torso" if graph.blueprint_tag.split("_")[0] in ("centipede", "worm") \
-            else "ee0"
+    """Build a workspace-scaled task for this body; d_max per goal is the
+    mean initial distance over seeded probe resets."""
+    kind, specs = _TASKS[task_name]
+    n_limbs = len(graph.end_effectors())
+    if len(specs) > n_limbs:
+        raise ValueError(f"{task_name} needs {len(specs)} limbs, "
+                         f"{graph.blueprint_tag} has {n_limbs}")
+    table = _body_table(graph)
+    # A spine body touches with its last body, not a leg.
+    spine = graph.blueprint_tag.split("_")[0] in ("centipede", "worm")
+    goals = []
+    for k, spec in enumerate(specs):
+        sel = "torso" if kind == "touch" and spine else f"ee{k}"
         target = resolve_target(graph, sel)
-        L = lengths[target]
-        slack = graph.nodes[target].radius + BALL_RADIUS
-        goals = [GoalTemplate("ball_contact", sel,
-                              r_lo=q9(L + 0.2 * slack), r_hi=q9(L + 0.8 * slack))]
-        kind = "touch"
-    elif task_name == "push":
-        target = resolve_target(graph, "ee0")
-        L = lengths[target]
-        goals = [GoalTemplate("box_to_target", "ee0",
-                              r_lo=q9(0.35 * L), r_hi=q9(0.5 * L))]
-        kind = "push"
-    else:
-        goals = _twister_templates(graph, task_name)
-        kind = "twister"
+        L = table.chain_length[target]
+        if spec in ("xy", "xy_hard"):
+            lo, hi = (0.7, 0.97) if spec == "xy_hard" else (0.55, 0.9)
+            goals.append(GoalTemplate("xy_position", sel, r_lo=q9(lo * L), r_hi=q9(hi * L)))
+        elif spec == "z":
+            zmax = table.pitch_reach[target]
+            goals.append(GoalTemplate("z_height", sel,
+                                      z_lo=q9(0.3 * zmax), z_hi=q9(0.7 * zmax)))
+        elif spec == "ball":
+            slack = graph.nodes[target].radius + BALL_RADIUS
+            goals.append(GoalTemplate("ball_contact", sel, r_lo=q9(L + 0.2 * slack),
+                                      r_hi=q9(L + 0.8 * slack)))
+        else:
+            goals.append(GoalTemplate("box_to_target", sel,
+                                      r_lo=q9(0.35 * L), r_hi=q9(0.5 * L)))
     task = TaskSpec(task_kind=kind, goals=tuple(goals),
-                    d_min=tuple(D_MIN_DEFAULT for _ in goals),
-                    d_max=tuple(2.0 * D_MIN_DEFAULT for _ in goals),
+                    d_min=(D_MIN_DEFAULT,) * len(goals),
+                    d_max=(2.0 * D_MIN_DEFAULT,) * len(goals),
                     episode_length=episode_length)
-    return _with_probed_d_max(graph, task)
-
-
-TASK_NAMES = ("reach", "reach_hard", "touch", "push", "reach_handsup",
-              "reach_hard_handsup", "reach2_handsup", "reach_handsup2",
-              "touch_handsup")
+    means = _probed_mean_distances(graph, task)
+    return replace(task, d_max=tuple(q9(max(float(m), 2.0 * D_MIN_DEFAULT)) for m in means))
 
 
 # Env-id variant suffixes: token -> (variation key, value count, value type).

@@ -59,6 +59,7 @@ class MetricResult:
     per_subdomain: dict[str, float]
     subdomain_aggregate: float
     raw_finals: dict[str, np.ndarray]    # env id -> (seeds, goals) meters
+    normalized: dict[str, np.ndarray]    # env id -> (seeds, goals) per-goal terms
     episodes: int
 
 
@@ -147,6 +148,7 @@ def normalized_final_distance(groups) -> MetricResult:
     """
     per_env: dict[str, float] = {}
     raw: dict[str, np.ndarray] = {}
+    terms: dict[str, np.ndarray] = {}
     episodes = 0
     for env_id, finals, d_min, d_max in groups:
         finals = np.asarray(finals, dtype=np.float64)
@@ -157,6 +159,7 @@ def normalized_final_distance(groups) -> MetricResult:
         normalized = (finals - d_min) / (d_max - d_min)
         per_env[env_id] = float(normalized.sum(axis=1).mean())
         raw[env_id] = finals
+        terms[env_id] = normalized
         episodes += finals.shape[0]
     if not per_env:
         raise ValueError("no groups to aggregate")
@@ -168,7 +171,7 @@ def normalized_final_distance(groups) -> MetricResult:
     return MetricResult(per_env=per_env, aggregate=aggregate,
                         per_subdomain=per_sub,
                         subdomain_aggregate=float(np.mean(list(per_sub.values()))),
-                        raw_finals=raw, episodes=episodes)
+                        raw_finals=raw, normalized=terms, episodes=episodes)
 
 
 def evaluate_policy(params: PolicyParams, env_ids, seeds=None,
@@ -279,17 +282,16 @@ def read_tensor_table(path) -> dict[str, np.ndarray]:
 # --- report files ------------------------------------------------------------------
 
 def metric_report_csv(result: MetricResult, seeds) -> str:
-    """Per-episode rows plus commented aggregates (env- and sub-domain-level)."""
+    """Per-episode rows plus commented aggregates (env- and sub-domain-level).
+    Every number is a Python float repr, the normalized terms those the
+    metric summed."""
     lines = ["env_id,goal_index,seed,final_distance,normalized"]
     for env_id in sorted(result.raw_finals):
-        finals = result.raw_finals[env_id]
-        spec = menv.make_env(env_id)
-        d_min = np.asarray(spec.task.d_min)
-        d_max = np.asarray(spec.task.d_max)
+        finals, terms = result.raw_finals[env_id], result.normalized[env_id]
         for si, seed in enumerate(seeds):
             for g in range(finals.shape[1]):
-                norm = (finals[si, g] - d_min[g]) / (d_max[g] - d_min[g])
-                lines.append(f"{env_id},{g},{seed},{finals[si, g]!r},{norm!r}")
+                lines.append(f"{env_id},{g},{seed},{float(finals[si, g])!r},"
+                             f"{float(terms[si, g])!r}")
     lines.append(f"# aggregate_env_mean={result.aggregate!r}")
     lines.append(f"# aggregate_subdomain_mean={result.subdomain_aggregate!r}")
     for env_id, v in sorted(result.per_env.items()):

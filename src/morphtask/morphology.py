@@ -8,7 +8,7 @@ mass, and size randomization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -86,9 +86,6 @@ class MorphologyGraph:
     # Variation provenance as sorted (key, value) pairs; kept hashable so
     # graphs can key caches.
     variation: tuple | None = None
-    # Leg chains as tuples of node ids, proximal to distal. Derived metadata
-    # kept on the graph so variations and task construction agree on leg order.
-    legs: tuple[tuple[int, ...], ...] = field(default=())
 
     def __hash__(self) -> int:
         # Graphs key the per-graph caches of the environment, and hashing
@@ -96,8 +93,7 @@ class MorphologyGraph:
         # computed.  Derived values live in __dict__ beside the fields.
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.nodes, self.edges, self.blueprint_tag,
-                      self.variation, self.legs))
+            h = hash((self.nodes, self.edges, self.blueprint_tag, self.variation))
             self.__dict__["_hash"] = h
         return h
 
@@ -116,6 +112,11 @@ class MorphologyGraph:
 
     def action_dimension(self) -> int:
         return self._action_dimension
+
+    @cached_property
+    def legs(self) -> tuple[tuple[int, ...], ...]:
+        """Leg chains as tuples of node ids, proximal to distal (derive_legs)."""
+        return derive_legs(self.nodes, self.edges)
 
     @cached_property
     def parent_map(self) -> Mapping[int, JointEdge]:
@@ -147,7 +148,6 @@ class _Builder:
         self.tag = tag
         self.nodes: list[ModuleNode] = []
         self.edges: list[JointEdge] = []
-        self.legs: list[tuple[int, ...]] = []
 
     def add_node(self, kind: str, offset: tuple[float, float, float],
                  radius: float = SEGMENT_RADIUS, length: float = SEGMENT_LENGTH,
@@ -162,23 +162,10 @@ class _Builder:
             self.edges.append(JointEdge(parent, nid, actuators))
         return nid
 
-    def add_leg(self, parent: int, mount: tuple[float, float, float],
-                n_segments: int, hip_actuators: tuple[Actuator, ...]) -> None:
-        ids = []
-        seg = self.add_node("limb_segment", mount, parent=parent,
-                            actuators=hip_actuators)
-        ids.append(seg)
-        for _ in range(n_segments - 1):
-            seg = self.add_node("limb_segment", (0.0, 0.0, 0.0), parent=seg,
-                                actuators=(Actuator(_Y, *KNEE_RANGE),))
-            ids.append(seg)
-        self.legs.append(tuple(ids))
-
     def build(self) -> MorphologyGraph:
         return MorphologyGraph(
             nodes=_numbered_dofs(self.nodes, self.edges), edges=tuple(self.edges),
-            blueprint_tag=self.tag, variation=None,
-            legs=tuple(self.legs))
+            blueprint_tag=self.tag)
 
 
 def _var_set(variation: tuple | None, key: str, value) -> tuple:
@@ -205,23 +192,21 @@ def generate_morphology(blueprint: str, count: int,
             f"{blueprint} count {count} outside legal range [{lo}, {hi}]")
 
     b = _Builder(f"{blueprint}_{count}")
-    hip_yaw = Actuator(_Z, *HIP_RANGE)
-    if blueprint == "ant":
+    hip = (Actuator(_Z, *HIP_RANGE),)
+    knee = Actuator(_Y, *KNEE_RANGE)
+    segments = 2
+    if blueprint in ("ant", "claw"):
         torso = b.add_node("torso", (0.0, 0.0, 0.0),
                            radius=TORSO_RADIUS, length=0.0)
+        mounts = []
         for k in range(count):
             phi = 2.0 * math.pi * k / count
-            mount = (TORSO_RADIUS * math.cos(phi), TORSO_RADIUS * math.sin(phi), 0.0)
-            b.add_leg(torso, mount, 2, (hip_yaw,))
-    elif blueprint == "claw":
-        torso = b.add_node("torso", (0.0, 0.0, 0.0),
-                           radius=TORSO_RADIUS, length=0.0)
-        for k in range(count):
-            phi = 2.0 * math.pi * k / count
-            mount = (TORSO_RADIUS * math.cos(phi), TORSO_RADIUS * math.sin(phi), 0.0)
+            mounts.append((torso, (TORSO_RADIUS * math.cos(phi),
+                                   TORSO_RADIUS * math.sin(phi), 0.0)))
+        if blueprint == "claw":
             # Two-dof hip plus two single-dof segments: 4 actuators per leg.
-            b.add_leg(torso, mount, 3, (hip_yaw, Actuator(_Y, *KNEE_RANGE)))
-    elif blueprint == "centipede":
+            segments, hip = 3, hip + (knee,)
+    else:
         prev = b.add_node("torso", (0.0, 0.0, 0.0),
                           radius=TORSO_RADIUS, length=SEGMENT_LENGTH)
         bodies = [prev]
@@ -234,19 +219,15 @@ def generate_morphology(blueprint: str, count: int,
                               parent=prev,
                               actuators=(Actuator(_Z, *rng),))
             bodies.append(prev)
-        for body in bodies:
-            for side in (1.0, -1.0):
-                mount = (-SEGMENT_LENGTH / 2, side * TORSO_RADIUS, 0.0)
-                b.add_leg(body, mount, 2, (hip_yaw,))
-    elif blueprint == "worm":
-        prev = b.add_node("torso", (0.0, 0.0, 0.0),
-                          radius=TORSO_RADIUS, length=SEGMENT_LENGTH)
-        for i in range(count - 1):
-            rng = HIP_RANGE if i == 0 else SPINE_RANGE
-            prev = b.add_node("body", (0.0, 0.0, 0.0),
-                              radius=TORSO_RADIUS, length=SEGMENT_LENGTH,
-                              parent=prev,
-                              actuators=(Actuator(_Z, *rng),))
+        # A centipede carries two legs per body, a worm none.
+        sides = (1.0, -1.0) if blueprint == "centipede" else ()
+        mounts = [(body, (-SEGMENT_LENGTH / 2, side * TORSO_RADIUS, 0.0))
+                  for body in bodies for side in sides]
+    for parent, mount in mounts:
+        seg = b.add_node("limb_segment", mount, parent=parent, actuators=hip)
+        for _ in range(segments - 1):
+            seg = b.add_node("limb_segment", (0.0, 0.0, 0.0), parent=seg,
+                             actuators=(knee,))
 
     graph = b.build()
     if variation:
@@ -256,7 +237,6 @@ def generate_morphology(blueprint: str, count: int,
             graph = apply_mass_scaling(graph, variation["mass_scales"])
         if "size_scales" in variation:
             graph = apply_size_scaling(graph, variation["size_scales"])
-        graph = replace(graph, blueprint_tag=f"{blueprint}_{count}")
         # A nan or inf scale passes the scalings; refuse the body it makes.
         problems = validate(graph)
         if problems:
@@ -277,42 +257,33 @@ def _numbered_dofs(nodes, edges) -> tuple[ModuleNode, ...]:
     return tuple(replace(n, dof_index=first.get(n.node_id, -1)) for n in nodes)
 
 
-def _redensify(nodes: list[ModuleNode], edges: list[JointEdge],
-               legs: list[tuple[int, ...]]) -> tuple:
-    """Renumber node ids densely and reassign dof indices in edge order."""
-    idmap = {n.node_id: i for i, n in enumerate(nodes)}
-    new_edges = tuple(JointEdge(idmap[e.parent_id], idmap[e.child_id], e.actuators)
-                      for e in edges)
-    new_nodes = _numbered_dofs([replace(n, node_id=idmap[n.node_id]) for n in nodes],
-                               new_edges)
-    new_legs = tuple(tuple(idmap[i] for i in leg) for leg in legs)
-    return new_nodes, new_edges, new_legs
-
-
 def apply_missing(graph: MorphologyGraph, leg_index: int) -> MorphologyGraph:
     """Remove the distal-most segment (and its edge) of one leg."""
-    if not graph.legs:
+    legs = graph.legs
+    if not legs:
         raise MorphologyError(
             f"blueprint {graph.blueprint_tag!r} has no legs to remove from")
-    if not (0 <= leg_index < len(graph.legs)):
+    if not (0 <= leg_index < len(legs)):
         raise MorphologyError(
             f"missing-leg index {leg_index} out of range "
-            f"(have {len(graph.legs)} legs)")
-    leg = graph.legs[leg_index]
+            f"(have {len(legs)} legs)")
+    leg = legs[leg_index]
     if len(leg) < 2:
         raise MorphologyError(
             f"leg {leg_index} has fewer than 2 segments; nothing to remove")
     removed = leg[-1]
-    nodes = [n for n in graph.nodes if n.node_id != removed]
-    edges = [e for e in graph.edges if e.child_id != removed]
-    legs = list(graph.legs)
-    legs[leg_index] = leg[:-1]
-    new_nodes, new_edges, new_legs = _redensify(nodes, edges, legs)
+
+    def renumber(i: int) -> int:                 # ids stay dense
+        return i - (i > removed)
+
+    edges = tuple(JointEdge(renumber(e.parent_id), renumber(e.child_id), e.actuators)
+                  for e in graph.edges if e.child_id != removed)
+    nodes = [replace(n, node_id=renumber(n.node_id))
+             for n in graph.nodes if n.node_id != removed]
     return MorphologyGraph(
-        nodes=new_nodes, edges=new_edges,
+        nodes=_numbered_dofs(nodes, edges), edges=edges,
         blueprint_tag=graph.blueprint_tag,
-        variation=_var_set(graph.variation, "missing", leg_index),
-        legs=new_legs)
+        variation=_var_set(graph.variation, "missing", leg_index))
 
 
 def _tier(graph: MorphologyGraph, node: ModuleNode) -> int:
@@ -334,26 +305,27 @@ def _check_scales(scales) -> tuple[float, float, float]:
     return scales
 
 
+def _scale_tiers(graph: MorphologyGraph, key: str, scales,
+                 names: tuple[str, str]) -> MorphologyGraph:
+    """graph with the two node fields ``names`` scaled per tier (torso,
+    proximal, distal), and the scales recorded under variation ``key``."""
+    scales = _check_scales(scales)
+    nodes = []
+    for n in graph.nodes:
+        s = scales[_tier(graph, n)]
+        nodes.append(replace(n, **{name: getattr(n, name) * s for name in names}))
+    return replace(graph, nodes=tuple(nodes),
+                   variation=_var_set(graph.variation, key, scales))
+
+
 def apply_mass_scaling(graph: MorphologyGraph, scales) -> MorphologyGraph:
     """Scale mass and inertia per tier (torso, proximal, distal)."""
-    scales = _check_scales(scales)
-    nodes = tuple(
-        replace(n, mass=n.mass * scales[_tier(graph, n)],
-                inertia=n.inertia * scales[_tier(graph, n)])
-        for n in graph.nodes)
-    return replace(graph, nodes=nodes,
-                   variation=_var_set(graph.variation, "mass_scales", scales))
+    return _scale_tiers(graph, "mass_scales", scales, ("mass", "inertia"))
 
 
 def apply_size_scaling(graph: MorphologyGraph, scales) -> MorphologyGraph:
     """Scale length and radius per tier (torso, proximal, distal)."""
-    scales = _check_scales(scales)
-    nodes = tuple(
-        replace(n, length=n.length * scales[_tier(graph, n)],
-                radius=n.radius * scales[_tier(graph, n)])
-        for n in graph.nodes)
-    return replace(graph, nodes=nodes,
-                   variation=_var_set(graph.variation, "size_scales", scales))
+    return _scale_tiers(graph, "size_scales", scales, ("length", "radius"))
 
 
 def validate(graph: MorphologyGraph) -> list[str]:
@@ -433,8 +405,10 @@ def _fmt(x: float) -> str:
 
 def derive_legs(nodes: tuple[ModuleNode, ...],
                 edges: tuple[JointEdge, ...]) -> tuple[tuple[int, ...], ...]:
-    """Recover leg chains structurally: maximal single-child runs of
-    limb_segment nodes hanging off a torso/body node, ordered by first node id.
+    """Leg chains, the one rule for built and parsed bodies: maximal
+    single-child runs of limb_segment nodes hanging off a torso/body node,
+    ordered by first node id.  A walk that comes back to its own chain (a
+    cycle, which validate reports) stops there.
     """
     kind = {n.node_id: n.kind for n in nodes}
     parent = {e.child_id: e.parent_id for e in edges}
@@ -449,8 +423,8 @@ def derive_legs(nodes: tuple[ModuleNode, ...],
         chain = [s]
         cur = s
         while True:
-            nxt = [c for c in children.get(cur, []) if kind[c] == "limb_segment"]
-            if len(nxt) != 1:
+            nxt = [c for c in children.get(cur, []) if kind.get(c) == "limb_segment"]
+            if len(nxt) != 1 or nxt[0] in chain:
                 break
             cur = nxt[0]
             chain.append(cur)
@@ -566,5 +540,4 @@ def parse_morphology(text: str) -> MorphologyGraph:
     problems = validate(graph)
     if problems:
         raise MorphologyParseError(ln, "; ".join(problems))
-    # Legs are derived from a valid tree only: on others the walk may not end.
-    return replace(graph, legs=derive_legs(graph.nodes, graph.edges))
+    return graph

@@ -83,10 +83,6 @@ class PolicyParams:
         for t in self.tensors.values():
             t.zero_grad()
 
-    def clone(self) -> "PolicyParams":
-        return PolicyParams(self.arch, self.config, {
-            k: ad.parameter(v.data.copy()) for k, v in self.tensors.items()})
-
 
 def parameter_count(params: PolicyParams) -> int:
     return sum(t.data.size for t in params.tensors.values())

@@ -217,6 +217,29 @@ def test_corrupt_checkpoint_is_data_error(workspace, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command,flag", [("eval", "--checkpoint"),
+                                          ("distill", "--dataset")])
+def test_data_error_leaves_no_out_dir(workspace, tmp_path, capsys, command, flag):
+    root, cfg, _ = workspace
+    bad = tmp_path / "garbage.cgck"
+    bad.write_bytes(b"CGCKgarbage")
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), flag, str(bad), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_ablate_cell_leaves_no_out_dir(workspace, tmp_path, capsys):
+    root, cfg, gen_dir = workspace
+    bad = tmp_path / "config.txt"
+    bad.write_text(cfg.read_text() + "embed = 15\nablate_pe = on,off\n")
+    out = tmp_path / "out"
+    assert run(["ablate", "--config", str(bad), "--dataset",
+                str(gen_dir / "dataset.cgds"), "--out", str(out)]) == 2
+    assert "not divisible by heads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(workspace, tmp_path_factory):
     root, cfg, gen_dir = workspace

@@ -1,5 +1,5 @@
-"""Dead-code guard: every module-level function of the package is named by
-some other line of ``src/`` or ``perfbench/``.
+"""Dead-code guard: every module-level function and every method of the
+package is named by some other line of ``src/`` or ``perfbench/``.
 
 A function no pipeline path reaches is deleted, or moved into the tests
 when a test uses it as an oracle.  The check is textual (a whole-word
@@ -24,7 +24,9 @@ def test_every_module_function_has_a_caller():
              for no, line in enumerate(path.read_text().splitlines(), start=1)]
     dead = []
     for path in sorted((ROOT / "src" / "morphtask").rglob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        methods = [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+        for node in tree.body + methods:
             name = getattr(node, "name", "")
             if not isinstance(node, ast.FunctionDef) or \
                     (name.startswith("__") and name.endswith("__")) or \

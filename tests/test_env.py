@@ -58,8 +58,7 @@ def chain_graph(n_segments, axes=None, length=0.4, ranges=None):
         nodes.append(ModuleNode(i + 1, "limb_segment", 0.08, length, 1.0, 0.01,
                                 (0.0, 0.0, 0.0), i))
         edges.append(JointEdge(i, i + 1, (Actuator(axes[i], *ranges[i]),)))
-    return MorphologyGraph(tuple(nodes), tuple(edges), f"chain_{n_segments}",
-                           legs=((tuple(range(1, n_segments + 1))),))
+    return MorphologyGraph(tuple(nodes), tuple(edges), f"chain_{n_segments}")
 
 
 def reach_task(r_lo, r_hi, d_min=0.01, d_max=2.0, episode=500):
@@ -333,6 +332,46 @@ def test_probed_task_text_equals_scalar_probe(env_id):
     means, task = _scalar_probed_d_max(spec.graph, spec.task)
     assert menv._probed_mean_distances(spec.graph, spec.task).tobytes() == means.tobytes()
     assert serialize_task(spec.task) == serialize_task(task)
+
+
+# Per task name: task kind and (goal kind, target selector) per goal on ant_5.
+TASK_TABLE = {
+    "reach": ("reach", [("xy_position", "ee0")]),
+    "reach_hard": ("reach_hard", [("xy_position", "ee0")]),
+    "touch": ("touch", [("ball_contact", "ee0")]),
+    "push": ("push", [("box_to_target", "ee0")]),
+    "reach_handsup": ("twister", [("xy_position", "ee0"), ("z_height", "ee1")]),
+    "reach_hard_handsup": ("twister", [("xy_position", "ee0"), ("z_height", "ee1")]),
+    "reach2_handsup": ("twister", [("xy_position", "ee0"), ("xy_position", "ee1"),
+                                   ("z_height", "ee2")]),
+    "reach_handsup2": ("twister", [("xy_position", "ee0"), ("z_height", "ee1"),
+                                   ("z_height", "ee2")]),
+    "touch_handsup": ("twister", [("ball_contact", "ee0"), ("z_height", "ee1")]),
+}
+
+
+@pytest.mark.parametrize("task_name", menv.TASK_NAMES)
+def test_make_task_goal_kinds_and_targets(task_name):
+    kind, goals = TASK_TABLE[task_name]
+    task = menv.make_task(generate_morphology("ant", 5), task_name)
+    assert task.task_kind == kind
+    assert [(t.goal_kind, t.target_selector) for t in task.goals] == goals
+
+
+@pytest.mark.parametrize("blueprint", ["worm", "centipede"])
+def test_touch_on_a_spine_body_targets_the_torso(blueprint):
+    task = menv.make_task(generate_morphology(blueprint, 3), "touch")
+    assert [(t.goal_kind, t.target_selector) for t in task.goals] == \
+        [("ball_contact", "torso")]
+
+
+@pytest.mark.parametrize("blueprint,count,task_name", [
+    ("worm", 3, "reach_handsup"), ("worm", 3, "touch_handsup"),
+    ("ant", 2, "reach2_handsup"), ("claw", 2, "reach_handsup2")])
+def test_twister_needing_more_limbs_than_the_body_has(blueprint, count, task_name):
+    graph = generate_morphology(blueprint, count)
+    with pytest.raises(ValueError, match=f"^{task_name} needs"):
+        menv.make_task(graph, task_name)
 
 
 # --- stepping -------------------------------------------------------------------

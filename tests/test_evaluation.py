@@ -264,6 +264,24 @@ def test_metric_matches_brute_force_oracle():
     assert abs(result.aggregate - brute_force_metric(groups)) <= 1e-12
 
 
+def test_report_rows_are_plain_floats_of_the_metric():
+    # bounds of the group's own, not those make_env gives the env id
+    finals = np.array([[0.5, 0.3], [0.9, 0.25]])
+    groups = [("ant_reach_3", finals, (0.2, 0.1), (0.9, 0.4)),
+              ("ant_reach_5", np.array([[0.35], [0.4]]), (0.01,), (0.8,))]
+    result = normalized_final_distance(groups)
+    rows = [line.split(",") for line in metric_report_csv(result, [7, 8]).splitlines()
+            if line and not line.startswith(("#", "env_id"))]
+    assert len(rows) == 6
+    for env_id, g, seed, final, norm in rows:
+        si, g = [7, 8].index(int(seed)), int(g)
+        assert float(final) == result.raw_finals[env_id][si, g]
+        assert float(norm) == result.normalized[env_id][si, g]
+    assert float(rows[0][4]) == (0.5 - 0.2) / (0.9 - 0.2)
+    assert result.per_env["ant_reach_3"] == \
+        float(result.normalized["ant_reach_3"].sum(axis=1).mean())
+
+
 def test_metric_rejects_bad_bounds():
     with pytest.raises(SplitConfigError):
         normalized_final_distance([("e", np.ones((1, 1)), (1.0,), (0.5,))])

@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from morphtask.morphology import (
     BLUEPRINT_COUNT_RANGE,
+    Actuator,
     JointEdge,
+    ModuleNode,
     MorphologyError,
+    MorphologyGraph,
     MorphologyParseError,
     apply_mass_scaling,
     apply_missing,
@@ -330,6 +333,28 @@ def test_round_trip_structural_equality(bc):
     assert p.edges == g.edges
     assert p.legs == g.legs
     assert p.blueprint_tag == g.blueprint_tag
+
+
+@pytest.mark.parametrize("blueprint,variation", [
+    ("ant", None), ("ant", {"missing": 1}), ("claw", None), ("claw", {"missing": 1}),
+    ("centipede", None), ("centipede", {"missing": 1}), ("worm", None)])
+def test_direct_graph_equals_generated(blueprint, variation):
+    g = generate_morphology(blueprint, 3, variation)
+    direct = MorphologyGraph(g.nodes, g.edges, g.blueprint_tag, g.variation)
+    assert direct == g and hash(direct) == hash(g)
+    assert direct.legs == g.legs
+    assert direct.end_effectors() == g.end_effectors()
+
+
+def test_limb_cycle_legs_end_and_validate_reports_it():
+    nodes = (ModuleNode(0, "torso", 0.25, 0.0, 1.0, 0.01, (0.0, 0.0, 0.0), -1),
+             ModuleNode(1, "limb_segment", 0.08, 0.4, 1.0, 0.01, (0.0, 0.0, 0.0), 0),
+             ModuleNode(2, "limb_segment", 0.08, 0.4, 1.0, 0.01, (0.0, 0.0, 0.0), 1))
+    act = (Actuator((0.0, 0.0, 1.0), -1.0, 1.0),)
+    g = MorphologyGraph(nodes, (JointEdge(2, 1, act), JointEdge(1, 2, act),
+                                JointEdge(0, 1, act)), "cycle")
+    assert g.legs == ((1, 2),)
+    assert any("not a tree" in problem for problem in validate(g))
 
 
 # --- cached graph hash ------------------------------------------------------------
