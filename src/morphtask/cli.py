@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .distill import (
     train,
     write_dataset,
 )
+from .morphology import text_lines
 from .nn.autodiff import NumericError
 from .nn.policies import ConfigError, PolicyConfig, init_params
 
@@ -75,11 +77,6 @@ CONFIG_DEFAULTS = {
     "ablate_history": "",
 }
 
-_BOOLS = {"use_pe", "use_embed_ln", "mix_morphologies"}
-_INTS = {"seed", "history", "embed", "attn_hidden", "heads", "layers",
-         "mlp_hidden", "gnn_hidden", "max_nodes", "max_action", "batch_size",
-         "steps", "transitions", "eval_seeds", "eval_horizon"}
-_FLOATS = {"learning_rate", "grad_clip", "expert_gain"}
 SPLIT_NAMES = {"indist": "in_distribution",
                "comp-morph": "compositional_morphology",
                "comp-task": "compositional_task",
@@ -88,15 +85,12 @@ SPLIT_NAMES = {"indist": "in_distribution",
 _CHOICES = {"arch": ("mlp", "gnn", "transformer"), "cg_variant": ("v1", "v2"),
             "token_variant": ("none", "d", "da", "c"), "split": tuple(SPLIT_NAMES)}
 # Smallest value each count may take (eval_horizon 0 means the task's own).
-_LEAST = {"transitions": 1, "eval_seeds": 1, "history": 1, "eval_horizon": 0}
+_LEAST = {"transitions": 1, "eval_seeds": 1, "history": 1, "eval_horizon": 0, "heads": 1}
 
 
 def parse_config_file(path: Path) -> dict:
     values = {}
-    for ln, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in text_lines(path.read_text()):
         if "=" not in line:
             raise UsageError(f"{path}:{ln}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
@@ -107,57 +101,63 @@ def parse_config_file(path: Path) -> dict:
 
 
 def resolve_config(args) -> dict:
+    """Defaults, then the config file, then each flag's own key, all typed."""
     cfg = dict(CONFIG_DEFAULTS)
     if args.config:
         cfg.update(parse_config_file(Path(args.config)))
-    overrides = {
-        "seed": args.seed, "out_dir": args.out, "arch": args.arch,
-        "cg_variant": args.cg, "token_variant": args.token,
-        "history": args.history, "transitions": args.transitions,
-        "steps": args.steps, "split": args.split,
-    }
-    if getattr(args, "pe", None) is not None:
-        overrides["use_pe"] = {"on": True, "off": False}[args.pe]
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
-    for key in sorted(_BOOLS | _INTS | _FLOATS | set(_CHOICES)):
-        cfg[key] = _typed(key, cfg[key])
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key in cfg and value is not None)
+    cfg = {key: _typed(key, value) for key, value in cfg.items()}
+    _token(cfg["token_variant"], cfg["arch"])
+    _obs_spec(cfg["obs_flags"])
     _holdout(cfg)
     return cfg
+
+
+def _items(text: str, sep: str = ",") -> list[str]:
+    """The non-empty, stripped items of a list-valued config value."""
+    return [item.strip() for item in text.split(sep) if item.strip()]
+
+
+def _token(value: str, arch: str, key: str = "token_variant") -> str:
+    """A token variant; any but none needs the transformer arch."""
+    token = _typed("token_variant", value, key)
+    if token != "none" and arch != "transformer":
+        raise UsageError(f"config key {key!r} value {token!r} needs config key "
+                         f"'arch' = transformer, got {arch!r}")
+    return token
 
 
 def _holdout(cfg):
     """Held-out morphology counts under comp-morph, else the task name."""
     holdout = cfg["holdout"]
-    if cfg["split"] != "comp-morph" or not holdout:
+    if cfg["split"] != "comp-morph":
         return holdout or None
     try:
-        return [int(x) for x in holdout.split(",")]
+        return [int(x) for x in _items(holdout)] or None
     except ValueError:
         raise UsageError(f"config key 'holdout' must list integers under split "
                          f"comp-morph, got {holdout!r}") from None
 
 
 def _typed(key: str, value, label: str | None = None):
-    """value converted to config key ``key``'s type and checked against its
-    bound or choices; a UsageError names ``label`` (default ``key``)."""
+    """value converted to the type of config key ``key``'s default and checked
+    against its bound or choices; a UsageError names ``label`` (default ``key``)."""
     label = label or key
-    if key in _CHOICES:
-        if value not in _CHOICES[key]:
-            raise UsageError(f"config key {label!r} must be one of "
-                             f"{', '.join(_CHOICES[key])}, got {value!r}")
+    kind = type(CONFIG_DEFAULTS[key])
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise UsageError(f"config key {label!r} must be one of "
+                         f"{', '.join(_CHOICES[key])}, got {value!r}")
+    if kind is bool and isinstance(value, str):
+        if value.lower() not in ("true", "false", "on", "off", "0", "1"):
+            raise UsageError(f"config key {label!r} must be boolean, got {value!r}")
+        return value.lower() in ("true", "on", "1")
+    if kind in (bool, str):
         return value
-    if key in _BOOLS:
-        if isinstance(value, str):
-            if value.lower() not in ("true", "false", "on", "off", "0", "1"):
-                raise UsageError(f"config key {label!r} must be boolean, got {value!r}")
-            value = value.lower() in ("true", "on", "1")
-        return value
-    kind, name = (int, "an integer") if key in _INTS else (float, "a number")
     try:
         value = kind(value)
     except ValueError:
+        name = "an integer" if kind is int else "a number"
         raise UsageError(f"config key {label!r} must be {name}, got {value!r}") from None
     if key in _LEAST and value < _LEAST[key]:
         raise UsageError(f"config key {label!r} must be >= {_LEAST[key]}, got {value}")
@@ -175,35 +175,31 @@ def write_resolved_config(cfg: dict, out_dir: Path) -> None:
     _write_text(out_dir / "resolved_config.txt", "\n".join(lines) + "\n")
 
 
-def _obs_spec(cfg):
-    return build_observation_spec(
-        [f.strip() for f in cfg["obs_flags"].split(",") if f.strip()])
+def _obs_spec(flags: str, key: str = "obs_flags"):
+    try:
+        return build_observation_spec(_items(flags))
+    except ValueError as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from None
 
 
 def _env_list(cfg) -> list[str]:
-    envs = [e.strip() for e in cfg["envs"].split(",") if e.strip()]
+    envs = _items(cfg["envs"])
     if not envs:
         raise UsageError("config key 'envs' must list at least one environment")
     return envs
 
 
 def _policy_config(cfg, obs_spec) -> PolicyConfig:
-    arch = cfg["arch"]
-    token = cfg["token_variant"]
+    """The config keys named like PolicyConfig fields; a token variant other
+    than none makes the transformer a tokenized one."""
+    keys = {f.name: cfg[f.name] for f in dataclasses.fields(PolicyConfig)
+            if f.name in cfg}
+    token = keys.pop("token_variant")
     if token != "none":
-        arch = "transformer_tokenized"
-    variant = "v1" if arch == "gnn" else cfg["cg_variant"]
-    return PolicyConfig(
-        arch=arch,
-        feature_width=cg_feature_width(obs_spec, variant, cfg["history"]),
-        embed=cfg["embed"], attn_hidden=cfg["attn_hidden"], heads=cfg["heads"],
-        layers=cfg["layers"], mlp_hidden=cfg["mlp_hidden"],
-        gnn_hidden=cfg["gnn_hidden"], use_pe=cfg["use_pe"],
-        use_embed_ln=cfg["use_embed_ln"], max_nodes=cfg["max_nodes"],
-        max_action=cfg["max_action"],
-        token_variant=token if token != "none" else "c",
-        cg_variant=variant, history=cfg["history"],
-        obs_flags=obs_spec.flags)
+        keys.update(arch="transformer_tokenized", token_variant=token)
+    pc = PolicyConfig(**dict(keys, feature_width=0, obs_flags=obs_spec.flags))
+    return dataclasses.replace(pc, feature_width=cg_feature_width(
+        obs_spec, pc.cg_variant, pc.history))
 
 
 def _train_policy(cfg, ds):
@@ -226,7 +222,7 @@ def cmd_gen_data(cfg: dict) -> int:
     specs = [menv.make_env(e) for e in _env_list(cfg)]
     ds, reports = generate_dataset(specs, expert_gain=cfg["expert_gain"],
                                    n_transitions=cfg["transitions"],
-                                   seed=cfg["seed"], obs_spec=_obs_spec(cfg))
+                                   seed=cfg["seed"], obs_spec=_obs_spec(cfg["obs_flags"]))
     out = _out_dir(cfg)
     write_dataset(ds, out / "dataset.cgds")
     lines = ["env_id,transitions,attempts,episodes_kept,success_rate,"
@@ -263,10 +259,12 @@ def cmd_distill(cfg: dict, dataset_path: str) -> int:
 
 
 def cmd_eval(cfg: dict, checkpoint_path: str, compare: str | None) -> int:
+    try:
+        plan = meval.split_environments(_env_list(cfg), SPLIT_NAMES[cfg["split"]],
+                                        _holdout(cfg))
+    except meval.SplitConfigError as exc:
+        raise UsageError(f"split {cfg['split']}: {exc}") from None
     params = load_checkpoint(checkpoint_path)
-    universe = _env_list(cfg)
-    plan = meval.split_environments(universe, SPLIT_NAMES[cfg["split"]],
-                                    _holdout(cfg))
     seeds = list(range(cfg["eval_seeds"]))
     horizon = cfg["eval_horizon"] or None
     result = meval.evaluate_policy(params, plan.test, seeds, horizon)
@@ -304,47 +302,36 @@ def _read_report_aggregate(path: Path) -> float:
 
 
 def cmd_ablate(cfg: dict, dataset_path: str) -> int:
-    obs_sets = [s for s in cfg["ablate_obs_sets"].split(";") if s.strip()]
-    for flags in obs_sets:
-        try:
-            build_observation_spec([f.strip() for f in flags.split(",")])
-        except ValueError as exc:
-            raise UsageError(f"config key 'ablate_obs_sets': {exc}") from None
-    pe_values = [_typed("use_pe", s.strip(), "ablate_pe")
-                 for s in cfg["ablate_pe"].split(",") if s.strip()]
-    token_values = [_typed("token_variant", s.strip(), "ablate_token")
-                    for s in cfg["ablate_token"].split(",") if s.strip()]
-    history_values = [_typed("history", s.strip(), "ablate_history")
-                      for s in cfg["ablate_history"].split(",") if s.strip()]
     axes = {
-        "obs_flags": obs_sets or [cfg["obs_flags"]],
-        "use_pe": pe_values or [cfg["use_pe"]],
-        "token_variant": token_values or [cfg["token_variant"]],
-        "history": history_values or [cfg["history"]],
+        "obs_flags": [",".join(_items(s)) for s in _items(cfg["ablate_obs_sets"], ";")],
+        "use_pe": [_typed("use_pe", s, "ablate_pe") for s in _items(cfg["ablate_pe"])],
+        "token_variant": [_token(s, cfg["arch"], "ablate_token")
+                          for s in _items(cfg["ablate_token"])],
+        "history": [_typed("history", s, "ablate_history")
+                    for s in _items(cfg["ablate_history"])],
     }
-    if not (obs_sets or pe_values or token_values or history_values):
+    for flags in axes["obs_flags"]:
+        _obs_spec(flags, "ablate_obs_sets")
+    if not any(axes.values()):
         raise UsageError("ablate needs at least one non-empty axis "
                          "(ablate_obs_sets / ablate_pe / ablate_token / "
                          "ablate_history)")
+    axes = {key: values or [cfg[key]] for key, values in axes.items()}
     ds = _read_training_dataset(dataset_path)
     subsets = [(flags, _subset_dataset(ds, flags)) for flags in axes["obs_flags"]]
     rows = ["obs_flags,use_pe,token,history,seed,init_loss,final_loss,"
             "aggregate_dist"]
-    for flags, sliced in subsets:
-        for pe in axes["use_pe"]:
-            for token in axes["token_variant"]:
-                for history in axes["history"]:
-                    cell = dict(cfg, obs_flags=flags, use_pe=pe,
-                                token_variant=token, history=history)
-                    params, curve = _train_policy(cell, sliced)
-                    envs = [e.env_id for e in sliced.environments]
-                    result = meval.evaluate_policy(
-                        params, envs, list(range(cell["eval_seeds"])),
-                        cell["eval_horizon"] or None)
-                    rows.append(
-                        f"{flags.replace(',', '+')},{pe},{token},{history},"
-                        f"{cell['seed']},{curve[0][1]!r},{curve[-1][1]!r},"
-                        f"{result.aggregate!r}")
+    for (flags, sliced), pe, token, history in itertools.product(
+            subsets, axes["use_pe"], axes["token_variant"], axes["history"]):
+        cell = dict(cfg, obs_flags=flags, use_pe=pe, token_variant=token,
+                    history=history)
+        params, curve = _train_policy(cell, sliced)
+        envs = [e.env_id for e in sliced.environments]
+        result = meval.evaluate_policy(params, envs, list(range(cell["eval_seeds"])),
+                                       cell["eval_horizon"] or None)
+        rows.append(f"{flags.replace(',', '+')},{pe},{token},{history},"
+                    f"{cell['seed']},{curve[0][1]!r},{curve[-1][1]!r},"
+                    f"{result.aggregate!r}")
     out = _out_dir(cfg)
     _write_text(out / "ablation.csv", "\n".join(rows) + "\n")
     write_resolved_config(cfg, out)
@@ -354,7 +341,7 @@ def cmd_ablate(cfg: dict, dataset_path: str) -> int:
 
 def _subset_dataset(ds, flags: str):
     """Slice a dataset generated with a superset of observation flags."""
-    want = build_observation_spec([f.strip() for f in flags.split(",")])
+    want = build_observation_spec(_items(flags))
     out_envs = []
     for envd in ds.environments:
         have = envd.obs_spec
@@ -380,16 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--arch", choices=_CHOICES["arch"])
-        p.add_argument("--cg", choices=_CHOICES["cg_variant"])
-        p.add_argument("--token", choices=_CHOICES["token_variant"])
-        p.add_argument("--pe", choices=["on", "off"])
-        p.add_argument("--history", type=int)
-        p.add_argument("--transitions", type=int)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--split", choices=_CHOICES["split"])
+        p.add_argument("--out", dest="out_dir", help="output directory")
+        p.add_argument("--cg", dest="cg_variant", choices=_CHOICES["cg_variant"])
+        p.add_argument("--token", dest="token_variant",
+                       choices=_CHOICES["token_variant"])
+        p.add_argument("--pe", dest="use_pe", choices=["on", "off"])
+        for key in ("seed", "arch", "history", "transitions", "steps", "split"):
+            p.add_argument(f"--{key}", choices=_CHOICES.get(key))
 
     g = sub.add_parser("gen-data", help="roll the scripted expert into a dataset")
     common(g)

@@ -349,20 +349,19 @@ def prepare_training_data(ds: TransitionDataset,
     out = []
     for envd in ds.environments:
         spec = envd.env_spec()
-        variant = "v1" if config.arch == "gnn" else config.cg_variant
         if tuple(envd.obs_spec.flags) != tuple(config.obs_flags):
             raise ConfigError(
                 f"dataset observation flags {envd.obs_spec.flags} do not match "
                 f"policy config {config.obs_flags}")
-        expect = cg_feature_width(envd.obs_spec, variant, config.history)
+        expect = cg_feature_width(envd.obs_spec, config.cg_variant, config.history)
         if expect != config.feature_width:
             raise ConfigError(
                 f"control-graph width {expect} does not match policy feature "
                 f"width {config.feature_width}")
         template = build_cg(spec, envd.features[0].astype(np.float64), envd.goals[0],
-                            envd.obs_spec, variant)
+                            envd.obs_spec, config.cg_variant)
         feats = graph_features(envd.features, envd.goals.reshape(len(envd.goals), -1, 3),
-                               goal_nodes(spec), variant, envd.obs_spec)
+                               goal_nodes(spec), config.cg_variant, envd.obs_spec)
         if config.history > 1:
             feats = _history_features(feats, envd.episodes, config.history)
         out.append(_pack_env_arrays(feats, envd.actions, template, config))
@@ -387,9 +386,8 @@ def _pack_env_arrays(feats: np.ndarray, actions, cg: ControlGraph,
     target_grid = np.zeros((N,) + cg.action_mask.shape)
     target_grid[index] = actions
     adj = adjacency(cg.edges, cg.n_nodes) if config.arch == "gnn" else None
-    token_targets = None
-    if config.arch == "transformer_tokenized" and config.token_variant in ("d", "da"):
-        token_targets = tokenize_actions(target_grid, config.n_bins)
+    token_targets = (tokenize_actions(target_grid, config.n_bins)
+                     if config.discrete_head else None)
     return _EnvArrays(inputs, target_grid, cg.action_mask, n_act,
                       adjacency=adj, token_targets=token_targets)
 
@@ -443,7 +441,7 @@ def loss_from_groups(params: PolicyParams,
     count = sum(len(idx) for _, idx in groups)
     if count == 0:
         raise ValueError("empty batch")
-    if params.config.arch in ("transformer", "transformer_tokenized"):
+    if params.config.transformer:
         total = _transformer_loss_sum(params, groups)
     else:
         total = _group_loss_sum(params, *groups[0])

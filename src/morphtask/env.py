@@ -22,6 +22,7 @@ from .morphology import (
     parse_morphology,
     q9,
     serialize_morphology,
+    text_lines,
 )
 
 OMEGA_MAX = 2.0          # rad/s per unit action
@@ -885,11 +886,7 @@ def serialize_task(task: TaskSpec) -> str:
 def parse_task(text: str) -> TaskSpec:
     """Inverse of serialize_task.  Malformed text and any number that is
     not finite or out of range raise TaskParseError with a line number."""
-    rows = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((i, line.split()))
+    rows = [(ln, line.split()) for ln, line in text_lines(text)]
     if not rows:
         raise TaskParseError(0, "empty task text (missing header)")
     head_ln, head = rows[0]

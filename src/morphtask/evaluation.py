@@ -97,12 +97,11 @@ def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
     horizon = spec.task.episode_length if T is None else min(T, spec.task.episode_length)
     cfg = params.config
     obs_spec = build_observation_spec(cfg.obs_flags)
-    variant = "v1" if params.arch == "gnn" else cfg.cg_variant
     state = menv.reset_batch(spec, seeds)
     B = len(seeds)
     goals = np.stack(state.goals, axis=1)    # (B, G, 3), fixed for an episode
     template = build_cg(spec, local_observations(state, obs_spec)[0],
-                        goals[0].reshape(-1), obs_spec, variant)
+                        goals[0].reshape(-1), obs_spec, cfg.cg_variant)
     index = action_index(cfg, template)
     mask = np.broadcast_to(template.action_mask, (B,) + template.action_mask.shape)
     adj = adjacency(template.edges, template.n_nodes) if params.arch == "gnn" else None
@@ -114,7 +113,7 @@ def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
         qkv = fused_qkv(params)
         for _ in range(horizon):
             obs = local_observations(state, obs_spec)
-            frame = graph_features(obs, goals, nodes, variant, obs_spec)
+            frame = graph_features(obs, goals, nodes, cfg.cg_variant, obs_spec)
             window = np.concatenate([window[:, :, w:], frame], axis=-1)
             x = policy_inputs(window, cfg)
             if keep_inputs:
@@ -212,10 +211,13 @@ def split_environments(universe, kind: str, holdout=None) -> SplitPlan:
         raise SplitConfigError("empty environment universe")
     if kind == "in_distribution":
         return SplitPlan(universe, universe, universe, kind)
+    rule = "holdout rule"
     if kind == "compositional_morphology":
         counts = set(holdout) if holdout is not None else {4}
         test = tuple(e for e in universe if parse_env_id(e)[2] in counts)
         train = tuple(e for e in universe if e not in test)
+        present = sorted({parse_env_id(e)[2] for e in universe})
+        rule = f"holding out counts {sorted(counts)} of the counts {present} present"
     elif kind == "compositional_task":
         if holdout is None:
             raise SplitConfigError("compositional_task needs a held-out task name")
@@ -230,9 +232,9 @@ def split_environments(universe, kind: str, holdout=None) -> SplitPlan:
     else:
         raise SplitConfigError(f"unknown split kind {kind!r}")
     if not train:
-        raise SplitConfigError("holdout rule leaves no training environments")
+        raise SplitConfigError(f"{rule} leaves no training environments")
     if not test:
-        raise SplitConfigError("holdout rule leaves no test environments")
+        raise SplitConfigError(f"{rule} leaves no test environments")
     return SplitPlan(universe, train, test, kind)
 
 
@@ -247,7 +249,7 @@ def attention_report(params: PolicyParams, trajectory: Trajectory):
     must carry its inputs (rollout keeps them).  All steps run as one
     batch; each sample gets its own GEMMs, so the maps equal per-step calls.
     """
-    if params.arch not in ("transformer", "transformer_tokenized"):
+    if not params.config.transformer:
         raise UnsupportedVariantError(
             "attention reports need a transformer policy")
     if trajectory.inputs is None:

@@ -464,13 +464,15 @@ def _numbers(line_no: int, fields: list[str], kind) -> list:
             line_no, f"expected {kind.__name__} fields, got {' '.join(fields)!r}") from None
 
 
+def text_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, content) of each non-blank line, '#' comments cut off."""
+    return [(no, line) for no, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.split("#", 1)[0].strip())]
+
+
 def parse_morphology(text: str) -> MorphologyGraph:
     """Inverse of serialize_morphology; rejects malformed input with a line number."""
-    rows: list[tuple[int, list[str]]] = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((i, line.split()))
+    rows = [(ln, line.split()) for ln, line in text_lines(text)]
     if not rows:
         raise MorphologyParseError(0, "empty morphology text (missing header)")
     ln, head = rows[0]

@@ -65,12 +65,22 @@ class PolicyConfig:
         object.__setattr__(self, "obs_flags", tuple(self.obs_flags))
         if self.arch not in ARCHS:
             raise ConfigError(f"unknown architecture {self.arch!r}")
-        if self.arch in ("transformer", "transformer_tokenized") \
-                and self.embed % self.heads != 0:
+        if self.arch == "gnn":     # messages never reach v2's edgeless goal nodes
+            object.__setattr__(self, "cg_variant", "v1")
+        if self.transformer and self.embed % self.heads != 0:
             raise ConfigError(
                 f"embed {self.embed} not divisible by heads {self.heads}")
         if self.token_variant not in ("d", "da", "c"):
             raise ConfigError(f"unknown token variant {self.token_variant!r}")
+
+    @property
+    def transformer(self) -> bool:
+        return self.arch in ("transformer", "transformer_tokenized")
+
+    @property
+    def discrete_head(self) -> bool:
+        """Bin logits per action slot (tokenized variants d, da), not a tanh grid."""
+        return self.arch == "transformer_tokenized" and self.token_variant in ("d", "da")
 
 
 @dataclass
@@ -145,7 +155,7 @@ def param_shapes(config: PolicyConfig) -> dict[str, tuple[tuple[int, ...], str]]
         add(f"{p}/ln2/beta", (E,), "zeros")
     add("decode/W", (E + F, 3), "glorot")
     add("decode/b", (3,), "zeros")
-    if config.arch == "transformer_tokenized" and config.token_variant in ("d", "da"):
+    if config.discrete_head:
         add("logits/W", (E + F, 3 * config.n_bins), "glorot")
         add("logits/b", (3 * config.n_bins,), "zeros")
     return shapes
@@ -237,7 +247,7 @@ def fused_qkv(params: PolicyParams) -> list[tuple[Tensor, Tensor]] | None:
     """Per layer the concatenated Wq|Wk|Wv and bq|0|bv of its one Q|K|V
     GEMM (None for the MLP and GNN); a rollout builds them once.  The key
     bias is a constant zero: q.bk shifts all of one query's scores alike."""
-    if params.arch not in ("transformer", "transformer_tokenized"):
+    if not params.config.transformer:
         return None
     t, bk = params.tensors, Tensor(np.zeros(params.config.embed))
     return [(ad.concat([t[f"layer{i}/attn/W{c}"] for c in "qkv"], axis=1),
@@ -323,10 +333,9 @@ def transformer_rows(params: PolicyParams, groups,
     batch's canonical layout: the unmasked tanh grid (..., 3), or per-slot
     bin logits (..., 3, n_bins) for the discretized tokenized heads
     (variants d, da)."""
-    cfg = params.config
     dec, batch = _canonical_forward(params, groups, qkv)
-    discrete = cfg.arch == "transformer_tokenized" and cfg.token_variant in ("d", "da")
-    return (_logits_head if discrete else _tanh_head)(params, dec), batch
+    head = _logits_head if params.config.discrete_head else _tanh_head
+    return head(params, dec), batch
 
 
 def transformer_grid(params: PolicyParams, feats: np.ndarray, mask: np.ndarray):
@@ -411,7 +420,7 @@ def batch_grids(params: PolicyParams, inputs: np.ndarray, mask: np.ndarray,
         return gnn_grid(params, inputs, mask, adjacency).data
     out, batch = transformer_rows(params, [(inputs, mask)], qkv)
     out = batch.caller_order(out).data
-    if cfg.arch == "transformer" or cfg.token_variant == "c":
+    if not cfg.discrete_head:
         return out * mask
     mode = "center" if cfg.token_variant == "d" else "average_window"
     return detokenize(np.argmax(out, axis=-1), mode, cfg.n_bins) * mask

@@ -4,10 +4,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphtask import artifacts
 from morphtask.artifacts import seal
-from morphtask.cli import main
+from morphtask.cli import (
+    _CHOICES,
+    _LEAST,
+    CONFIG_DEFAULTS,
+    UsageError,
+    _obs_spec,
+    _policy_config,
+    build_parser,
+    main,
+    resolve_config,
+)
 from morphtask.distill import (
     DATASET_MAGIC,
     TransitionDataset,
@@ -18,6 +29,7 @@ from morphtask.distill import (
 )
 from morphtask.evaluation import read_tensor_table
 from morphtask.nn import autodiff as ad
+from morphtask.nn.policies import ConfigError, PolicyConfig
 
 from test_morphology import with_node_field
 
@@ -191,6 +203,11 @@ def test_unknown_config_key_is_usage_error(tmp_path):
      "config key 'split' must be one of indist, comp-morph, comp-task, ood, got 'foo'"),
     ("split = comp-morph\nholdout = 4,x",
      "config key 'holdout' must list integers under split comp-morph, got '4,x'"),
+    ("arch = mlp\ntoken_variant = d",
+     "config key 'token_variant' value 'd' needs config key 'arch' = transformer, "
+     "got 'mlp'"),
+    ("heads = 0", "config key 'heads' must be >= 1, got 0"),
+    ("obs_flags = p,zz", "config key 'obs_flags': unknown observation flags: ['zz']"),
 ])
 def test_bad_config_value_is_usage_error_naming_key(tmp_path, capsys, line, message):
     bad = tmp_path / "bad.txt"
@@ -442,6 +459,9 @@ def test_ablate_empty_axes_is_usage_error(workspace, tmp_path):
      "config key 'ablate_obs_sets': unknown observation flags: ['zz']"),
     ("ablate_obs_sets = p;p,rp",
      "dataset lacks observation flags ['rp'] needed for ablation cell 'p,rp'"),
+    ("arch = gnn\nablate_token = none,d",
+     "config key 'ablate_token' value 'd' needs config key 'arch' = transformer, "
+     "got 'gnn'"),
 ])
 def test_bad_ablate_axis_is_usage_error_naming_key(workspace, tmp_path, capsys,
                                                   line, message):
@@ -462,3 +482,110 @@ def test_gen_data_short_env_id_suffix_is_data_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
     assert "cannot parse env id 'ant_reach_3_missing'" in capsys.readouterr().err
+
+
+def test_token_variant_needs_transformer_flags(workspace, tmp_path, capsys):
+    root, cfg, gen_dir = workspace
+    out = tmp_path / "d"
+    assert run(["distill", "--config", str(cfg), "--dataset",
+                str(gen_dir / "dataset.cgds"), "--out", str(out),
+                "--arch", "mlp", "--token", "d"]) == 1
+    assert "config key 'token_variant' value 'd' needs config key 'arch' = " \
+        "transformer, got 'mlp'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_comp_morph_without_held_out_envs_is_usage_error(tmp_path, capsys):
+    # the default envs hold counts 3 and 5; comp-morph holds out 4 by default
+    out = tmp_path / "e"
+    assert run(["eval", "--checkpoint", str(tmp_path / "missing.cgck"),
+                "--split", "comp-morph", "--out", str(out)]) == 1
+    assert "usage error: split comp-morph: holding out counts [4] of the counts " \
+        "[3, 5] present leaves no test environments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+FLAG_LINES = [
+    (["--seed", "3"], "seed = 3"),
+    (["--out", "runs/x"], "out_dir = runs/x"),
+    (["--arch", "gnn"], "arch = gnn"),
+    (["--cg", "v1"], "cg_variant = v1"),
+    (["--token", "d"], "token_variant = d"),
+    (["--pe", "off"], "use_pe = off"),
+    (["--history", "2"], "history = 2"),
+    (["--transitions", "9"], "transitions = 9"),
+    (["--steps", "7"], "steps = 7"),
+    (["--split", "ood"], "split = ood"),
+]
+
+
+@pytest.mark.parametrize("flag, line", FLAG_LINES)
+def test_flag_resolves_like_its_config_line(tmp_path, flag, line):
+    path = tmp_path / "config.txt"
+    path.write_text(line + "\n")
+    parser = build_parser()
+    by_flag = resolve_config(parser.parse_args(["gen-data", *flag]))
+    by_line = resolve_config(parser.parse_args(["gen-data", "--config", str(path)]))
+    assert by_flag == by_line != CONFIG_DEFAULTS
+
+
+def test_every_config_flag_is_in_flag_lines():
+    args = vars(build_parser().parse_args(["gen-data"]))
+    assert set(args) & set(CONFIG_DEFAULTS) == \
+        {line.split(" = ")[0] for _, line in FLAG_LINES}
+
+
+def test_list_items_ignore_padding_and_empty_items(workspace, tmp_path):
+    assert _obs_spec(" p, ,v,,") == _obs_spec("p,v")
+    root, cfg, gen_dir = workspace
+    texts = {}
+    for name, sets in (("plain", "p,v,q,a,ja,jr;p,v,q,a,ja,jr,m"),
+                       ("padded", " p, v,q,,a,ja,jr ;; p,v,q,a,ja,jr,m ;")):
+        abl_cfg = tmp_path / f"{name}.txt"
+        abl_cfg.write_text("envs = ant_reach_2\nsteps = 2\nbatch_size = 4\n"
+                           "embed = 16\nattn_hidden = 16\nlayers = 1\n"
+                           "eval_seeds = 1\neval_horizon = 3\n"
+                           f"ablate_obs_sets = {sets}\n")
+        out = tmp_path / name
+        assert run(["ablate", "--config", str(abl_cfg), "--dataset",
+                    str(gen_dir / "dataset.cgds"), "--out", str(out)]) == 0
+        texts[name] = (out / "ablation.csv").read_text()
+    assert texts["padded"] == texts["plain"]
+    assert [r.split(",")[0] for r in texts["plain"].splitlines()[1:]] == \
+        ["p+v+q+a+ja+jr", "p+v+q+a+ja+jr+m"]
+
+
+_ASCII = st.characters(max_codepoint=127)
+_VALUES = st.sampled_from(["0", "1", "-1", "3", "64", "1e-3", "nan", "on", "off",
+                           "yes", "v1", "none", "d", "mlp", "comp-morph", "ood",
+                           "4,5", "p, ,v", ""]) | st.text(_ASCII, max_size=10)
+
+
+@st.composite
+def config_lines(draw):
+    """A known or arbitrary key, and a value its key takes (default or
+    choice), a likely value of another key, or arbitrary text."""
+    key = draw(st.sampled_from(sorted(CONFIG_DEFAULTS)) | st.text(_ASCII, max_size=8))
+    fits = _CHOICES.get(key, ()) + (str(CONFIG_DEFAULTS.get(key, "")),)
+    return key, draw(st.sampled_from(fits) | st.sampled_from(fits) | _VALUES)
+
+
+@settings(settings.get_profile("ci"), max_examples=300, deadline=None)
+@given(st.lists(config_lines(), max_size=6))
+def test_config_file_resolves_or_raises_usage_error(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("fuzz") / "config.txt"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
+    try:
+        cfg = resolve_config(build_parser().parse_args(["gen-data", "--config",
+                                                        str(path)]))
+        pc = _policy_config(cfg, _obs_spec(cfg["obs_flags"]))
+    except UsageError:
+        return
+    except ConfigError as exc:     # the policy's own check; the CLI exits 2
+        assert "not divisible by heads" in str(exc)
+        return
+    for key, value in cfg.items():
+        assert type(value) is type(CONFIG_DEFAULTS[key])
+        assert value in _CHOICES.get(key, (value,))
+        assert value >= _LEAST.get(key, value)
+    assert isinstance(pc, PolicyConfig)

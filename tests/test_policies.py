@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,6 +108,25 @@ def test_no_key_bias(arch):
 def test_embed_not_divisible_by_heads():
     with pytest.raises(ConfigError):
         PolicyConfig(arch="transformer", feature_width=30, embed=30, heads=4)
+
+
+@pytest.mark.parametrize("arch,token,transformer,discrete_head", [
+    ("mlp", "d", False, False),
+    ("gnn", "da", False, False),
+    ("transformer", "d", True, False),
+    ("transformer", "c", True, False),
+    ("transformer_tokenized", "d", True, True),
+    ("transformer_tokenized", "da", True, True),
+    ("transformer_tokenized", "c", True, False),
+])
+def test_architecture_rules(arch, token, transformer, discrete_head):
+    cfg = PolicyConfig(arch=arch, feature_width=30, token_variant=token,
+                       cg_variant="v2")
+    assert (cfg.transformer, cfg.discrete_head) == (transformer, discrete_head)
+    assert ("logits/W" in param_shapes(cfg)) == discrete_head
+    # message passing reads control graph v1, whatever the config says
+    assert cfg.cg_variant == replace(cfg, cg_variant="v2").cg_variant == \
+        ("v1" if arch == "gnn" else "v2")
 
 
 def test_parameter_count_closed_form():
