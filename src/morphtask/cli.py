@@ -16,7 +16,7 @@ import numpy as np
 from . import env as menv
 from . import evaluation as meval
 from .artifacts import replacing
-from .control_graph import build_observation_spec
+from .control_graph import CG_VARIANTS, build_observation_spec
 from .distill import (
     CorruptionError,
     DataQualityError,
@@ -31,7 +31,7 @@ from .distill import (
 )
 from .morphology import text_lines
 from .nn.autodiff import NumericError
-from .nn.policies import ConfigError, PolicyConfig, init_params
+from .nn.policies import ARCHS, TOKEN_VARIANTS, ConfigError, PolicyConfig, init_params
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -81,11 +81,13 @@ SPLIT_NAMES = {"indist": "in_distribution",
                "comp-morph": "compositional_morphology",
                "comp-task": "compositional_task",
                "ood": "out_of_distribution"}
-# Choice-valued keys, for flags and config files alike; token_variant none = untokenized.
-_CHOICES = {"arch": ("mlp", "gnn", "transformer"), "cg_variant": ("v1", "v2"),
-            "token_variant": ("none", "d", "da", "c"), "split": tuple(SPLIT_NAMES)}
-# Smallest value each count may take (eval_horizon 0 means the task's own).
-_LEAST = {"transitions": 1, "eval_seeds": 1, "history": 1, "eval_horizon": 0, "heads": 1}
+# Choice-valued keys (flags and files alike); token_variant, not arch, picks tokenized.
+_CHOICES = {"arch": ARCHS[:3], "cg_variant": CG_VARIANTS,
+            "token_variant": ("none",) + TOKEN_VARIANTS, "split": tuple(SPLIT_NAMES)}
+# Smallest value of each count only the CLI reads (eval_horizon 0 means the task's own).
+_LEAST = {"transitions": 1, "eval_seeds": 1, "eval_horizon": 0}
+_AXES = {"obs_flags": "ablate_obs_sets", "use_pe": "ablate_pe",  # field: its ablate key
+         "token_variant": "ablate_token", "history": "ablate_history"}
 
 
 def parse_config_file(path: Path) -> dict:
@@ -108,8 +110,6 @@ def resolve_config(args) -> dict:
     cfg.update((key, value) for key, value in vars(args).items()
                if key in cfg and value is not None)
     cfg = {key: _typed(key, value) for key, value in cfg.items()}
-    _token(cfg["token_variant"], cfg["arch"])
-    _obs_spec(cfg["obs_flags"])
     _holdout(cfg)
     return cfg
 
@@ -117,15 +117,6 @@ def resolve_config(args) -> dict:
 def _items(text: str, sep: str = ",") -> list[str]:
     """The non-empty, stripped items of a list-valued config value."""
     return [item.strip() for item in text.split(sep) if item.strip()]
-
-
-def _token(value: str, arch: str, key: str = "token_variant") -> str:
-    """A token variant; any but none needs the transformer arch."""
-    token = _typed("token_variant", value, key)
-    if token != "none" and arch != "transformer":
-        raise UsageError(f"config key {key!r} value {token!r} needs config key "
-                         f"'arch' = transformer, got {arch!r}")
-    return token
 
 
 def _holdout(cfg):
@@ -189,25 +180,37 @@ def _env_list(cfg) -> list[str]:
     return envs
 
 
-def _policy_config(cfg, obs_spec) -> PolicyConfig:
-    """The config keys named like PolicyConfig fields; a token variant other
-    than none makes the transformer a tokenized one."""
-    keys = {f.name: cfg[f.name] for f in dataclasses.fields(PolicyConfig)
-            if f.name in cfg}
-    token = keys.pop("token_variant")
+def _reading(pc: PolicyConfig, obs_spec) -> PolicyConfig:
+    """pc for node observations of obs_spec: its flags and graph width."""
+    return dataclasses.replace(pc, obs_flags=obs_spec.flags, feature_width=
+                               cg_feature_width(obs_spec, pc.cg_variant, pc.history))
+
+
+def build_configs(cfg, keys=()) -> tuple[PolicyConfig, TrainConfig]:
+    """The PolicyConfig and TrainConfig of the keys named like their fields, a
+    token variant but none making the transformer tokenized.  A value they
+    refuse is a UsageError naming its key, or the one ``keys`` maps it to."""
+    key = {k: k for k in cfg} | dict(keys)
+    fields = {f.name: cfg[f.name] for f in dataclasses.fields(PolicyConfig) if f.name in cfg}
+    token = fields.pop("token_variant")
     if token != "none":
-        keys.update(arch="transformer_tokenized", token_variant=token)
-    pc = PolicyConfig(**dict(keys, feature_width=0, obs_flags=obs_spec.flags))
-    return dataclasses.replace(pc, feature_width=cg_feature_width(
-        obs_spec, pc.cg_variant, pc.history))
+        if cfg["arch"] != "transformer":
+            raise UsageError(f"config key {key['token_variant']!r} value {token!r} needs "
+                             f"config key 'arch' = transformer, got {cfg['arch']!r}")
+        fields.update(arch="transformer_tokenized", token_variant=token)
+    obs_spec = _obs_spec(cfg["obs_flags"], key["obs_flags"])
+    try:
+        pc = PolicyConfig(**dict(fields, feature_width=0, obs_flags=obs_spec.flags))
+        tc = TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
+    except ConfigError as exc:     # its message starts with the quoted field
+        field, rule = str(exc)[1:].split("' ", 1)
+        raise UsageError(f"config key {key.get(field, field)!r} {rule}") from None
+    return _reading(pc, obs_spec), tc
 
 
-def _train_policy(cfg, ds):
+def _train_policy(pc: PolicyConfig, tc: TrainConfig, ds):
     """Initialize the configured policy and behavior-clone it on ds."""
-    pc = _policy_config(cfg, ds.environments[0].obs_spec)
-    train_cfg = TrainConfig(**{f.name: cfg[f.name]
-                               for f in dataclasses.fields(TrainConfig)})
-    return train(init_params(pc.arch, pc, cfg["seed"]), ds, train_cfg)
+    return train(init_params(pc.arch, pc, tc.seed), ds, tc)
 
 
 def _out_dir(cfg) -> Path:
@@ -245,9 +248,10 @@ def _read_training_dataset(path: str):
     return ds
 
 
-def cmd_distill(cfg: dict, dataset_path: str) -> int:
+def cmd_distill(cfg: dict, configs, dataset_path: str) -> int:
     ds = _read_training_dataset(dataset_path)
-    params, curve = _train_policy(cfg, ds)
+    pc, tc = configs     # the dataset's observation flags, whatever obs_flags says
+    params, curve = _train_policy(_reading(pc, ds.environments[0].obs_spec), tc, ds)
     out = _out_dir(cfg)
     save_checkpoint(params, out / "checkpoint.cgck")
     _write_text(out / "loss.csv",
@@ -302,35 +306,26 @@ def _read_report_aggregate(path: Path) -> float:
 
 
 def cmd_ablate(cfg: dict, dataset_path: str) -> int:
-    axes = {
-        "obs_flags": [",".join(_items(s)) for s in _items(cfg["ablate_obs_sets"], ";")],
-        "use_pe": [_typed("use_pe", s, "ablate_pe") for s in _items(cfg["ablate_pe"])],
-        "token_variant": [_token(s, cfg["arch"], "ablate_token")
-                          for s in _items(cfg["ablate_token"])],
-        "history": [_typed("history", s, "ablate_history")
-                    for s in _items(cfg["ablate_history"])],
-    }
-    for flags in axes["obs_flags"]:
-        _obs_spec(flags, "ablate_obs_sets")
+    axes = {field: [_typed(field, s, key)
+                    for s in _items(cfg[key], ";" if field == "obs_flags" else ",")]
+            for field, key in _AXES.items()}
     if not any(axes.values()):
         raise UsageError("ablate needs at least one non-empty axis "
-                         "(ablate_obs_sets / ablate_pe / ablate_token / "
-                         "ablate_history)")
+                         f"({' / '.join(_AXES.values())})")
     axes = {key: values or [cfg[key]] for key, values in axes.items()}
+    cells = [(cell, build_configs(dict(cfg, **dict(zip(axes, cell))), _AXES))
+             for cell in itertools.product(*axes.values())]
     ds = _read_training_dataset(dataset_path)
-    subsets = [(flags, _subset_dataset(ds, flags)) for flags in axes["obs_flags"]]
+    subsets = {flags: _subset_dataset(ds, flags) for flags in axes["obs_flags"]}
     rows = ["obs_flags,use_pe,token,history,seed,init_loss,final_loss,"
             "aggregate_dist"]
-    for (flags, sliced), pe, token, history in itertools.product(
-            subsets, axes["use_pe"], axes["token_variant"], axes["history"]):
-        cell = dict(cfg, obs_flags=flags, use_pe=pe, token_variant=token,
-                    history=history)
-        params, curve = _train_policy(cell, sliced)
-        envs = [e.env_id for e in sliced.environments]
-        result = meval.evaluate_policy(params, envs, list(range(cell["eval_seeds"])),
-                                       cell["eval_horizon"] or None)
-        rows.append(f"{flags.replace(',', '+')},{pe},{token},{history},"
-                    f"{cell['seed']},{curve[0][1]!r},{curve[-1][1]!r},"
+    for (flags, pe, token, history), (pc, tc) in cells:
+        params, curve = _train_policy(pc, tc, subsets[flags])
+        envs = [e.env_id for e in subsets[flags].environments]
+        result = meval.evaluate_policy(params, envs, list(range(cfg["eval_seeds"])),
+                                       cfg["eval_horizon"] or None)
+        rows.append(f"{'+'.join(_items(flags))},{pe},{token},{history},"
+                    f"{cfg['seed']},{curve[0][1]!r},{curve[-1][1]!r},"
                     f"{result.aggregate!r}")
     out = _out_dir(cfg)
     _write_text(out / "ablation.csv", "\n".join(rows) + "\n")
@@ -398,10 +393,11 @@ def main(argv=None) -> int:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
         cfg = resolve_config(args)
+        configs = build_configs(cfg)
         if args.command == "gen-data":
             return cmd_gen_data(cfg)
         if args.command == "distill":
-            return cmd_distill(cfg, args.dataset)
+            return cmd_distill(cfg, configs, args.dataset)
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint, args.compare)
         return cmd_ablate(cfg, args.dataset)     # argparse allows no other command

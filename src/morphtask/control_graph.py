@@ -19,6 +19,7 @@ FLAG_ORDER = ("p", "v", "q", "a", "ja", "jr", "jv", "id", "rp", "rr", "m")
 FLAG_WIDTHS = {"p": 3, "v": 3, "q": 4, "a": 3, "ja": 3, "jr": 6,
                "jv": 3, "id": 1, "rp": 3, "rr": 4, "m": 8}
 BASE_SET = ("p", "v", "q", "a", "ja", "jr")
+CG_VARIANTS = ("v1", "v2")   # goals folded into node rows (v1) or as extra nodes (v2)
 
 # Fixed goal-slot width for v1: up to 3 goals, 3 values each, plus indicators.
 G_MAX = 3

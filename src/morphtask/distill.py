@@ -33,6 +33,7 @@ from .nn.policies import (
     PolicyParams,
     action_index,
     adjacency,
+    check_field,
     gnn_grid,
     mlp_vector,
     param_shapes,
@@ -85,10 +86,9 @@ class TrainConfig:
     mix_morphologies: bool = True
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.grad_clip) <= 0:
-            raise ValueError("training hyperparameters must be positive")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        for name, rule in (("learning_rate", float), ("grad_clip", float),
+                           ("batch_size", 1), ("steps", 0)):
+            check_field(name, getattr(self, name), rule)
 
 
 @dataclass
@@ -132,6 +132,7 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
     satisfied yet): from there it can only cycle through states already
     found unsatisfied, so stopping gives the same data as the full horizon.
     """
+    check_field("expert_gain", expert_gain, float)
     obs_spec = obs_spec or build_observation_spec(
         ["p", "v", "q", "a", "ja", "jr", "m"])
     envs: list[EnvDataset] = []

@@ -21,14 +21,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..control_graph import (ControlGraph, ShapeError, detokenize, mu_law,
-                             quantize, tokenize_features)
+from ..control_graph import (CG_VARIANTS, ControlGraph, ShapeError, detokenize,
+                             mu_law, quantize, tokenize_features)
 from . import autodiff as ad
 from .autodiff import Tensor, check_finite
 
 LN_EPS = 1e-5
 
 ARCHS = ("mlp", "gnn", "transformer", "transformer_tokenized")
+TOKEN_VARIANTS = ("d", "da", "c")
 
 
 class ConfigError(ValueError):
@@ -37,6 +38,30 @@ class ConfigError(ValueError):
 
 class UnsupportedVariantError(ValueError):
     pass
+
+
+def check_field(name: str, value, rule) -> None:
+    """Raise ConfigError, its message led by the quoted name, unless value keeps
+    rule: a tuple of choices, bool, float (finite and > 0) or an int's least value."""
+    if isinstance(rule, tuple):
+        bad = value not in rule and f"must be one of {', '.join(rule)}"
+    elif rule is float:
+        bad = not 0 < value < np.inf and "must be finite and > 0"
+    elif type(value) is not (bool if rule is bool else int):
+        bad = f"must be {'a bool' if rule is bool else 'an integer'}"
+    else:
+        bad = rule is not bool and value < rule and f"must be >= {rule}"
+    if bad:
+        raise ConfigError(f"{name!r} {bad}, got {value!r}")
+
+
+# The rule of each PolicyConfig field but obs_flags.  feature_width may be 0:
+# the CLI learns it only after the GNN rule has picked the graph layout.
+_FIELD_RULES = {"arch": ARCHS, "token_variant": TOKEN_VARIANTS, "cg_variant": CG_VARIANTS,
+                "use_pe": bool, "use_embed_ln": bool, "feature_width": 0, "n_bins": 2,
+                **dict.fromkeys(("embed", "attn_hidden", "heads", "layers", "mlp_hidden",
+                                 "mlp_layers", "gnn_hidden", "gnn_layers", "max_nodes",
+                                 "max_action", "history"), 1)}
 
 
 @dataclass(frozen=True)
@@ -63,15 +88,13 @@ class PolicyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "obs_flags", tuple(self.obs_flags))
-        if self.arch not in ARCHS:
-            raise ConfigError(f"unknown architecture {self.arch!r}")
+        for name, rule in _FIELD_RULES.items():
+            check_field(name, getattr(self, name), rule)
         if self.arch == "gnn":     # messages never reach v2's edgeless goal nodes
             object.__setattr__(self, "cg_variant", "v1")
         if self.transformer and self.embed % self.heads != 0:
             raise ConfigError(
-                f"embed {self.embed} not divisible by heads {self.heads}")
-        if self.token_variant not in ("d", "da", "c"):
-            raise ConfigError(f"unknown token variant {self.token_variant!r}")
+                f"'embed' {self.embed} is not divisible by heads {self.heads}")
 
     @property
     def transformer(self) -> bool:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import struct
 from pathlib import Path
@@ -14,23 +16,30 @@ from morphtask.cli import (
     CONFIG_DEFAULTS,
     UsageError,
     _obs_spec,
-    _policy_config,
+    build_configs,
     build_parser,
     main,
     resolve_config,
 )
 from morphtask.distill import (
+    CHECKPOINT_MAGIC,
     DATASET_MAGIC,
+    CorruptionError,
+    TrainConfig,
     TransitionDataset,
     checkpoint_bytes,
+    generate_dataset,
     load_checkpoint,
     read_dataset,
     write_dataset,
 )
+from morphtask.env import make_env
 from morphtask.evaluation import read_tensor_table
+from morphtask.morphology import text_lines
 from morphtask.nn import autodiff as ad
 from morphtask.nn.policies import ConfigError, PolicyConfig
 
+from test_distill import _with_config
 from test_morphology import with_node_field
 
 
@@ -208,6 +217,21 @@ def test_unknown_config_key_is_usage_error(tmp_path):
      "got 'mlp'"),
     ("heads = 0", "config key 'heads' must be >= 1, got 0"),
     ("obs_flags = p,zz", "config key 'obs_flags': unknown observation flags: ['zz']"),
+    ("embed = 0", "config key 'embed' must be >= 1, got 0"),
+    ("embed = 63", "config key 'embed' 63 is not divisible by heads 2"),
+    ("attn_hidden = 0", "config key 'attn_hidden' must be >= 1, got 0"),
+    ("layers = 0", "config key 'layers' must be >= 1, got 0"),
+    ("history = 0", "config key 'history' must be >= 1, got 0"),
+    ("arch = mlp\nmlp_hidden = 0", "config key 'mlp_hidden' must be >= 1, got 0"),
+    ("arch = gnn\ngnn_hidden = 0", "config key 'gnn_hidden' must be >= 1, got 0"),
+    ("batch_size = 0", "config key 'batch_size' must be >= 1, got 0"),
+    ("steps = -1", "config key 'steps' must be >= 0, got -1"),
+    ("learning_rate = -1",
+     "config key 'learning_rate' must be finite and > 0, got -1.0"),
+    ("learning_rate = nan",
+     "config key 'learning_rate' must be finite and > 0, got nan"),
+    ("grad_clip = 0", "config key 'grad_clip' must be finite and > 0, got 0.0"),
+    ("grad_clip = nan", "config key 'grad_clip' must be finite and > 0, got nan"),
 ])
 def test_bad_config_value_is_usage_error_naming_key(tmp_path, capsys, line, message):
     bad = tmp_path / "bad.txt"
@@ -252,7 +276,7 @@ def test_failed_ablate_cell_leaves_no_out_dir(workspace, tmp_path, capsys):
     bad.write_text(cfg.read_text() + "embed = 15\nablate_pe = on,off\n")
     out = tmp_path / "out"
     assert run(["ablate", "--config", str(bad), "--dataset",
-                str(gen_dir / "dataset.cgds"), "--out", str(out)]) == 2
+                str(gen_dir / "dataset.cgds"), "--out", str(out)]) == 1
     assert "not divisible by heads" in capsys.readouterr().err
     assert not out.exists()
 
@@ -316,6 +340,44 @@ def test_eval_checkpoint_unknown_config_key_is_data_error(workspace, trained_che
               "--out", str(tmp_path / "e")])
     assert rc == 2
     assert "config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [{"heads": 0}, {"heads": 2.0}, {"embed": 0},
+                                  {"layers": 0}, {"n_bins": True}, {"use_pe": 1},
+                                  {"cg_variant": "v3"}], ids=str)
+def test_sealed_bad_checkpoint_header_is_data_error(workspace, trained_checkpoint,
+                                                    tmp_path, capsys, edit):
+    # a well-formed, correctly sealed file whose config breaks a PolicyConfig rule
+    root, cfg, _ = workspace
+    bad = tmp_path / "header.cgck"
+    bad.write_bytes(_with_config(trained_checkpoint.read_bytes(),
+                                 lambda c: {**c, **edit}))
+    with pytest.raises(CorruptionError, match="unreadable checkpoint config"):
+        load_checkpoint(bad)
+    out = tmp_path / "e"
+    assert run(["eval", "--config", str(cfg), "--checkpoint", str(bad),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable checkpoint config:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gain", ["inf", "nan", "0", "-1"])
+def test_gen_data_bad_expert_gain_fails_before_any_episode(tmp_path, capsys,
+                                                          monkeypatch, gain):
+    with pytest.raises(ConfigError, match="'expert_gain' must be finite and > 0"):
+        generate_dataset([make_env("ant_reach_2")], expert_gain=float(gain),
+                         n_transitions=40)
+    monkeypatch.setattr("morphtask.distill.reset",
+                        lambda *a: pytest.fail("an episode was rolled"))
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"envs = ant_reach_2\ntransitions = 40\nexpert_gain = {gain}\n")
+    out = tmp_path / "o"
+    assert run(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: 'expert_gain' must be finite and > 0, got {float(gain)!r}" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_distill_unknown_dataset_version_is_data_error(workspace, tmp_path):
@@ -578,14 +640,110 @@ def test_config_file_resolves_or_raises_usage_error(tmp_path_factory, lines):
     try:
         cfg = resolve_config(build_parser().parse_args(["gen-data", "--config",
                                                         str(path)]))
-        pc = _policy_config(cfg, _obs_spec(cfg["obs_flags"]))
+        pc, tc = build_configs(cfg)
     except UsageError:
-        return
-    except ConfigError as exc:     # the policy's own check; the CLI exits 2
-        assert "not divisible by heads" in str(exc)
         return
     for key, value in cfg.items():
         assert type(value) is type(CONFIG_DEFAULTS[key])
         assert value in _CHOICES.get(key, (value,))
         assert value >= _LEAST.get(key, value)
-    assert isinstance(pc, PolicyConfig)
+    assert isinstance(pc, PolicyConfig) and isinstance(tc, TrainConfig)
+
+
+
+# Each size key's largest value in a CLI property case, none above the desk
+# config's, so that no case allocates more than a few MB or runs more than a
+# moment; eval_horizon 0 (the task's own horizon) counts as above its cap.
+_CAPS = {"transitions": 40, "steps": 2, "eval_seeds": 1, "eval_horizon": 3,
+         "embed": 64, "attn_hidden": 64, "heads": 2, "layers": 3, "mlp_hidden": 256,
+         "gnn_hidden": 64, "max_nodes": 24, "max_action": 24, "batch_size": 64,
+         "history": 3, "ablate_history": 3}
+_FLAGS = [["--arch", "gnn"], ["--arch", "mlp"], ["--arch", "perceiver"], ["--cg", "v1"],
+          ["--token", "d"], ["--pe", "off"], ["--history", "2"], ["--history", "0"],
+          ["--steps", "1"], ["--steps", "x"], ["--transitions", "0"], ["--seed", "3"],
+          ["--split", "ood"], ["--bogus", "1"]]
+_HEADER_VALUES = st.sampled_from([0, -1, 2.0, True, 1, "v3", None, [], "p,zz"])
+# A number key and an edge value: the cases most likely to slip past a rule.
+_EDGE_LINES = st.tuples(
+    st.sampled_from(sorted(_CAPS) + ["learning_rate", "grad_clip", "expert_gain"]),
+    st.sampled_from(["0", "0", "-1", "1", "2.0", "nan", "inf"]))
+
+
+def _above_cap(key: str, item: str) -> bool:
+    try:
+        return float(item) > _CAPS[key] or (key == "eval_horizon" and float(item) == 0)
+    except ValueError:
+        return False
+
+
+def _pinned(text: str) -> str:
+    """Config lines that, put after text, set envs to one small env, cap
+    every size text sets or leaves at a larger default, and keep two items
+    of each ablate axis."""
+    values = {key: str(value) for key, value in CONFIG_DEFAULTS.items()}
+    for _, line in text_lines(text):
+        key, _, value = (part.strip() for part in line.partition("="))
+        values[key] = value
+    pins = {"envs": "ant_reach_2"}
+    for key, value in values.items():
+        sep = ";" if key == "ablate_obs_sets" else ","
+        items = value.split(sep)
+        if key.startswith("ablate_") and len(items) > 2:
+            items = items[:2]
+            pins[key] = sep.join(items)
+        if key in _CAPS and any(_above_cap(key, item) for item in items):
+            pins[key] = str(_CAPS[key])
+    return "".join(f"{key} = {value}\n" for key, value in pins.items())
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(workspace, trained_checkpoint):
+    """The valid dataset and checkpoint that CLI property cases read or damage."""
+    dataset = (DATASET_MAGIC, (workspace[2] / "dataset.cgds").read_bytes())
+    return {"distill": dataset, "ablate": dataset,
+            "eval": (CHECKPOINT_MAGIC, trained_checkpoint.read_bytes())}
+
+
+@st.composite
+def input_file(draw, magic: bytes, raw: bytes) -> bytes:
+    """A valid input file, garbage, a truncated or bit-flipped copy, or a
+    sealed copy whose JSON header holds a bad value."""
+    kind = draw(st.sampled_from(["valid"] * 3 + ["garbage", "truncated", "flipped",
+                                                 "header"]))
+    if kind == "garbage":
+        return draw(st.binary(max_size=64))
+    if kind == "truncated":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "flipped":
+        bit = draw(st.integers(0, 8 * len(raw) - 1))
+        return raw[:bit // 8] + bytes([raw[bit // 8] ^ 1 << bit % 8]) + raw[bit // 8 + 1:]
+    if kind == "header":
+        tag, meta, tensors = artifacts.parse(raw, magic)
+        meta = {**meta, draw(st.sampled_from(sorted(meta) + ["spare"])): draw(_HEADER_VALUES)}
+        return artifacts.to_bytes(magic, tag, meta, list(tensors.items()))
+    return raw
+
+
+@settings(settings.get_profile("ci"), max_examples=200, deadline=None)
+@given(st.data())
+def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, cli_inputs, data):
+    """Any command, flags, config lines and input file: exit 0, 1 or 2, no
+    traceback, and an --out directory only on success."""
+    command = data.draw(st.sampled_from(["gen-data", "distill", "eval", "ablate"]))
+    lines = data.draw(st.lists(_EDGE_LINES, max_size=2)
+                      | st.lists(config_lines() | _EDGE_LINES, max_size=4))
+    text = "ablate_pe = on,off\n" + "".join(f"{key} = {value}\n" for key, value in lines)
+    root = tmp_path_factory.mktemp("cli_case")
+    (root / "config.txt").write_text(text + _pinned(text))
+    argv = [command, "--config", str(root / "config.txt"), "--out", str(root / "out")]
+    for flag in data.draw(st.lists(st.sampled_from(_FLAGS), max_size=2)):
+        argv += flag
+    if command in cli_inputs:
+        (root / "input").write_bytes(data.draw(input_file(*cli_inputs[command])))
+        argv += ["--checkpoint" if command == "eval" else "--dataset", str(root / "input")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (root / "out").exists() == (code == 0)

@@ -300,13 +300,15 @@ def test_rejected_episode_ends_at_first_repeated_state(monkeypatch, env_id, seed
 
 
 def test_episode_at_rest_from_reset_ends_after_one_step(monkeypatch):
-    # gain 0: every action is zero, so the first step returns to the reset state
+    # an expert at rest: every action is zero, so the first step returns to
+    # the reset state (generate_dataset refuses expert_gain 0, so patch it)
     steps = []
     monkeypatch.setattr(distill, "step", lambda state, action: steps.append(1)
                         or menv.step(state, action))
+    monkeypatch.setattr(menv, "_expert_action", lambda state, gain, distances:
+                        np.zeros(len(state.joint_angles)))
     with pytest.raises(DataQualityError) as info:
-        generate_dataset([_far_goal_spec()], expert_gain=0.0, n_transitions=10,
-                         seed=0, obs_spec=OBS)
+        generate_dataset([_far_goal_spec()], n_transitions=10, seed=0, obs_spec=OBS)
     kept, attempts = re.search(r"proficient on only (\d+)/(\d+) episodes",
                                str(info.value)).groups()
     assert int(kept) == 0 and len(steps) == int(attempts) > 1
@@ -603,6 +605,19 @@ def test_global_norm_clip():
 
 def _width(variant="v2"):
     return distill.cg_feature_width(OBS, variant)
+
+
+@pytest.mark.parametrize("kw, message", [
+    *[({name: value}, f"'{name}' must be finite and > 0, got {value!r}")
+      for name in ("learning_rate", "grad_clip")
+      for value in (float("nan"), float("inf"), 0.0, -1.0)],
+    (dict(batch_size=0), "'batch_size' must be >= 1, got 0"),
+    (dict(steps=-1), "'steps' must be >= 0, got -1"),
+])
+def test_every_train_config_rule_raises_config_error_naming_its_field(kw, message):
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(**kw)
+    assert str(info.value) == message
 
 
 def test_train_deterministic():

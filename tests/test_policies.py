@@ -110,6 +110,32 @@ def test_embed_not_divisible_by_heads():
         PolicyConfig(arch="transformer", feature_width=30, embed=30, heads=4)
 
 
+_COUNTS = ("embed", "attn_hidden", "heads", "layers", "mlp_hidden", "mlp_layers",
+           "gnn_hidden", "gnn_layers", "max_nodes", "max_action", "history")
+
+
+@pytest.mark.parametrize("kw, message", [
+    *[({name: 0}, f"'{name}' must be >= 1, got 0") for name in _COUNTS],
+    (dict(heads=2.0), "'heads' must be an integer, got 2.0"),
+    (dict(embed=True), "'embed' must be an integer, got True"),
+    (dict(n_bins=1), "'n_bins' must be >= 2, got 1"),
+    (dict(n_bins=True), "'n_bins' must be an integer, got True"),
+    (dict(feature_width=-1), "'feature_width' must be >= 0, got -1"),
+    (dict(feature_width=30.0), "'feature_width' must be an integer, got 30.0"),
+    (dict(use_pe=1), "'use_pe' must be a bool, got 1"),
+    (dict(use_embed_ln="no"), "'use_embed_ln' must be a bool, got 'no'"),
+    (dict(arch="perceiver"),
+     "'arch' must be one of mlp, gnn, transformer, transformer_tokenized, got 'perceiver'"),
+    (dict(token_variant="none"), "'token_variant' must be one of d, da, c, got 'none'"),
+    (dict(cg_variant="v3"), "'cg_variant' must be one of v1, v2, got 'v3'"),
+    (dict(embed=63), "'embed' 63 is not divisible by heads 2"),
+])
+def test_every_config_rule_raises_config_error_naming_its_field(kw, message):
+    with pytest.raises(ConfigError) as info:
+        PolicyConfig(**{"arch": "transformer", "feature_width": 30, **kw})
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("arch,token,transformer,discrete_head", [
     ("mlp", "d", False, False),
     ("gnn", "da", False, False),
