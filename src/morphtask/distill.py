@@ -114,6 +114,21 @@ def _state_key(state: menv.EnvState) -> bytes:
     return state.joint_angles.tobytes() + box
 
 
+def _episode_observations(states, obs_spec: ObservationSpec) -> np.ndarray:
+    """local_observations of an episode's first T states, (T, n, W).  The
+    reset row has its own call: as its own previous state it would not get
+    exactly zero a slots.  The rest are one lockstep state of their frames
+    and the frames before them, all that local_observations reads."""
+    theta, pos, quat = (np.stack([getattr(s, key) for s in states])
+                        for key in ("joint_angles", "positions", "orientations"))
+    moving = menv.EnvState(graph=states[0].graph, task=states[0].task,
+                           joint_angles=theta[1:], goals=(), positions=pos[1:],
+                           orientations=quat[1:], prev_joint_angles=theta[:-1],
+                           prev_positions=pos[:-1], prev_orientations=quat[:-1])
+    return np.concatenate([local_observations(states[0], obs_spec)[None],
+                           local_observations(moving, obs_spec)])
+
+
 def generate_dataset(env_specs, expert_gain: float = 1.0,
                      n_transitions: int = DEFAULT_TRANSITIONS,
                      seed: int = 0,
@@ -127,7 +142,8 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
     the attempted episodes must be kept: DataQualityError is raised as soon
     as no later outcome can bring the keep rate to 50%, and its message
     gives the kept/attempted counts at that moment.  Observations are built
-    only for the rows that reach the dataset.  A rejected episode ends at
+    only for the rows that reach the dataset, in one call per kept episode
+    (_episode_observations).  A rejected episode ends at
     its first repeated state (same joint angles and box, no goal set
     satisfied yet): from there it can only cycle through states already
     found unsatisfied, so stopping gives the same data as the full horizon.
@@ -142,15 +158,16 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
         attempts = 0
         kept = 0
         finals: list[float] = []
-        rows: list[tuple] = []     # (features, action, goals, episode id)
+        rows: list[tuple] = []     # per kept episode: (features, actions, goals, episode ids)
+        n_rows = 0
         max_attempts = 20 + 4 * (n_transitions // max(task.episode_length // 4, 1) + 1)
-        while len(rows) < n_transitions and attempts < max_attempts:
+        while n_rows < n_transitions and attempts < max_attempts:
             if 2 * (attempts - kept) > max_attempts:
                 break              # keep rate below 0.5 whatever comes next
             state = reset(spec, _episode_seed(seed, env_index, attempts))
             attempts += 1
             distances = menv.goal_distances(state)
-            room = n_transitions - len(rows)
+            room = n_transitions - n_rows
             episode: list[tuple] = []  # (pre-step state, expert action) of storable rows
             satisfied_at = None
             seen = {_state_key(state)}  # states of this episode before satisfaction
@@ -179,29 +196,29 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
             finals.append(sum(
                 (d - d_min) / (d_max - d_min)
                 for d, d_min, d_max in zip(distances, task.d_min, task.d_max)))
+            states, actions = zip(*episode)
+            T = len(states)
             goal_flat = np.concatenate(state.goals).astype(np.float32)
-            rows += [(local_observations(s, obs_spec).astype(np.float32),
-                      a.astype(np.float32), goal_flat, kept)
-                     for s, a in episode]
+            rows.append((_episode_observations(states, obs_spec).astype(np.float32),
+                         np.stack(actions).astype(np.float32),
+                         np.tile(goal_flat, (T, 1)), np.full(T, kept, dtype=np.int32)))
+            n_rows += T
             kept += 1
         rate = kept / attempts if attempts else 0.0
         if rate < 0.5:
             raise DataQualityError(
                 f"scripted expert proficient on only {kept}/{attempts} "
                 f"episodes for env {spec.env_id!r}")
-        if len(rows) < n_transitions:
+        if n_rows < n_transitions:
             raise DataQualityError(
                 f"could not accumulate {n_transitions} transitions for "
                 f"env {spec.env_id!r}")
         morph_text, task_text = menv.serialize_env(spec)
-        feats, acts, goals, episodes = zip(*rows)
-        envs.append(EnvDataset(
-            env_id=spec.env_id, morphology_text=morph_text, task_text=task_text,
-            obs_spec=obs_spec, features=np.stack(feats), actions=np.stack(acts),
-            goals=np.stack(goals), episodes=np.array(episodes, dtype=np.int32)))
+        envs.append(EnvDataset(spec.env_id, morph_text, task_text, obs_spec,
+                               *(np.concatenate(arrays) for arrays in zip(*rows))))
         reports.append(GenReport(
             env_id=spec.env_id, attempts=attempts, episodes_kept=kept,
-            transitions=len(rows), success_rate=rate,
+            transitions=n_rows, success_rate=rate,
             mean_normalized_final=float(np.mean(finals))))
     return TransitionDataset(environments=envs), reports
 

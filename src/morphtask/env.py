@@ -376,18 +376,22 @@ def _jacobian(p: np.ndarray, axes: np.ndarray, anchors: np.ndarray,
               dofs: tuple[int, ...], A: int) -> np.ndarray:
     """(3, A) position Jacobian of point p: axis x (p - anchor) per path dof.
 
-    The cross product is spelled out per component in np.cross's order, so
-    the columns match it bit for bit.
+    Columns are computed on plain floats in np.cross's order, so they match
+    it bit for bit at a third of the call overhead.  J stays a C-ordered
+    array and the expert's J.T @ err stays numpy: BLAS may fuse
+    multiply-adds that Python arithmetic rounds apart (see _norms).
     """
-    J = np.zeros((3, A))
-    if dofs:
-        idx = list(dofs)
-        u = axes[idx].T
-        r = (p - anchors[idx]).T
-        J[:, idx] = (u[1] * r[2] - u[2] * r[1],
-                     u[2] * r[0] - u[0] * r[2],
-                     u[0] * r[1] - u[1] * r[0])
-    return J
+    rows = [0.0] * A, [0.0] * A, [0.0] * A
+    px, py, pz = p.tolist()
+    axes, anchors = axes.tolist(), anchors.tolist()
+    for d in dofs:
+        ux, uy, uz = axes[d]
+        ax, ay, az = anchors[d]
+        rx, ry, rz = px - ax, py - ay, pz - az
+        rows[0][d] = uy * rz - uz * ry
+        rows[1][d] = uz * rx - ux * rz
+        rows[2][d] = ux * ry - uy * rx
+    return np.array(rows)
 
 
 def position_jacobian(graph: MorphologyGraph, joint_angles, node_id: int) -> np.ndarray:
@@ -525,9 +529,10 @@ def step(state: EnvState, actions, dt: float = DT) -> EnvState:
     table = _body_table(state.graph)
     if a.shape != state.joint_angles.shape:
         raise ShapeError(f"expected {table.A} actions, got shape {a.shape}")
-    a = np.clip(a, -1.0, 1.0)
-    theta = np.clip(state.joint_angles + table.gears * a * OMEGA_MAX * dt,
-                    table.lo, table.hi)
+    # minimum(maximum()): np.clip's value on non-NaN input, half its overhead
+    a = np.minimum(np.maximum(a, -1.0), 1.0)
+    theta = np.minimum(np.maximum(state.joint_angles + table.gears * a * OMEGA_MAX * dt,
+                                  table.lo), table.hi)
     box = state.box_pos
     if theta.ndim > 1:
         (pos, quat), axes, anchors = forward_kinematics(state.graph, theta), None, None
@@ -698,7 +703,7 @@ def _expert_action(state: EnvState, gain: float,
         J = _jacobian(state.positions[target], axes, anchors,
                       table.path_dofs[target], table.A)
         tau += table.stable_gain[target] * (J.T @ err)
-    return np.clip(-gain * tau, -1.0, 1.0)
+    return np.minimum(np.maximum(-gain * tau, -1.0), 1.0)
 
 
 # --- local observations --------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..control_graph import (CG_VARIANTS, ControlGraph, ShapeError, detokenize,
+from ..control_graph import (CG_VARIANTS, FLAG_ORDER, ControlGraph, ShapeError, detokenize,
                              mu_law, quantize, tokenize_features)
 from . import autodiff as ad
 from .autodiff import Tensor, check_finite
@@ -90,6 +90,10 @@ class PolicyConfig:
         object.__setattr__(self, "obs_flags", tuple(self.obs_flags))
         for name, rule in _FIELD_RULES.items():
             check_field(name, getattr(self, name), rule)
+        flags = self.obs_flags   # non-empty, in build_observation_spec's canonical form
+        if not flags or flags != tuple(f for f in FLAG_ORDER if f in flags):
+            raise ConfigError(f"'obs_flags' must be known flags in canonical order, "
+                              f"got {flags!r}")
         if self.arch == "gnn":     # messages never reach v2's edgeless goal nodes
             object.__setattr__(self, "cg_variant", "v1")
         if self.transformer and self.embed % self.heads != 0:

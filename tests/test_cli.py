@@ -344,10 +344,13 @@ def test_eval_checkpoint_unknown_config_key_is_data_error(workspace, trained_che
 
 @pytest.mark.parametrize("edit", [{"heads": 0}, {"heads": 2.0}, {"embed": 0},
                                   {"layers": 0}, {"n_bins": True}, {"use_pe": 1},
-                                  {"cg_variant": "v3"}], ids=str)
+                                  {"cg_variant": "v3"}, {"obs_flags": "p,zz"},
+                                  {"obs_flags": ["zz"]}, {"obs_flags": ["v", "p"]},
+                                  {"obs_flags": []}], ids=str)
 def test_sealed_bad_checkpoint_header_is_data_error(workspace, trained_checkpoint,
                                                     tmp_path, capsys, edit):
-    # a well-formed, correctly sealed file whose config breaks a PolicyConfig rule
+    # a well-formed, correctly sealed file whose config breaks a PolicyConfig
+    # rule; the error names the field
     root, cfg, _ = workspace
     bad = tmp_path / "header.cgck"
     bad.write_bytes(_with_config(trained_checkpoint.read_bytes(),
@@ -359,6 +362,7 @@ def test_sealed_bad_checkpoint_header_is_data_error(workspace, trained_checkpoin
                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable checkpoint config:")
+    assert err.startswith(f"error: unreadable checkpoint config: {next(iter(edit))!r} ")
     assert "Traceback" not in err
     assert not out.exists()
 

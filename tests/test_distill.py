@@ -50,6 +50,7 @@ from morphtask.nn.policies import (
 )
 from morphtask.nn import policies
 
+from test_env import reference_expert
 from test_morphology import with_node_field
 
 
@@ -171,17 +172,21 @@ def test_dataset_quality_through_metric():
 
 
 def _eager_generate(env_specs, n_transitions, seed, expert_gain=1.0):
-    """Reference: the generator that rolls every attempt to the attempt cap
-    and builds observations, expert actions and goal distances at every
-    step.  Also returns per env whether its last stored episode was cut."""
+    """Reference: the generator that rolls every attempt to its horizon (or
+    hold tail) and builds observations, expert actions and goal distances
+    at every step, its actions from a fresh np.cross Jacobian per goal
+    (test_env.reference_expert).  It stops an env's attempts once the keep
+    rate cannot reach 50%, as the generator does, and raises its
+    DataQualityError.  Also returns per env whether its last stored episode
+    was cut."""
     envs, reports, cut = [], [], []
     for env_index, spec in enumerate(env_specs):
         task = spec.task
         attempts = kept = 0
         finals, rows = [], []
         max_attempts = 20 + 4 * (n_transitions // max(task.episode_length // 4, 1) + 1)
-        while len(rows) < n_transitions:
-            if attempts >= max_attempts:
+        while len(rows) < n_transitions and attempts < max_attempts:
+            if 2 * (attempts - kept) > max_attempts:
                 break
             state = menv.reset(spec, distill._episode_seed(seed, env_index, attempts))
             attempts += 1
@@ -189,7 +194,7 @@ def _eager_generate(env_specs, n_transitions, seed, expert_gain=1.0):
             goal_flat = np.concatenate(state.goals).astype(np.float32)
             for t in range(task.episode_length):
                 obs = menv.local_observations(state, OBS)
-                action = menv.scripted_expert(state, expert_gain)
+                action = reference_expert(state, expert_gain)
                 episode.append((obs.astype(np.float32), action.astype(np.float32),
                                 goal_flat, kept))
                 state = menv.step(state, action)
@@ -209,7 +214,10 @@ def _eager_generate(env_specs, n_transitions, seed, expert_gain=1.0):
             rows += episode[:room]
             last_cut = room < len(episode)
         rate = kept / attempts if attempts else 0.0
-        assert rate >= 0.5 and len(rows) == n_transitions
+        if rate < 0.5:
+            raise DataQualityError(f"scripted expert proficient on only {kept}/{attempts} "
+                                   f"episodes for env {spec.env_id!r}")
+        assert len(rows) == n_transitions
         cut.append(last_cut)
         morph_text, task_text = menv.serialize_env(spec)
         feats, acts, goals, episodes = zip(*rows)
@@ -240,6 +248,21 @@ def test_generator_equals_eager_reference(env_ids, seed):
     if len(specs) == 1:
         # partially proficient: rejected episodes sit between kept ones
         assert (reports[0].episodes_kept, reports[0].attempts) == (5, 8)
+
+
+@pytest.mark.parametrize("env_id, seed, counts", [
+    ("ant_push_3", 1, "0/17"),                     # no episode kept
+    ("worm_push_3", 5, "2/10"),                    # some push episodes kept
+    ("worm_reach_3_size_0.8_1.0_1.2", 47, "3/7"),  # rejected reach episodes
+])
+def test_generator_fails_as_eager_reference(env_id, seed, counts):
+    spec = make_env(env_id)
+    with pytest.raises(DataQualityError) as got:
+        generate_dataset([spec], n_transitions=250, seed=seed, obs_spec=OBS)
+    with pytest.raises(DataQualityError) as want:
+        _eager_generate([spec], 250, seed)
+    assert str(got.value) == str(want.value)
+    assert f"proficient on only {counts} episodes" in str(got.value)
 
 
 def test_hopeless_env_stops_at_proficiency_bound(monkeypatch):
@@ -316,12 +339,12 @@ def test_episode_at_rest_from_reset_ends_after_one_step(monkeypatch):
 
 @pytest.mark.parametrize("env_id, seed", [("ant_reach_2", 0), ("claw_reach_4", 5)])
 def test_observations_built_only_for_stored_rows(monkeypatch, env_id, seed):
-    calls = []
-    monkeypatch.setattr(distill, "local_observations", lambda state, spec: calls.append(1)
-                        or menv.local_observations(state, spec))
+    rows = []                  # observation rows per call: 1, or a lockstep state's
+    monkeypatch.setattr(distill, "local_observations", lambda state, spec: rows.append(
+        state.positions[..., 0, 0].size) or menv.local_observations(state, spec))
     ds, _ = generate_dataset([make_env(env_id)], n_transitions=250, seed=seed,
                              obs_spec=OBS)
-    assert len(calls) == ds.n_transitions() == 250
+    assert sum(rows) == ds.n_transitions() == 250
 
 
 # --- bc loss ----------------------------------------------------------------

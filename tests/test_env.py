@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphtask import artifacts, nn
+from morphtask import artifacts, distill, nn
 from morphtask import env as menv
 from morphtask.control_graph import build_observation_spec
 from morphtask.distill import (
@@ -1000,14 +1000,24 @@ def reference_local_observations(state, spec, dt=menv.DT):
     return rows
 
 
+def cross_jacobian(graph, joint_angles, node_id):
+    """Oracle of position_jacobian: a fresh FK, then np.cross per root-path
+    dof into a numpy array."""
+    pos, _, axes, anchors = menv.fk_frames(graph, joint_angles)
+    J = np.zeros((3, graph.action_dimension()))
+    for dof in _root_path_dofs(graph, node_id):
+        J[:, dof] = np.cross(axes[dof], pos[node_id] - anchors[dof])
+    return J
+
+
 def reference_expert(state, gain=1.0):
-    """Jacobian-transpose expert with a fresh FK per goal via position_jacobian."""
+    """Jacobian-transpose expert with a fresh np.cross Jacobian per goal."""
     tau = np.zeros(state.graph.action_dimension())
     for g in range(len(state.task.goals)):
         if goal_distance(state, g) <= state.task.d_min[g]:
             continue
         target, err = menv._goal_error_vector(state, g, state.positions)
-        J = position_jacobian(state.graph, state.joint_angles, target)
+        J = cross_jacobian(state.graph, state.joint_angles, target)
         tau += menv._body_table(state.graph).stable_gain[target] * (J.T @ err)
     return np.clip(-gain * tau, -1.0, 1.0)
 
@@ -1065,6 +1075,21 @@ def test_observations_equal_per_node_reference(env_id):
                                   reference_local_observations(states[-1], spec))
 
 
+@pytest.mark.parametrize("env_id", EQUIVALENCE_ENVS + ("ant_push_3",))
+def test_episode_observations_equal_per_state_rows(env_id):
+    # the generator's one call for an episode's rows after its reset equals
+    # each state's own call bit for bit, -0.0/+0.0 included; so does the
+    # reset row, whose v, a and jv are +0.0
+    for seed in (0, 3):
+        states = _expert_states(env_id, seed, n_steps=12)
+        for n in (1, 2, len(states)):
+            rows = distill._episode_observations(states[:n], ALL_FLAGS)
+            assert rows.tobytes() == np.stack(
+                [local_observations(s, ALL_FLAGS) for s in states[:n]]).tobytes()
+        rows = distill._episode_observations(states, build_observation_spec(["v", "a", "jv"]))
+        assert rows[0].tobytes() == np.zeros_like(rows[0]).tobytes()
+
+
 @pytest.mark.parametrize("env_id", EQUIVALENCE_ENVS + ("ant_push_3",
                                                        "ant_reach_handsup_4"))
 def test_jacobian_from_stored_frames_equals_position_jacobian(env_id):
@@ -1080,7 +1105,8 @@ def test_jacobian_from_stored_frames_equals_position_jacobian(env_id):
             path = menv._body_table(g).path_dofs[node]
             J = menv._jacobian(s.positions[node], s.dof_axes, s.dof_anchors, path, A)
             ref = position_jacobian(g, s.joint_angles, node)
-            assert np.array_equal(J, ref)
+            assert np.array_equal(J, ref) and J.flags.c_contiguous
+            assert J.tobytes() == cross_jacobian(g, s.joint_angles, node).tobytes()
             for dof in path:
                 assert np.array_equal(ref[:, dof], np.cross(
                     axes[dof], pos[node] - anchors[dof]))
