@@ -16,12 +16,12 @@ import numpy as np
 from . import env as menv
 from . import evaluation as meval
 from .artifacts import replacing
-from .control_graph import CG_VARIANTS, build_observation_spec
+from .control_graph import (CG_VARIANTS, DEFAULT_OBS_FLAGS, build_observation_spec,
+                            cg_feature_width)
 from .distill import (
     CorruptionError,
     DataQualityError,
     TrainConfig,
-    cg_feature_width,
     generate_dataset,
     load_checkpoint,
     read_dataset,
@@ -43,7 +43,7 @@ class UsageError(ValueError):
 
 CONFIG_DEFAULTS = {
     "seed": 0,
-    "obs_flags": "p,v,q,a,ja,jr,m",
+    "obs_flags": ",".join(DEFAULT_OBS_FLAGS),
     "cg_variant": "v2",
     "history": 1,
     "arch": "transformer",
@@ -268,6 +268,7 @@ def cmd_eval(cfg: dict, checkpoint_path: str, compare: str | None) -> int:
                                         _holdout(cfg))
     except meval.SplitConfigError as exc:
         raise UsageError(f"split {cfg['split']}: {exc}") from None
+    baseline = None if compare is None else _read_report_aggregate(Path(compare))
     params = load_checkpoint(checkpoint_path)
     seeds = list(range(cfg["eval_seeds"]))
     horizon = cfg["eval_horizon"] or None
@@ -277,8 +278,7 @@ def cmd_eval(cfg: dict, checkpoint_path: str, compare: str | None) -> int:
                f"test_envs={','.join(plan.test)}",
                f"aggregate_env_mean={result.aggregate!r}",
                f"aggregate_subdomain_mean={result.subdomain_aggregate!r}"]
-    if compare is not None:
-        baseline = _read_report_aggregate(Path(compare))
+    if baseline is not None:
         ours = result.aggregate
         if ours < baseline:
             pct = meval.percentage_improvement(ours, baseline)
@@ -297,11 +297,20 @@ def cmd_eval(cfg: dict, checkpoint_path: str, compare: str | None) -> int:
 
 
 def _read_report_aggregate(path: Path) -> float:
+    """The finite aggregate_env_mean of a baseline report.csv."""
     if not path.exists():
         raise UsageError(f"baseline report {path} does not exist")
     for line in path.read_text().splitlines():
         if line.startswith("# aggregate_env_mean="):
-            return float(line.split("=", 1)[1])
+            text = line.split("=", 1)[1]
+            try:
+                value = float(text)
+            except ValueError:
+                value = np.nan
+            if not np.isfinite(value):
+                raise DataQualityError(f"baseline report {path} has aggregate_env_mean "
+                                       f"{text!r}, not a finite number")
+            return value
     raise UsageError(f"{path} carries no aggregate_env_mean line")
 
 

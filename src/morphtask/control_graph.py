@@ -19,10 +19,13 @@ FLAG_ORDER = ("p", "v", "q", "a", "ja", "jr", "jv", "id", "rp", "rr", "m")
 FLAG_WIDTHS = {"p": 3, "v": 3, "q": 4, "a": 3, "ja": 3, "jr": 6,
                "jv": 3, "id": 1, "rp": 3, "rr": 4, "m": 8}
 BASE_SET = ("p", "v", "q", "a", "ja", "jr")
+DEFAULT_OBS_FLAGS = BASE_SET + ("m",)
 CG_VARIANTS = ("v1", "v2")   # goals folded into node rows (v1) or as extra nodes (v2)
 
-# Fixed goal-slot width for v1: up to 3 goals, 3 values each, plus indicators.
+# Up to G_MAX goals per task.  Columns each layout appends to every node row:
+# v1 a 3-value slot per goal then G_MAX indicators, v2 the indicators only.
 G_MAX = 3
+GOAL_COLUMNS = {"v1": 3 * G_MAX + G_MAX, "v2": G_MAX}
 
 MU = 100.0
 MU_M = 256.0
@@ -65,7 +68,7 @@ def build_observation_spec(flags) -> ObservationSpec:
 
 @dataclass(frozen=True)
 class ControlGraph:
-    node_features: np.ndarray          # (n_nodes, F)
+    node_features: np.ndarray          # (..., n_nodes, F): rows sharing the layout below
     n_body_nodes: int
     n_goal_nodes: int                  # 0 for v1
     action_mask: np.ndarray            # (n_nodes, 3) of {0, 1}
@@ -75,11 +78,11 @@ class ControlGraph:
 
     @property
     def n_nodes(self) -> int:
-        return self.node_features.shape[0]
+        return self.node_features.shape[-2]
 
     @property
     def width(self) -> int:
-        return self.node_features.shape[1]
+        return self.node_features.shape[-1]
 
     @property
     def actuator_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -88,89 +91,79 @@ class ControlGraph:
         return tuple(np.array(self.actuator_map, dtype=np.int64).reshape(-1, 2).T)
 
 
-def action_structure(morphology: MorphologyGraph) -> tuple[np.ndarray, tuple]:
-    """Per-node 3-slot actuator mask and the dof -> (node, slot) map."""
-    mask = np.zeros((morphology.n_nodes, 3), dtype=np.float64)
-    amap = [None] * morphology.action_dimension()
-    for e in morphology.edges:
-        first = morphology.nodes[e.child_id].dof_index
-        for slot, _ in enumerate(e.actuators):
-            mask[e.child_id, slot] = 1.0
-            amap[first + slot] = (e.child_id, slot)
-    return mask, tuple(amap)
-
-
-def _check_goals(goals, morphology: MorphologyGraph):
-    goals = [(int(node), np.asarray(value, dtype=np.float64).reshape(3))
-             for node, value in goals]
-    if len(goals) > G_MAX:
-        raise ValueError(f"at most {G_MAX} goals supported, got {len(goals)}")
-    for node, _ in goals:
-        if not (0 <= node < morphology.n_nodes):
-            raise IndexError(f"goal targets nonexistent node {node}")
-    return goals
+def cg_feature_width(obs_spec: ObservationSpec, variant: str,
+                     history: int = 1) -> int:
+    """Width of a node-feature row: observations and goal columns, per frame."""
+    return (obs_spec.width + GOAL_COLUMNS[variant]) * history
 
 
 def graph_features(observations: np.ndarray, goal_values: np.ndarray,
-                   goal_nodes, variant: str,
-                   spec: ObservationSpec | None = None) -> np.ndarray:
-    """Node-feature rows of N control graphs that share one body and one
+                   goal_nodes, variant: str) -> np.ndarray:
+    """Node-feature rows of control graphs that share one body and one
     goal-to-node binding.
 
-    observations is (N, n, w), goal_values (N, G, 3) and goal_nodes the G
-    target nodes.  v1 gives (N, n, w + 3 G_MAX + G_MAX): [obs | 3x3 goal
-    slots | 3 indicators], goal g's value and indicator in its target row.
-    v2 gives (N, n + G, w + G_MAX): [obs | G_MAX indicators] with goal g as
-    row n + g, its value in the p-slots when positions are observed (else in
-    the leading columns) and indicator g set in both that row and the
-    target's.
+    observations is (..., n, w), goal_values (..., G, 3) and goal_nodes the G
+    target nodes.  Each row gets GOAL_COLUMNS[variant] columns after its
+    observations, the last G_MAX of them goal indicators.  v1 puts goal g's
+    value and indicator in its target row.  v2 appends goal g as row n + g,
+    its value in columns 0-2 (the p slot whenever positions are observed,
+    since p leads FLAG_ORDER) and indicator g set in that row and the target's.
     """
-    N, n, w = observations.shape
+    *lead, n, w = observations.shape
     G = len(goal_nodes)
-    if variant == "v1":
-        feats = np.zeros((N, n, w + 3 * G_MAX + G_MAX), dtype=np.float64)
-        feats[:, :, :w] = observations
-        for g, node in enumerate(goal_nodes):
-            feats[:, node, w + 3 * g: w + 3 * g + 3] = goal_values[:, g]
-            feats[:, node, w + 3 * G_MAX + g] = 1.0
-        return feats
-    feats = np.zeros((N, n + G, w + G_MAX), dtype=np.float64)
-    feats[:, :n, :w] = observations
-    p_slot = spec.slot("p") if spec is not None and "p" in spec.flags else slice(0, 3)
+    rows = n + G if variant == "v2" else n
+    feats = np.zeros((*lead, rows, w + GOAL_COLUMNS[variant]), dtype=np.float64)
+    feats[..., :n, :w] = observations
+    marks = w + GOAL_COLUMNS[variant] - G_MAX      # first indicator column
     for g, node in enumerate(goal_nodes):
-        feats[:, n + g, p_slot] = goal_values[:, g]
-        feats[:, n + g, w + g] = 1.0
-        feats[:, node, w + g] = 1.0
+        feats[..., node, marks + g] = 1.0
+        if variant == "v1":
+            feats[..., node, w + 3 * g: w + 3 * g + 3] = goal_values[..., g, :]
+        else:
+            feats[..., n + g, :3] = goal_values[..., g, :]
+            feats[..., n + g, marks + g] = 1.0
     return feats
 
 
-def _control_graph(observations: np.ndarray, goals, morphology: MorphologyGraph,
-                   variant: str, spec: ObservationSpec | None = None) -> ControlGraph:
-    obs = np.asarray(observations, dtype=np.float64)
-    goals = _check_goals(goals, morphology)
-    n = obs.shape[0]
-    G = len(goals) if variant == "v2" else 0      # appended goal rows
-    values = np.array([value for _, value in goals]).reshape(1, -1, 3)
-    feats = graph_features(obs[None], values, [node for node, _ in goals],
-                           variant, spec)[0]
-    body_mask, amap = action_structure(morphology)
-    mask = np.concatenate([body_mask, np.zeros((G, 3))])
-    edges = tuple((e.parent_id, e.child_id) for e in morphology.edges)
-    return ControlGraph(node_features=feats, n_body_nodes=n, n_goal_nodes=G,
-                        action_mask=mask, actuator_map=amap, edges=edges)
+def control_graph(observations: np.ndarray, goal_values: np.ndarray, goal_nodes,
+                  morphology: MorphologyGraph, variant: str) -> ControlGraph:
+    """The control graph of rows that share one body and one goal-to-node
+    binding: graph_features' rows, any leading axes kept, and their layout.
+    At most G_MAX goals, each naming a node of the body."""
+    if len(goal_nodes) > G_MAX:
+        raise ValueError(f"at most {G_MAX} goals supported, got {len(goal_nodes)}")
+    n = morphology.n_nodes
+    for node in goal_nodes:
+        if not (0 <= node < n):
+            raise IndexError(f"goal targets nonexistent node {node}")
+    G = len(goal_nodes) if variant == "v2" else 0      # appended goal rows
+    cg = ControlGraph(
+        node_features=graph_features(observations, goal_values, goal_nodes, variant),
+        n_body_nodes=n, n_goal_nodes=G, action_mask=np.zeros((n + G, 3)),
+        actuator_map=morphology.dof_cells,
+        edges=tuple((e.parent_id, e.child_id) for e in morphology.edges))
+    cg.action_mask[cg.actuator_index] = 1.0
+    return cg
+
+
+def _bound_graph(observations: np.ndarray, goals, morphology: MorphologyGraph,
+                 variant: str) -> ControlGraph:
+    """control_graph of one sample's (node, goal value) bindings."""
+    values = [np.asarray(value, dtype=np.float64).reshape(3) for _, value in goals]
+    return control_graph(observations, np.array(values).reshape(-1, 3),
+                         [int(node) for node, _ in goals], morphology, variant)
 
 
 def build_cg_v1(observations: np.ndarray, goals,
                 morphology: MorphologyGraph) -> ControlGraph:
     """Goals folded into target-node rows: [obs | 3x3 goal slots | 3 indicators]."""
-    return _control_graph(observations, goals, morphology, "v1")
+    return _bound_graph(observations, goals, morphology, "v1")
 
 
 def build_cg_v2(observations: np.ndarray, goals,
-                morphology: MorphologyGraph,
-                spec: ObservationSpec | None = None) -> ControlGraph:
+                morphology: MorphologyGraph) -> ControlGraph:
     """Goals appended as disjoint masked rows: [obs | G_MAX indicators]."""
-    return _control_graph(observations, goals, morphology, "v2", spec)
+    return _bound_graph(observations, goals, morphology, "v2")
 
 
 # --- mu-law companding and discretization -----------------------------------

@@ -17,12 +17,12 @@ from . import artifacts
 from . import env as menv
 from .artifacts import CorruptionError
 from .control_graph import (
+    DEFAULT_OBS_FLAGS,
     ControlGraph,
     ObservationSpec,
-    build_cg_v1,
-    build_cg_v2,
     build_observation_spec,
-    graph_features,
+    cg_feature_width,
+    control_graph,
 )
 from .env import EnvSpec, local_observations, reset, step
 from .nn import autodiff as ad
@@ -149,8 +149,8 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
     found unsatisfied, so stopping gives the same data as the full horizon.
     """
     check_field("expert_gain", expert_gain, float)
-    obs_spec = obs_spec or build_observation_spec(
-        ["p", "v", "q", "a", "ja", "jr", "m"])
+    check_field("n_transitions", n_transitions, 1)
+    obs_spec = obs_spec or build_observation_spec(DEFAULT_OBS_FLAGS)
     envs: list[EnvDataset] = []
     reports: list[GenReport] = []
     for env_index, spec in enumerate(env_specs):
@@ -172,7 +172,7 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
             satisfied_at = None
             seen = {_state_key(state)}  # states of this episode before satisfaction
             for t in range(task.episode_length):
-                action = menv._expert_action(state, expert_gain, distances)
+                action = menv.scripted_expert(state, expert_gain, distances)
                 if t < room:
                     episode.append((state, action))
                 state = step(state, action)
@@ -309,24 +309,18 @@ def read_dataset(path) -> TransitionDataset:
 
 # --- control-graph preparation -------------------------------------------------
 
-def cg_feature_width(obs_spec: ObservationSpec, variant: str,
-                     history: int = 1) -> int:
-    base = obs_spec.width + (12 if variant == "v1" else 3)
-    return base * history
-
-
 def goal_nodes(spec: EnvSpec) -> list[int]:
     return [menv.resolve_target(spec.graph, tmpl.target_selector)
             for tmpl in spec.task.goals]
 
 
 def build_cg(envd_spec: EnvSpec, obs: np.ndarray, goals_flat: np.ndarray,
-             obs_spec: ObservationSpec, variant: str):
-    values = np.asarray(goals_flat, dtype=np.float64).reshape(-1, 3)
-    bindings = [(node, values[g]) for g, node in enumerate(goal_nodes(envd_spec))]
-    if variant == "v1":
-        return build_cg_v1(obs, bindings, envd_spec.graph)
-    return build_cg_v2(obs, bindings, envd_spec.graph, obs_spec)
+             variant: str) -> ControlGraph:
+    """The control graph of an environment's rows: observations (..., n, w)
+    and their flat goal values (..., 3G), any leading axes kept."""
+    goals = np.asarray(goals_flat)
+    return control_graph(obs, goals.reshape(goals.shape[:-1] + (-1, 3)),
+                         goal_nodes(envd_spec), envd_spec.graph, variant)
 
 
 @dataclass
@@ -360,9 +354,8 @@ def prepare_training_data(ds: TransitionDataset,
                           config: PolicyConfig) -> list[_EnvArrays]:
     """Build per-environment tensors for the configured architecture.
 
-    The node features of all rows are laid out with array ops; the first
-    row's control graph supplies the mask, actuator map and edges that every
-    row of the environment shares.
+    One control graph holds every row of an environment, laid out with
+    array ops, and the mask, actuator map and edges the rows share.
     """
     out = []
     for envd in ds.environments:
@@ -376,13 +369,11 @@ def prepare_training_data(ds: TransitionDataset,
             raise ConfigError(
                 f"control-graph width {expect} does not match policy feature "
                 f"width {config.feature_width}")
-        template = build_cg(spec, envd.features[0].astype(np.float64), envd.goals[0],
-                            envd.obs_spec, config.cg_variant)
-        feats = graph_features(envd.features, envd.goals.reshape(len(envd.goals), -1, 3),
-                               goal_nodes(spec), config.cg_variant, envd.obs_spec)
+        cg = build_cg(spec, envd.features, envd.goals, config.cg_variant)
+        feats = cg.node_features
         if config.history > 1:
             feats = _history_features(feats, envd.episodes, config.history)
-        out.append(_pack_env_arrays(feats, envd.actions, template, config))
+        out.append(_pack_env_arrays(feats, envd.actions, cg, config))
     return out
 
 

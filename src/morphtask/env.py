@@ -189,7 +189,7 @@ class _BodyTable:
             turns = tuple((child.dof_index + k, act.axis) for k, act in enumerate(e.actuators))
             edges.append((e.parent_id, e.child_id, child.attach_offset, turns, child.length))
         self.edges = tuple(edges)
-        acts = [act for _, act in graph.dof_actuators()]
+        acts = [graph.parent_map[node].actuators[slot] for node, slot in graph.dof_cells]
         self.gears = np.array([a.gear for a in acts])
         self.lo = np.array([a.range_lo for a in acts])
         self.hi = np.array([a.range_hi for a in acts])
@@ -254,6 +254,9 @@ class _BodyTable:
         # an actuator: the others, and the root's, read zero.
         self.joint_index = np.zeros((n, 3), dtype=np.intp)
         self.jointed = np.zeros((n, 3), dtype=bool)
+        for dof, cell in enumerate(graph.dof_cells):
+            self.joint_index[cell] = dof
+            self.jointed[cell] = True
         self.jr = np.zeros((n, 6))
         self.m = np.zeros((n, 8))
         self.id = np.zeros((n, 1))
@@ -263,9 +266,6 @@ class _BodyTable:
             edge = parent.get(i)
             gear = dof = 0.0
             if edge is not None:
-                k = len(edge.actuators)
-                self.joint_index[i, :k] = range(node.dof_index, node.dof_index + k)
-                self.jointed[i, :k] = True
                 for j, act in enumerate(edge.actuators):
                     self.jr[i, 2 * j] = act.range_lo
                     self.jr[i, 2 * j + 1] = act.range_hi
@@ -517,7 +517,7 @@ def reset_batch(spec: EnvSpec, seeds) -> EnvState:
                     orientations=quat, ball_pos=ball, box_pos=box)
 
 
-def step(state: EnvState, actions, dt: float = DT) -> EnvState:
+def step(state: EnvState, actions) -> EnvState:
     """Integrate clamped joint velocities for one tick; quasi-static box push.
 
     A lockstep state (reset_batch) steps all its rows with one array FK, each
@@ -531,7 +531,7 @@ def step(state: EnvState, actions, dt: float = DT) -> EnvState:
         raise ShapeError(f"expected {table.A} actions, got shape {a.shape}")
     # minimum(maximum()): np.clip's value on non-NaN input, half its overhead
     a = np.minimum(np.maximum(a, -1.0), 1.0)
-    theta = np.minimum(np.maximum(state.joint_angles + table.gears * a * OMEGA_MAX * dt,
+    theta = np.minimum(np.maximum(state.joint_angles + table.gears * a * OMEGA_MAX * DT,
                                   table.lo), table.hi)
     box = state.box_pos
     if theta.ndim > 1:
@@ -675,22 +675,19 @@ def _goal_error_vector(state: EnvState, goal_index: int,
     raise ValueError(f"unknown goal kind {tmpl.goal_kind!r}")
 
 
-def scripted_expert(state: EnvState, gain: float = 1.0) -> np.ndarray:
+def scripted_expert(state: EnvState, gain: float = 1.0,
+                    distances: list[float] | None = None) -> np.ndarray:
     """Jacobian-transpose controller over all unsatisfied goals.
 
     Per goal the error vector is the gradient of the squared goal distance at
     the target node, scaled by the chain's largest non-overshooting gain;
     ``gain`` multiplies that base.  Goals already within d_min contribute
     nothing, so the action is exactly zero once every goal is satisfied.
+    ``distances`` are the state's goal_distances, which a caller that has just
+    checked them for its done test passes on instead of recomputing.
     """
-    return _expert_action(state, gain, goal_distances(state))
-
-
-def _expert_action(state: EnvState, gain: float,
-                   distances: list[float]) -> np.ndarray:
-    """scripted_expert given the state's goal_distances, which a caller that
-    has just checked them for its done test passes on instead of
-    recomputing."""
+    if distances is None:
+        distances = goal_distances(state)
     table = _body_table(state.graph)
     axes, anchors = state.dof_axes, state.dof_anchors
     if axes is None:
@@ -708,8 +705,7 @@ def _expert_action(state: EnvState, gain: float,
 
 # --- local observations --------------------------------------------------------
 
-def local_observations(state: EnvState, spec: ObservationSpec,
-                       dt: float = DT) -> np.ndarray:
+def local_observations(state: EnvState, spec: ObservationSpec) -> np.ndarray:
     """Per-node feature rows in canonical flag order, (n, F), or (B, n, F)
     for a lockstep state.
 
@@ -746,12 +742,12 @@ def local_observations(state: EnvState, spec: ObservationSpec,
         elif not moving:
             continue                     # v, a, jv stay zero at reset
         elif flag == "v":
-            out[...] = (pos - state.prev_positions) / dt
+            out[...] = (pos - state.prev_positions) / DT
         elif flag == "a":
             dq = quat_mul(quat, quat_conj(state.prev_orientations))
-            out[...] = quat_to_rotvec(dq) / dt
+            out[...] = quat_to_rotvec(dq) / DT
         elif flag == "jv":
-            rate = (state.joint_angles - state.prev_joint_angles) / dt
+            rate = (state.joint_angles - state.prev_joint_angles) / DT
             out[...] = np.where(table.jointed, rate[..., table.joint_index], 0.0)
     return rows
 

@@ -2,14 +2,14 @@
 percentages, environment splits, and attention exports."""
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import artifacts
 from . import env as menv
-from .control_graph import ControlGraph, build_observation_spec, graph_features
-from .distill import CHECKPOINT_MAGIC, build_cg, goal_nodes
+from .control_graph import ControlGraph, build_observation_spec, control_graph, graph_features
+from .distill import CHECKPOINT_MAGIC, goal_nodes
 from .env import EnvSpec, local_observations, parse_env_id, step
 from .nn.policies import (
     PolicyParams,
@@ -42,7 +42,7 @@ class Trajectory:
     actions: np.ndarray              # (T, A)
     distances: np.ndarray            # (T, G) goal distance after each step
     # rollout() keeps the policy's input per step, (T, n, F) or the MLP's
-    # (T, W), and the control graph whose mask, actuators and edges they share.
+    # (T, W), and its step-0 control graph, whose mask, actuators and edges they share.
     inputs: np.ndarray | None = None
     template: ControlGraph | None = None
 
@@ -86,8 +86,10 @@ def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
     """Lockstep rollouts over several seeds: the env steps every seed as one
     state (reset_batch) and the policy runs batched.
 
-    Each step's node features of every seed come from one graph_features
-    call and reach the policy through policy_inputs, as training data does.
+    Step 0's control graph of every seed gives the layout (mask, actuator
+    index, edges) once; later steps build only their node features, one
+    graph_features call, and reach the policy through policy_inputs, as
+    training data does.
     With history H the features are a window of the last H frames, newest
     rightmost and zero-filled at the episode start.  Fixed weights' fused
     Q|K|V is built once per rollout.
@@ -100,20 +102,22 @@ def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
     state = menv.reset_batch(spec, seeds)
     B = len(seeds)
     goals = np.stack(state.goals, axis=1)    # (B, G, 3), fixed for an episode
-    template = build_cg(spec, local_observations(state, obs_spec)[0],
-                        goals[0].reshape(-1), obs_spec, cfg.cg_variant)
-    index = action_index(cfg, template)
-    mask = np.broadcast_to(template.action_mask, (B,) + template.action_mask.shape)
-    adj = adjacency(template.edges, template.n_nodes) if params.arch == "gnn" else None
     nodes = goal_nodes(spec)
-    w = template.width
-    window = np.zeros((B, template.n_nodes, w * cfg.history))
+    cg = control_graph(local_observations(state, obs_spec), goals, nodes, spec.graph,
+                       cfg.cg_variant)
+    index = action_index(cfg, cg)
+    mask = np.broadcast_to(cg.action_mask, (B,) + cg.action_mask.shape)
+    adj = adjacency(cg.edges, cg.n_nodes) if params.arch == "gnn" else None
+    w = cg.width
+    window = np.zeros((B, cg.n_nodes, w * cfg.history))
+    frame = cg.node_features
     actions, distances, inputs = [], [], []
     with no_grad():
         qkv = fused_qkv(params)
-        for _ in range(horizon):
-            obs = local_observations(state, obs_spec)
-            frame = graph_features(obs, goals, nodes, cfg.cg_variant, obs_spec)
+        for t in range(horizon):
+            if t:
+                frame = graph_features(local_observations(state, obs_spec), goals,
+                                       nodes, cfg.cg_variant)
             window = np.concatenate([window[:, :, w:], frame], axis=-1)
             x = policy_inputs(window, cfg)
             if keep_inputs:
@@ -126,7 +130,8 @@ def rollout_batch(params: PolicyParams, spec: EnvSpec, seeds,
                        actions=np.array([a[i] for a in actions]),
                        distances=np.array([d[i] for d in distances]),
                        inputs=np.array([x[i] for x in inputs]) if keep_inputs else None,
-                       template=template if keep_inputs else None)
+                       template=replace(cg, node_features=cg.node_features[i])
+                       if keep_inputs else None)
             for i, s in enumerate(seeds)]
 
 

@@ -106,12 +106,8 @@ class MorphologyGraph:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @cached_property
-    def _action_dimension(self) -> int:
-        return sum(len(e.actuators) for e in self.edges)
-
     def action_dimension(self) -> int:
-        return self._action_dimension
+        return len(self.dof_cells)
 
     @cached_property
     def legs(self) -> tuple[tuple[int, ...], ...]:
@@ -130,13 +126,12 @@ class MorphologyGraph:
             return tuple(leg[-1] for leg in self.legs)
         return (self.n_nodes - 1,)
 
-    def dof_actuators(self) -> list[tuple[int, Actuator]]:
-        """(child node id, actuator) in global dof order."""
-        out = []
-        for e in self.edges:
-            for act in e.actuators:
-                out.append((e.child_id, act))
-        return out
+    @cached_property
+    def dof_cells(self) -> tuple[tuple[int, int], ...]:
+        """(node, slot) of every dof in global dof order: the actuators of a
+        node's parent edge are its slots 0, 1, 2 (see _numbered_dofs)."""
+        return tuple((e.child_id, slot) for e in self.edges
+                     for slot in range(len(e.actuators)))
 
 
 _Z = (0.0, 0.0, 1.0)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..control_graph import (CG_VARIANTS, FLAG_ORDER, ControlGraph, ShapeError, detokenize,
-                             mu_law, quantize, tokenize_features)
+from ..control_graph import (CG_VARIANTS, DEFAULT_OBS_FLAGS, FLAG_ORDER, ControlGraph,
+                             ShapeError, detokenize, mu_law, quantize, tokenize_features)
 from . import autodiff as ad
 from .autodiff import Tensor, check_finite
 
@@ -84,7 +84,7 @@ class PolicyConfig:
     n_bins: int = 1024
     cg_variant: str = "v2"       # control-graph layout this policy consumes
     history: int = 1             # stacked frames per node
-    obs_flags: tuple = ("p", "v", "q", "a", "ja", "jr", "m")
+    obs_flags: tuple = DEFAULT_OBS_FLAGS
 
     def __post_init__(self):
         object.__setattr__(self, "obs_flags", tuple(self.obs_flags))

@@ -74,7 +74,7 @@ def _toy_pairs(variant="v2", k=4):
     for seed in range(k):
         state = reset(spec, seed)
         obs = local_observations(state, OBS)
-        cg = build_cg(spec, obs, np.concatenate(state.goals), OBS, variant)
+        cg = build_cg(spec, obs, np.concatenate(state.goals), variant)
         pairs.append((cg, scripted_expert(state)))
     return pairs
 
@@ -177,7 +177,7 @@ def test_criterion_5_architecture_invariants():
     spec = make_env("ant_reach_handsup_4")
     state = reset(spec, 3)
     obs = local_observations(state, OBS)
-    cg = build_cg_v2(obs, goal_bindings(state), spec.graph, OBS)
+    cg = build_cg_v2(obs, goal_bindings(state), spec.graph)
     cfg = PolicyConfig(arch="transformer", feature_width=cg.width, embed=16,
                        attn_hidden=16, heads=2, layers=2, max_nodes=24,
                        use_pe=False)

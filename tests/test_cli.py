@@ -166,6 +166,22 @@ def test_eval_missing_baseline_is_usage_error(workspace, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "abc"])
+def test_eval_unusable_baseline_is_data_error(workspace, trained_checkpoint, tmp_path,
+                                              capsys, value):
+    root, cfg, _ = workspace
+    baseline = tmp_path / "report.csv"
+    baseline.write_text("env_id,goal_index,seed,final_distance,normalized\n"
+                        f"# aggregate_env_mean={value}\n")
+    out = tmp_path / "e"
+    rc = run(["eval", "--config", str(cfg), "--checkpoint", str(trained_checkpoint),
+              "--out", str(out), "--compare", str(baseline)])
+    assert rc == 2
+    assert f"error: baseline report {baseline} has aggregate_env_mean {value!r}, " \
+        "not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_config_uses_full_scale_transitions():
     from morphtask.cli import CONFIG_DEFAULTS
     assert CONFIG_DEFAULTS["transitions"] == 12_000
@@ -382,6 +398,13 @@ def test_gen_data_bad_expert_gain_fails_before_any_episode(tmp_path, capsys,
     assert f"error: 'expert_gain' must be finite and > 0, got {float(gain)!r}" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_data_zero_transitions_fails_before_any_episode(monkeypatch):
+    monkeypatch.setattr("morphtask.distill.reset",
+                        lambda *a: pytest.fail("an episode was rolled"))
+    with pytest.raises(ConfigError, match="'n_transitions' must be >= 1, got 0"):
+        generate_dataset([make_env("ant_reach_2")], n_transitions=0)
 
 
 def test_distill_unknown_dataset_version_is_data_error(workspace, tmp_path):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morphtask import env as menv
 from morphtask.control_graph import (
     FLAG_ORDER,
     G_MAX,
     build_cg_v1,
     build_cg_v2,
     build_observation_spec,
+    cg_feature_width,
     dequantize,
     detokenize,
     mu_law,
@@ -17,8 +19,9 @@ from morphtask.control_graph import (
     quantize,
     tokenize_features,
 )
+from morphtask.distill import _history_features, build_cg
 from morphtask.env import local_observations, make_env, reset, resolve_target
-from morphtask.morphology import generate_morphology
+from morphtask.morphology import generate_morphology, parse_morphology
 
 from test_distill import stack_history
 
@@ -106,7 +109,7 @@ def test_goal_count_and_target_validation():
 
 def test_v2_shapes_and_mask_sum():
     obs, bindings, graph, ospec = obs_and_graph()
-    cg = build_cg_v2(obs, bindings, graph, ospec)
+    cg = build_cg_v2(obs, bindings, graph)
     assert cg.n_nodes == graph.n_nodes + len(bindings)
     assert cg.n_nodes == 10  # ant_4 + 1 reach goal
     assert cg.action_mask.sum() == graph.action_dimension() == 8
@@ -115,7 +118,7 @@ def test_v2_shapes_and_mask_sum():
 
 def test_v2_goal_row_carries_value_in_p_slots():
     obs, bindings, graph, ospec = obs_and_graph()
-    cg = build_cg_v2(obs, bindings, graph, ospec)
+    cg = build_cg_v2(obs, bindings, graph)
     target, value = bindings[0]
     row = cg.node_features[graph.n_nodes]
     np.testing.assert_array_equal(row[ospec.slot("p")], value)
@@ -131,7 +134,7 @@ def test_v2_three_goals_indicator_pairs():
     state = reset(spec, 0)
     obs = local_observations(state, ospec)
     bindings = goal_bindings(state)
-    cg = build_cg_v2(obs, bindings, spec.graph, ospec)
+    cg = build_cg_v2(obs, bindings, spec.graph)
     n, w = spec.graph.n_nodes, obs.shape[1]
     assert cg.n_goal_nodes == 3
     assert cg.n_nodes == n + 3
@@ -146,16 +149,45 @@ def test_v1_v2_body_feature_correspondence():
     obs, bindings, graph, ospec = obs_and_graph()
     w = obs.shape[1]
     v1 = build_cg_v1(obs, bindings, graph)
-    v2 = build_cg_v2(obs, bindings, graph, ospec)
+    v2 = build_cg_v2(obs, bindings, graph)
     v1_stripped = np.concatenate([v1.node_features[:, :w],
                                   v1.node_features[:, w + 9:]], axis=1)
     np.testing.assert_array_equal(v1_stripped,
                                   v2.node_features[:graph.n_nodes, :w + 3])
 
 
+def test_v2_goal_value_in_columns_0_to_2_without_positions():
+    obs, bindings, graph, _ = obs_and_graph("ant_reach_handsup2_4", ["m", "ja"])
+    cg = build_cg_v2(obs, bindings, graph)
+    w = obs.shape[1]
+    for g, (_, value) in enumerate(bindings):
+        expect = np.zeros(cg.width)
+        expect[:3] = value
+        expect[w + g] = 1.0
+        np.testing.assert_array_equal(cg.node_features[graph.n_nodes + g], expect)
+
+
+@pytest.mark.parametrize("flags", [BASE + ["m"], ["m", "ja"]], ids=["with_p", "without_p"])
+@pytest.mark.parametrize("variant", ["v1", "v2"])
+def test_cg_feature_width_is_the_width_of_every_built_graph(variant, flags):
+    spec = make_env("ant_reach_handsup_3")
+    ospec = build_observation_spec(flags)
+    states = [reset(spec, seed) for seed in range(3)]
+    build = build_cg_v1 if variant == "v1" else build_cg_v2
+    frames = [build(local_observations(s, ospec), goal_bindings(s), spec.graph)
+              for s in states]
+    batch = build_cg(spec, np.stack([local_observations(s, ospec) for s in states]),
+                     np.stack([np.concatenate(s.goals) for s in states]), variant)
+    for history in (1, 3):
+        width = cg_feature_width(ospec, variant, history)
+        assert stack_history(frames[-history:], history).width == width
+        episodes = np.zeros(len(states), dtype=np.int32)
+        assert _history_features(batch.node_features, episodes, history).shape[-1] == width
+
+
 def test_padding_positions_exactly_zero():
     obs, bindings, graph, ospec = obs_and_graph()
-    cg = build_cg_v2(obs, bindings, graph, ospec)
+    cg = build_cg_v2(obs, bindings, graph)
     goal_row = cg.node_features[graph.n_nodes]
     zero_cols = np.ones(cg.width, dtype=bool)
     zero_cols[ospec.slot("p")] = False
@@ -167,14 +199,14 @@ def test_padding_positions_exactly_zero():
 
 def test_history_identity():
     obs, bindings, graph, ospec = obs_and_graph()
-    cg = build_cg_v2(obs, bindings, graph, ospec)
+    cg = build_cg_v2(obs, bindings, graph)
     out = stack_history([cg], 1)
     np.testing.assert_array_equal(out.node_features, cg.node_features)
 
 
 def test_history_zero_fill_at_start():
     obs, bindings, graph, ospec = obs_and_graph()
-    cg = build_cg_v2(obs, bindings, graph, ospec)
+    cg = build_cg_v2(obs, bindings, graph)
     out = stack_history([cg], 3)
     F = cg.width
     np.testing.assert_array_equal(out.node_features[:, :2 * F], 0.0)
@@ -183,7 +215,7 @@ def test_history_zero_fill_at_start():
 
 def test_history_width_arithmetic():
     obs, bindings, graph, ospec = obs_and_graph()
-    cg = build_cg_v2(obs, bindings, graph, ospec)
+    cg = build_cg_v2(obs, bindings, graph)
     cgs = [cg, cg, cg]
     out = stack_history(cgs, 3)
     assert out.width == 3 * cg.width
@@ -191,11 +223,10 @@ def test_history_width_arithmetic():
 
 def test_history_shape_mismatch():
     obs, bindings, graph, ospec = obs_and_graph()
-    cg4 = build_cg_v2(obs, bindings, graph, ospec)
+    cg4 = build_cg_v2(obs, bindings, graph)
     spec5 = make_env("ant_reach_5")
     st5 = reset(spec5, 0)
-    cg5 = build_cg_v2(local_observations(st5, ospec), goal_bindings(st5),
-                      spec5.graph, ospec)
+    cg5 = build_cg_v2(local_observations(st5, ospec), goal_bindings(st5), spec5.graph)
     with pytest.raises(ValueError):
         stack_history([cg5, cg4], 2)
 
@@ -274,14 +305,14 @@ def test_quantize_half_bin_bound(y):
 
 def test_tokenize_all_zero_features():
     obs, bindings, graph, ospec = obs_and_graph()
-    cg = build_cg_v2(np.zeros_like(obs), [], graph, ospec)
+    cg = build_cg_v2(np.zeros_like(obs), [], graph)
     tokens = tokenize_features(cg.node_features)
     np.testing.assert_array_equal(tokens, 512)
 
 
 def test_tokenize_shape_preserved_and_round_trip():
     obs, bindings, graph, ospec = obs_and_graph()
-    cg = build_cg_v2(obs, bindings, graph, ospec)
+    cg = build_cg_v2(obs, bindings, graph)
     tokens = tokenize_features(cg.node_features)
     assert tokens.shape == cg.node_features.shape
     back = detokenize(tokens, "center")
@@ -294,7 +325,7 @@ def test_tokenize_rejects_non_finite():
     obs, bindings, graph, ospec = obs_and_graph()
     bad = obs.copy()
     bad[0, 0] = np.nan
-    cg = build_cg_v2(bad, bindings, graph, ospec)
+    cg = build_cg_v2(bad, bindings, graph)
     with pytest.raises(ValueError):
         tokenize_features(cg.node_features)
 
@@ -307,6 +338,40 @@ def test_mask_sum_equals_action_dimension(blueprint, count):
     graph = generate_morphology(blueprint, count)
     obs = np.zeros((graph.n_nodes, 22))
     ospec = build_observation_spec(BASE)
-    for cg in (build_cg_v1(obs, [], graph), build_cg_v2(obs, [], graph, ospec)):
+    for cg in (build_cg_v1(obs, [], graph), build_cg_v2(obs, [], graph)):
         assert cg.action_mask.sum() == graph.action_dimension()
         assert len(cg.actuator_map) == graph.action_dimension()
+
+
+JOINTLESS = "morphology solo nodes=1 edges=0\nnode 0 torso 0.25 0 1 1 0 0 0\n"
+
+
+# the desk bodies, the benchmark's expert-data bodies, and a body with no joints
+@pytest.mark.parametrize("env_id", [
+    "ant_reach_3", "ant_reach_5", "ant_reach_handsup_3", "ant_reach_handsup_5",
+    "claw_reach_4", "centipede_touch_3", "worm_touch_4", "ant_reach_4_missing_1",
+    "ant_reach_hard_4_mass_0.5_1.0_3.0", "centipede_reach_handsup2_4", "ant_push_3",
+    None])
+def test_dof_cells_are_the_one_actuator_layout(env_id):
+    graph = make_env(env_id).graph if env_id else parse_morphology(JOINTLESS)
+    cells = graph.dof_cells
+    # oracle from the dof numbering: a parent edge's actuators are the
+    # child's slots, from the child's dof_index on
+    expect = {}
+    for e in graph.edges:
+        for slot in range(len(e.actuators)):
+            expect[graph.nodes[e.child_id].dof_index + slot] = (e.child_id, slot)
+    assert cells == tuple(expect[d] for d in range(graph.action_dimension()))
+    joint_index = np.zeros((graph.n_nodes, 3), dtype=np.intp)
+    mask = np.zeros((graph.n_nodes, 3))
+    for dof, cell in enumerate(cells):
+        joint_index[cell] = dof
+        mask[cell] = 1.0
+    table = menv._body_table(graph)
+    np.testing.assert_array_equal(table.joint_index, joint_index)
+    np.testing.assert_array_equal(table.jointed, mask == 1.0)
+    obs = np.zeros((graph.n_nodes, 22))
+    for cg in (build_cg_v1(obs, [], graph), build_cg_v2(obs, [(0, np.zeros(3))], graph)):
+        assert cg.actuator_map == cells
+        np.testing.assert_array_equal(cg.action_mask[:graph.n_nodes], mask)
+        np.testing.assert_array_equal(cg.action_mask[graph.n_nodes:], 0.0)

@@ -328,7 +328,7 @@ def test_episode_at_rest_from_reset_ends_after_one_step(monkeypatch):
     steps = []
     monkeypatch.setattr(distill, "step", lambda state, action: steps.append(1)
                         or menv.step(state, action))
-    monkeypatch.setattr(menv, "_expert_action", lambda state, gain, distances:
+    monkeypatch.setattr(menv, "scripted_expert", lambda state, gain, distances:
                         np.zeros(len(state.joint_angles)))
     with pytest.raises(DataQualityError) as info:
         generate_dataset([_far_goal_spec()], n_transitions=10, seed=0, obs_spec=OBS)
@@ -354,7 +354,7 @@ def _cg_action_pairs(ds, spec, variant="v2", k=6):
     out = []
     for i in range(k):
         cg = distill.build_cg(spec, env.features[i].astype(np.float64),
-                              env.goals[i], env.obs_spec, variant)
+                              env.goals[i], variant)
         out.append((cg, env.actions[i].astype(np.float64)))
     return out
 
@@ -420,7 +420,7 @@ def test_bc_loss_equals_training_loss_on_same_rows(arch, variant, extra):
                        arch=arch, **extra)
     env = ds.environments[0]
     pairs = [(distill.build_cg(spec, env.features[i].astype(np.float64),
-                               env.goals[i], env.obs_spec, variant),
+                               env.goals[i], variant),
               env.actions[i]) for i in range(k)]
     arrays = prepare_training_data(ds, params.config)
     expect = loss_from_groups(params, [(arrays[0], np.arange(k))])
@@ -498,7 +498,7 @@ def _per_row_packing(ds, config):
     for envd in ds.environments:
         spec = envd.env_spec()
         variant = "v1" if config.arch == "gnn" else config.cg_variant
-        cgs = [distill.build_cg(spec, f.astype(np.float64), g, envd.obs_spec, variant)
+        cgs = [distill.build_cg(spec, f.astype(np.float64), g, variant)
                for f, g in zip(envd.features, envd.goals)]
         if config.history > 1:
             stacked, frames = [], []

@@ -579,10 +579,10 @@ def test_angles_never_leave_range(seed):
     spec = make_env("ant_reach_2")
     rng = np.random.default_rng(seed)
     s = reset(spec, seed)
-    acts = list(spec.graph.dof_actuators())
+    acts = [act for e in spec.graph.edges for act in e.actuators]     # in dof order
     for _ in range(30):
         s = step(s, rng.uniform(-2, 2, size=spec.graph.action_dimension()))
-        for dof, (_, act) in enumerate(acts):
+        for dof, act in enumerate(acts):
             assert act.range_lo <= s.joint_angles[dof] <= act.range_hi
 
 
@@ -657,7 +657,7 @@ def test_expert_converges_two_link():
 def test_expert_single_step_descends():
     s = _toy_state(seed=11)
     before = goal_distance(s, 0)
-    s1 = step(s, scripted_expert(s), dt=0.01)
+    s1 = step(s, scripted_expert(s))
     assert goal_distance(s1, 0) < before
 
 
@@ -692,7 +692,7 @@ def test_twister_expert_step_decreases_total_distance():
     for seed in range(5):
         s = reset(spec, seed)
         before = sum(goal_distance(s, g) for g in range(2))
-        s1 = step(s, scripted_expert(s), dt=0.01)
+        s1 = step(s, scripted_expert(s))
         assert sum(goal_distance(s1, g) for g in range(2)) < before
 
 

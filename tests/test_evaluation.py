@@ -112,7 +112,7 @@ def test_rollout_batch_history_equals_per_step_oracle():
         goals = np.concatenate(state.goals)
         frames = []
         for t in range(6):
-            cg = build_cg(spec, local_observations(state, OBS), goals, OBS, "v2")
+            cg = build_cg(spec, local_observations(state, OBS), goals, "v2")
             frames = (frames + [cg])[-3:]
             cg = stack_history(frames, 3)
             grid, _ = transformer_grid(params, cg.node_features[None],
@@ -128,7 +128,8 @@ def test_rollout_batch_history_equals_per_step_oracle():
 def _per_seed_rollouts(params, spec, seeds, T=None, keep_inputs=False):
     """The rollout loop before lockstep env steps, kept as rollout_batch's
     oracle: the policy runs batched, but every seed has its own EnvState,
-    and reset, local_observations, step and goal_distances run per seed."""
+    and reset, local_observations, step and goal_distances run per seed.
+    Each seed's template is its own step-0 control graph."""
     horizon = spec.task.episode_length if T is None else min(T, spec.task.episode_length)
     cfg = params.config
     obs_spec = build_observation_spec(cfg.obs_flags)
@@ -137,8 +138,9 @@ def _per_seed_rollouts(params, spec, seeds, T=None, keep_inputs=False):
     B = len(states)
     goals = np.stack([np.concatenate(st.goals) if st.goals else np.zeros(0)
                       for st in states])
-    template = build_cg(spec, local_observations(states[0], obs_spec), goals[0],
-                        obs_spec, variant)
+    templates = [build_cg(spec, local_observations(st, obs_spec), g, variant)
+                 for st, g in zip(states, goals)]
+    template = templates[0]
     index = action_index(cfg, template)
     mask = np.broadcast_to(template.action_mask, (B,) + template.action_mask.shape)
     adj = adjacency(template.edges, template.n_nodes) if params.arch == "gnn" else None
@@ -148,7 +150,7 @@ def _per_seed_rollouts(params, spec, seeds, T=None, keep_inputs=False):
     actions, distances, inputs = [], [], []
     for _ in range(horizon):
         obs = np.stack([local_observations(st, obs_spec) for st in states])
-        frame = graph_features(obs, goals.reshape(B, -1, 3), nodes, variant, obs_spec)
+        frame = graph_features(obs, goals.reshape(B, -1, 3), nodes, variant)
         window = np.concatenate([window[:, :, w:], frame], axis=-1)
         x = policy_inputs(window, cfg)
         if keep_inputs:
@@ -162,7 +164,7 @@ def _per_seed_rollouts(params, spec, seeds, T=None, keep_inputs=False):
                        actions=np.array([a[i] for a in actions]),
                        distances=np.array([d[i] for d in distances]),
                        inputs=np.array([x[i] for x in inputs]) if keep_inputs else None,
-                       template=template if keep_inputs else None)
+                       template=templates[i] if keep_inputs else None)
             for i, s in enumerate(seeds)]
 
 
@@ -190,6 +192,18 @@ def test_rollout_batch_equals_per_seed_oracle(policy):
                 other = getattr(traj.template, name)
                 assert np.array_equal(other, value) if isinstance(value, np.ndarray) \
                     else other == value, (env_id, name)
+
+
+def test_rollout_observes_each_step_once_and_lays_out_once(monkeypatch):
+    from morphtask import evaluation
+    calls = []
+    for name in ("local_observations", "control_graph"):
+        real = getattr(evaluation, name)
+        monkeypatch.setattr(evaluation, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    rollout_batch(tf_params(3), make_env("ant_reach_2"), [0, 1, 2], T=7)
+    assert calls.count("local_observations") == 7
+    assert calls.count("control_graph") == 1
 
 
 def test_rollout_batch_without_seeds_or_steps_as_per_seed_oracle():
@@ -425,7 +439,7 @@ def test_tokenized_attention_report_replays_the_policy_maps(variant):
     state = reset(spec, 0)
     for t in range(4):
         cg = build_cg(spec, local_observations(state, OBS),
-                      np.concatenate(state.goals), OBS, "v2")
+                      np.concatenate(state.goals), "v2")
         feats = detokenize(tokenize_features(cg.node_features, 64), "center", 64)
         grid = batch_grids(params, feats[None], cg.action_mask[None])
         head = transformer_grid if variant == "c" else tokenized_logits

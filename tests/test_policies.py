@@ -41,8 +41,6 @@ def sample_cg(env_id="ant_reach_3", variant="v2", seed=0):
     state = reset(spec, seed)
     obs = local_observations(state, OBS)
     build = build_cg_v2 if variant == "v2" else build_cg_v1
-    if variant == "v2":
-        return build(obs, goal_bindings(state), spec.graph, OBS)
     return build(obs, goal_bindings(state), spec.graph)
 
 
