@@ -493,8 +493,10 @@ def adam_init(params: PolicyParams) -> AdamState:
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], clip: float) -> float:
+    """Scale grads in place to global L2 norm at most clip; returns the norm
+    before clipping.  A non-finite norm leaves grads as they are."""
     norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-    if norm > clip and norm > 0.0:
+    if clip < norm < np.inf and norm > 0.0:
         scale = clip / norm
         for g in grads.values():
             g *= scale
@@ -569,7 +571,11 @@ class _BatchSampler:
 
 def train(params: PolicyParams, dataset: TransitionDataset,
           config: TrainConfig) -> tuple[PolicyParams, list[tuple[int, float]]]:
-    """Adam behavior cloning; loss recorded every 100 steps plus both ends."""
+    """Adam behavior cloning; loss recorded every 100 steps plus both ends.
+
+    Raises NumericError naming the step whose loss or gradient norm is not
+    finite, before that step updates any parameter.
+    """
     arrays = prepare_training_data(dataset, params.config)
     sampler = _BatchSampler([a.feats.shape[0] for a in arrays],
                             config.batch_size, config.seed,
@@ -590,9 +596,15 @@ def train(params: PolicyParams, dataset: TransitionDataset,
         if t % 100 == 0:
             curve.append((t, value))
         loss.backward()
+        # Step t's graph goes as a whole, before step t+1's forward: kept
+        # alive until the next rebinding of loss it doubles the peak, and
+        # freed node by node inside backward it would let the allocator hand
+        # pages back that the next forward then faults in again.
+        del loss
         grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
                  for k, p in params.tensors.items()}
-        clip_global_norm(grads, config.grad_clip)
+        if not np.isfinite(clip_global_norm(grads, config.grad_clip)):
+            raise NumericError(f"gradient norm went non-finite at step {t}")
         adam_step(params, grads, state, config.learning_rate)
     with ad.no_grad():
         curve.append((config.steps, float(batch_loss().data)))

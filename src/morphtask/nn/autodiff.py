@@ -10,9 +10,12 @@ closure, which is what inference wants.
 
 The op set is just large enough for the policy architectures: broadcasting
 arithmetic, matmul with batch dims, activations, softmax/log-softmax, layer
-statistics, reshapes, concatenation and row lookups, plus two fused ops with
-hand-written backward passes: ``linear`` (GEMM plus an in-place bias) and
-``attention`` (scores, softmax and value mixing over ragged row segments).
+statistics, reshapes, concatenation and row lookups, plus three fused ops with
+hand-written backward passes: ``linear`` (GEMM plus an in-place bias),
+``layer_norm``, and ``transformer_block`` (Q|K|V, attention over ragged row
+segments, output projection, two residual layer norms and the ReLU FFN).
+The block keeps only the arrays its backward reads, and its arithmetic is
+that of the ops it fuses, so its results and gradients are the same bits.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ def no_grad():
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_grad_owned")
+                 "_grad_owned", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False,
                  parents: tuple = (), backward=None):
@@ -306,29 +309,45 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
 
 def gather_rows(a, index: np.ndarray) -> Tensor:
-    """Row lookup a[index] with scatter-add gradient (embedding tables)."""
+    """Row lookup a[index] with scatter-add gradient (embedding tables).
+
+    Each row's gradient sums its contributions in index order, starting
+    from +0.0: the bits of ``np.add.at``, with one sequential sum per
+    distinct row instead of one per index.
+    """
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
 
     def backward(g):
         if a.requires_grad:
+            flat = index.reshape(-1) % len(a.data)
+            order = np.argsort(flat, kind="stable")
+            rows, starts = np.unique(flat[order], return_index=True)
+            parts = g.reshape((len(flat),) + a.shape[1:])[order]
             full = np.zeros_like(a.data)
-            np.add.at(full, index, g)
+            for row, part in zip(rows, np.split(parts, starts[1:])):
+                # accumulate adds in order for any row width; a reduce over
+                # one column would sum pairwise
+                full[row] = np.add.accumulate(part, axis=0)[-1]
+            # Starting from the first term instead of +0.0 differs only in a
+            # row whose terms are all -0.0; adding +0.0 makes that row +0.0.
+            full += 0.0
             a._accumulate(full)
     return _result(a.data[index], (a,), backward)
 
 
-def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis (biased variance), then scale and shift.
+def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
+                out: np.ndarray | None = None):
+    """Layer norm over the last axis: (y, xhat, inv) with y = xhat*gamma +
+    beta and xhat = (x - mean) * inv.  xhat is written to ``out``, which
+    may be x itself.
 
-    Means are ``np.add.reduce(...) / E``, the same bits as ``np.mean``, and
-    the forward and backward passes reuse their temporaries in place.
+    Means are ``np.add.reduce(...) / E``, the same bits as ``np.mean``.
     """
-    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
-    E = a.shape[-1]
-    mu = np.add.reduce(a.data, axis=-1, keepdims=True)
+    E = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
     mu /= E
-    xhat = a.data - mu
+    xhat = np.subtract(x, mu, out=out)
     sq = xhat * xhat
     inv = np.add.reduce(sq, axis=-1, keepdims=True)
     inv /= E
@@ -336,32 +355,49 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    y = np.multiply(xhat, gamma.data, out=sq)
-    y += beta.data
+    y = np.multiply(xhat, gamma, out=sq)
+    y += beta
+    return y, xhat, inv
+
+
+def _ln_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray,
+                 out: np.ndarray | None = None):
+    """(dx, dgamma, dbeta) of _ln_forward for the output gradient g; dx is
+    written to ``out``, which may be g itself."""
+    E = g.shape[-1]
+    g2 = g.reshape(-1, E)
+    dgamma = np.add.reduce(g2 * xhat.reshape(-1, E), axis=0)
+    dbeta = np.add.reduce(g2, axis=0)
+    dx = np.multiply(g, gamma, out=out)
+    m1 = np.add.reduce(dx, axis=-1, keepdims=True)
+    m1 /= E
+    tmp = dx * xhat
+    m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
+    m2 /= E
+    np.multiply(xhat, m2, out=tmp)
+    dx -= m1
+    dx -= tmp
+    dx *= inv
+    return dx, dgamma, dbeta
+
+
+def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis (biased variance), then scale and shift."""
+    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
+    y, xhat, inv = _ln_forward(a.data, gamma.data, beta.data, eps)
 
     def backward(g):
-        g2 = g.reshape(-1, E)
+        dx, dgamma, dbeta = _ln_backward(g, xhat, inv, gamma.data)
         if gamma.requires_grad:
-            gamma._accumulate(np.add.reduce(g2 * xhat.reshape(-1, E), axis=0),
-                              owned=True)
+            gamma._accumulate(dgamma, owned=True)
         if beta.requires_grad:
-            beta._accumulate(np.add.reduce(g2, axis=0), owned=True)
+            beta._accumulate(dbeta, owned=True)
         if a.requires_grad:
-            dxhat = g * gamma.data
-            m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
-            m1 /= E
-            tmp = dxhat * xhat
-            m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
-            m2 /= E
-            np.multiply(xhat, m2, out=tmp)
-            dxhat -= m1
-            dxhat -= tmp
-            dxhat *= inv
-            a._accumulate(dxhat, owned=True)
+            a._accumulate(dx, owned=True)
     return _result(y, (a, gamma, beta), backward)
 
 
-def attention(qkv, segments, heads: int) -> tuple[Tensor, list[np.ndarray]]:
+def _attention_forward(qkv: np.ndarray, segments, heads: int):
     """Scaled dot-product self-attention over ragged row segments.
 
     qkv is (..., 3E): each row holds its query, key and value, and each of
@@ -369,19 +405,17 @@ def attention(qkv, segments, heads: int) -> tuple[Tensor, list[np.ndarray]]:
     flattened to (R, 3E), ``segments`` lists (offset, B, n): rows offset ..
     offset + B*n are B samples of n consecutive rows that attend only among
     themselves.  Returns the mixed values (..., E) and, per segment, the
-    attention weights (B, H, n, n).  The backward pass is written by hand:
-    softmax's Jacobian-vector product and the four batched matmuls.
+    q, k, v views (B, H, n, dk) and attention weights (B, H, n, n) that
+    _attention_backward reads.
     """
-    qkv = as_tensor(qkv)
-    lead = qkv.shape[:-1]
-    flat = qkv.data.reshape(-1, qkv.shape[-1])
+    flat = qkv.reshape(-1, qkv.shape[-1])
     E = flat.shape[1] // 3
     H = heads
     dk = E // H
     scale = 1.0 / np.sqrt(dk)
-    mixed = np.empty(lead + (E,))
+    mixed = np.empty(qkv.shape[:-1] + (E,))
     mixed_flat = mixed.reshape(-1, E)
-    saved = []          # per segment: q, k, v (B, H, n, dk) and weights
+    saved = []
     for off, B, n in segments:
         rows = slice(off, off + B * n)
         q, k, v = flat[rows].reshape(B, n, 3, H, dk).transpose(2, 0, 3, 1, 4)
@@ -391,23 +425,95 @@ def attention(qkv, segments, heads: int) -> tuple[Tensor, list[np.ndarray]]:
         np.matmul(weights, v,
                   out=mixed_flat[rows].reshape(B, n, H, dk).transpose(0, 2, 1, 3))
         saved.append((q, k, v, weights))
+    return mixed, saved
+
+
+def _attention_backward(g: np.ndarray, saved, segments) -> np.ndarray:
+    """The gradient (R, 3E) of _attention_forward's rows for the gradient g
+    of its mixed values: softmax's Jacobian-vector product and the four
+    batched matmuls."""
+    _, H, _, dk = saved[0][0].shape
+    E = H * dk
+    scale = 1.0 / np.sqrt(dk)
+    g = g.reshape(-1, E)
+    dqkv = np.empty((len(g), 3 * E))
+    for (off, B, n), (q, k, v, weights) in zip(segments, saved):
+        rows = slice(off, off + B * n)
+        gm = g[rows].reshape(B, n, H, dk).transpose(0, 2, 1, 3)
+        dq, dk_, dv = dqkv[rows].reshape(B, n, 3, H, dk).transpose(2, 0, 3, 1, 4)
+        np.matmul(weights.transpose(0, 1, 3, 2), gm, out=dv)
+        dw = gm @ v.transpose(0, 1, 3, 2)
+        dscores = dw - (dw * weights).sum(axis=-1, keepdims=True)
+        dscores *= weights
+        dscores *= scale
+        np.matmul(dscores, k, out=dq)
+        np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk_)
+    return dqkv
+
+
+def transformer_block(z, weights, segments, heads: int,
+                      eps: float) -> tuple[Tensor, list[np.ndarray]]:
+    """One post-norm transformer block over ragged row segments:
+    u = layer_norm(z + attention(z) Wo + bo), out = layer_norm(u +
+    ffn(u)), with ffn(u) = relu(u W1 + b1) W2 + b2.
+
+    weights are (Wqkv, bqkv, Wo, bo, ln1 gamma, ln1 beta, W1, b1, W2, b2,
+    ln2 gamma, ln2 beta); Wqkv | bqkv are the concatenated Q|K|V weights of
+    one GEMM.  z is (B, n, E), a sample's GEMMs per leading index as in
+    ``linear``, or stacked rows (R, E) with ``segments`` as in
+    _attention_forward.  Returns the output and, per segment, the attention
+    weights (B, H, n, n).
+
+    Each step runs the arithmetic of the op it fuses (``linear``, ``add``,
+    ``layer_norm``, ``relu``) in the same order, so outputs and gradients
+    are bit for bit those of the op chain.  The forward works in place
+    where the chain allocates, and keeps only what the backward reads.
+    """
+    z = as_tensor(z)
+    weights = tuple(as_tensor(w) for w in weights)
+    w_qkv, b_qkv, wo, bo, g1, be1, w1, b1, w2, b2, g2, be2 = (w.data for w in weights)
+    x = z.data
+    qkv = x @ w_qkv
+    qkv += b_qkv
+    mixed, saved = _attention_forward(qkv, segments, heads)
+    r1 = mixed @ wo
+    r1 += bo
+    r1 += x
+    u, xhat1, inv1 = _ln_forward(r1, g1, be1, eps, out=r1)
+    h = u @ w1
+    h += b1
+    np.maximum(h, 0.0, out=h)
+    r2 = h @ w2
+    r2 += b2
+    r2 += u
+    y, xhat2, inv2 = _ln_forward(r2, g2, be2, eps, out=r2)
+
+    def rows(a):
+        return a.reshape(-1, a.shape[-1])
 
     def backward(g):
-        g = g.reshape(-1, E)
-        dqkv = np.empty(flat.shape)
-        for (off, B, n), (q, k, v, weights) in zip(segments, saved):
-            rows = slice(off, off + B * n)
-            gm = g[rows].reshape(B, n, H, dk).transpose(0, 2, 1, 3)
-            dq, dk_, dv = dqkv[rows].reshape(B, n, 3, H, dk).transpose(2, 0, 3, 1, 4)
-            np.matmul(weights.transpose(0, 1, 3, 2), gm, out=dv)
-            dw = gm @ v.transpose(0, 1, 3, 2)
-            dscores = dw - (dw * weights).sum(axis=-1, keepdims=True)
-            dscores *= weights
-            dscores *= scale
-            np.matmul(dscores, k, out=dq)
-            np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk_)
-        qkv._accumulate(dqkv.reshape(qkv.shape), owned=True)
-    return (_result(mixed, (qkv,), backward),
+        dr2, dg2, dbe2 = _ln_backward(g, xhat2, inv2, g2)
+        dh = dr2 @ w2.T
+        dw2, db2 = _row_product(rows(h), rows(dr2)), np.add.reduce(rows(dr2), axis=0)
+        np.multiply(dh, h > 0.0, out=dh)       # h > 0 exactly where relu's input is
+        du = dh @ w1.T
+        dw1, db1 = _row_product(rows(u), rows(dh)), np.add.reduce(rows(dh), axis=0)
+        du += dr2
+        dr1, dg1, dbe1 = _ln_backward(du, xhat1, inv1, g1, out=du)
+        dmixed = dr1 @ wo.T
+        dwo, dbo = _row_product(rows(mixed), rows(dr1)), np.add.reduce(rows(dr1), axis=0)
+        dqkv = _attention_backward(dmixed, saved, segments).reshape(qkv.shape)
+        dw_qkv = _row_product(rows(x), rows(dqkv))
+        db_qkv = np.add.reduce(rows(dqkv), axis=0)
+        if z.requires_grad:
+            dx = dqkv @ w_qkv.T
+            dx += dr1
+            z._accumulate(dx, owned=True)
+        for w, dw in zip(weights, (dw_qkv, db_qkv, dwo, dbo, dg1, dbe1,
+                                   dw1, db1, dw2, db2, dg2, dbe2)):
+            if w.requires_grad:
+                w._accumulate(dw, owned=True)
+    return (_result(y, (z,) + weights, backward),
             [weights for _, _, _, weights in saved])
 
 

@@ -282,14 +282,21 @@ def fused_qkv(params: PolicyParams) -> list[tuple[Tensor, Tensor]] | None:
             for i in range(params.config.layers)]
 
 
+# A block's tensors after its fused Q|K|V, in transformer_block's order.
+_BLOCK_TENSORS = ("attn/Wo", "attn/bo", "ln1/gamma", "ln1/beta", "ffn/W1", "ffn/b1",
+                  "ffn/W2", "ffn/b2", "ln2/gamma", "ln2/beta")
+
+
 def _trunk(params: PolicyParams, feats_c: np.ndarray, batch: CanonicalBatch,
            qkv=None) -> Tensor:
     """Embed + L transformer blocks on canonically ordered features in the
     batch's layout, (B, n, F) or stacked rows (R, F).
 
-    Every row-wise layer runs once on all rows; only attention looks at
-    the segments.  Each layer's Q|K|V is one GEMM on fused_qkv's weights
-    (built here unless passed); the attention maps go to ``batch.attn``.
+    Each block is one ``transformer_block`` op, in training and in
+    inference alike: its row-wise steps run once on all rows and only
+    attention looks at the segments.  Its Q|K|V is one GEMM on fused_qkv's
+    weights (built here unless passed); the attention maps go to
+    ``batch.attn``.
     """
     cfg = params.config
     t = params.tensors
@@ -300,18 +307,10 @@ def _trunk(params: PolicyParams, feats_c: np.ndarray, batch: CanonicalBatch,
         z = ad.layer_norm(z, t["embed_ln/gamma"], t["embed_ln/beta"], LN_EPS)
     check_finite("embed", z)
     for layer, (w_qkv, b_qkv) in enumerate(qkv or fused_qkv(params)):
-        p = f"layer{layer}"
-        a = f"{p}/attn"
-        mixed, attn = ad.attention(ad.linear(z, w_qkv, b_qkv), batch.segments,
-                                   cfg.heads)
+        weights = (w_qkv, b_qkv, *(t[f"layer{layer}/{name}"] for name in _BLOCK_TENSORS))
+        z, attn = ad.transformer_block(z, weights, batch.segments, cfg.heads, LN_EPS)
         batch.attn.append(attn)
-        z = ad.layer_norm(ad.add(ad.linear(mixed, t[f"{a}/Wo"], t[f"{a}/bo"]), z),
-                          t[f"{p}/ln1/gamma"], t[f"{p}/ln1/beta"], LN_EPS)
-        h = ad.relu(ad.linear(z, t[f"{p}/ffn/W1"], t[f"{p}/ffn/b1"]))
-        f = ad.linear(h, t[f"{p}/ffn/W2"], t[f"{p}/ffn/b2"])
-        z = ad.layer_norm(ad.add(f, z),
-                          t[f"{p}/ln2/gamma"], t[f"{p}/ln2/beta"], LN_EPS)
-        check_finite(p, z)
+        check_finite(f"layer{layer}", z)
     return z
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -695,6 +696,50 @@ def test_grad_clip_invariant_during_training(monkeypatch):
     monkeypatch.setattr(distill, "clip_global_norm", spy)
     train(tf_params(_width(), seed=1), ds, TrainConfig(steps=20, batch_size=8, seed=0))
     assert seen and all(n <= 0.1 + 1e-12 for n in seen)
+
+
+def test_training_keeps_one_step_graph(monkeypatch):
+    # step t's loss, and with it step t's graph, is gone before step t+1's
+    # forward begins, and the last one before the final no-grad loss
+    ds, _ = small_dataset(n=40)
+    previous = []
+
+    def watched(params, groups):
+        assert all(ref() is None for ref in previous)
+        loss = loss_from_groups(params, groups)
+        previous.append(weakref.ref(loss))
+        return loss
+
+    monkeypatch.setattr(distill, "loss_from_groups", watched)
+    train(tf_params(_width(), seed=1), ds, TrainConfig(steps=4, batch_size=8, seed=0))
+    assert len(previous) == 5
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_gradient_stops_training_at_its_step(monkeypatch, bad):
+    ds, _ = small_dataset(n=40)
+    params = tf_params(_width(), seed=1)
+    calls = []
+
+    def spiked(params, groups):
+        # a loss term of value 0 whose gradient puts `bad` into one entry
+        loss = loss_from_groups(params, groups)
+        calls.append(len(calls))
+        if len(calls) == 3:
+            b = params.tensors["embed/b"]
+
+            def backward(g):
+                grad = np.zeros(b.shape)
+                grad[0] = bad
+                b._accumulate(grad)
+            loss = ad.add(loss, ad.Tensor(np.zeros(()), True, (b,), backward))
+        return loss
+
+    monkeypatch.setattr(distill, "loss_from_groups", spiked)
+    with pytest.raises(ad.NumericError, match="gradient norm went non-finite at step 2$"):
+        train(params, ds, TrainConfig(steps=5, batch_size=8, seed=0))
+    assert len(calls) == 3
+    assert all(np.isfinite(t.data).all() for t in params.tensors.values())
 
 
 def test_mixed_and_per_env_batching():

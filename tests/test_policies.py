@@ -28,8 +28,10 @@ from morphtask.nn.policies import (
     parameter_count,
     policy_inputs,
     transformer_grid,
+    transformer_rows,
 )
 
+from test_autodiff import assert_same_bits, block_reference
 from test_control_graph import goal_bindings
 from test_distill import tokenized_logits
 
@@ -339,6 +341,34 @@ def test_forward_independent_of_batch_composition():
         np.stack([cg_a.node_features, cg_b.node_features]),
         np.stack([cg_a.action_mask, cg_b.action_mask]))
     np.testing.assert_array_equal(solo.data[0], both.data[0])
+
+
+@pytest.mark.parametrize("use_pe", [True, False])
+@pytest.mark.parametrize("envs", [("ant_reach_3",), ("ant_reach_3", "ant_reach_5")])
+def test_fused_blocks_equal_op_chain_bit_for_bit(monkeypatch, use_pe, envs):
+    # one group keeps (B, n, E) with per-sample GEMMs, two are stacked rows
+    groups = []
+    for i, env_id in enumerate(envs):
+        cgs = [sample_cg(env_id, seed=s) for s in range(3 + i)]
+        groups.append((np.stack([cg.node_features for cg in cgs]),
+                       np.stack([cg.action_mask for cg in cgs])))
+    params = init_params("transformer", tf_config(cgs[0], use_pe=use_pe), 3)
+    runs = []
+    for block in (ad.transformer_block, block_reference):
+        monkeypatch.setattr(ad, "transformer_block", block)
+        params.zero_grad()
+        head, batch = transformer_rows(params, groups)
+        w = np.random.default_rng(1).normal(size=head.shape)
+        ad.tsum(ad.mul(head, w)).backward()
+        runs.append((head.data, batch.attn, [t.grad for t in params.tensors.values()]))
+    (head, attn, grads), (head_r, attn_r, grads_r) = runs
+    assert_same_bits(head, head_r)
+    for layer, layer_r in zip(attn, attn_r):
+        for a, a_r in zip(layer, layer_r):
+            assert_same_bits(a, a_r)
+    assert len(grads) == len(params.tensors) and all(g is not None for g in grads)
+    for g, g_r in zip(grads, grads_r):
+        assert_same_bits(g, g_r)
 
 
 def _transformer_oracle(params, feats, mask):
