@@ -325,13 +325,12 @@ def cmd_ablate(cfg: dict, dataset_path: str) -> int:
     cells = [(cell, build_configs(dict(cfg, **dict(zip(axes, cell))), _AXES))
              for cell in itertools.product(*axes.values())]
     ds = _read_training_dataset(dataset_path)
-    subsets = {flags: _subset_dataset(ds, flags) for flags in axes["obs_flags"]}
     rows = ["obs_flags,use_pe,token,history,seed,init_loss,final_loss,"
             "aggregate_dist"]
     for (flags, pe, token, history), (pc, tc) in cells:
-        params, curve = _train_policy(pc, tc, subsets[flags])
-        envs = [e.env_id for e in subsets[flags].environments]
-        result = meval.evaluate_policy(params, envs, list(range(cfg["eval_seeds"])),
+        params, curve = _train_policy(pc, tc, ds)   # observations at the cell's flags
+        result = meval.evaluate_policy(params, [e.env_id for e in ds.environments],
+                                       list(range(cfg["eval_seeds"])),
                                        cfg["eval_horizon"] or None)
         rows.append(f"{'+'.join(_items(flags))},{pe},{token},{history},"
                     f"{cfg['seed']},{curve[0][1]!r},{curve[-1][1]!r},"
@@ -341,25 +340,6 @@ def cmd_ablate(cfg: dict, dataset_path: str) -> int:
     write_resolved_config(cfg, out)
     print(f"wrote {out / 'ablation.csv'} ({len(rows) - 1} cells)")
     return 0
-
-
-def _subset_dataset(ds, flags: str):
-    """Slice a dataset generated with a superset of observation flags."""
-    want = build_observation_spec(_items(flags))
-    out_envs = []
-    for envd in ds.environments:
-        have = envd.obs_spec
-        missing = set(want.flags) - set(have.flags)
-        if missing:
-            raise UsageError(
-                f"dataset lacks observation flags {sorted(missing)} needed "
-                f"for ablation cell {flags!r}")
-        cols = np.concatenate([np.arange(have.slot(f).start, have.slot(f).stop)
-                               for f in want.flags])
-        out_envs.append(dataclasses.replace(
-            envd, obs_spec=want,
-            features=envd.features[:, :, cols]))
-    return dataclasses.replace(ds, environments=out_envs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,15 +45,6 @@ class ObservationSpec:
     def width(self) -> int:
         return sum(FLAG_WIDTHS[f] for f in self.flags)
 
-    def slot(self, flag: str) -> slice:
-        """Column range of a flag within the per-node feature row."""
-        start = 0
-        for f in self.flags:
-            if f == flag:
-                return slice(start, start + FLAG_WIDTHS[f])
-            start += FLAG_WIDTHS[f]
-        raise KeyError(flag)
-
 
 def build_observation_spec(flags) -> ObservationSpec:
     """Normalize a flag collection into canonical order."""

@@ -1,9 +1,10 @@
 """Expert dataset generation, behavior-cloning objective, training loop and
 checkpointing.
 
-Datasets (magic ``CGDS``) store raw per-node observations plus expert
-actions, goal values and episode ids per transition, so the same file can be
-replayed through any control-graph variant or architecture.  Checkpoints
+Datasets (magic ``CGDS``) store what the expert did: joint angles, expert
+actions, goal values and episode ids per transition.  Per-node observations
+follow from those and the body, so they are rebuilt on reading, at any
+observation flags, for any control-graph variant or architecture.  Checkpoints
 (``CGCK``) carry the architecture tag, the full config and every parameter
 tensor.  Both are tables of the ``artifacts`` container.
 """
@@ -46,6 +47,7 @@ DATASET_MAGIC = b"CGDS"
 CHECKPOINT_MAGIC = b"CGCK"
 DEFAULT_TRANSITIONS = 12_000
 HOLD_TAIL_STEPS = 25
+OBSERVATION_BLOCK = 2048   # rows per local_observations call, bounding its temporaries
 
 
 class DataQualityError(RuntimeError):
@@ -58,7 +60,8 @@ class EnvDataset:
     morphology_text: str
     task_text: str
     obs_spec: ObservationSpec
-    features: np.ndarray     # (N, n, W) float32 per-node observations
+    joint_angles: np.ndarray  # (N, A) float64 state before each action
+    features: np.ndarray     # (N, n, W) float32 observations at obs_spec
     actions: np.ndarray      # (N, A) float32 expert actions
     goals: np.ndarray        # (N, 3G) float32 goal values
     episodes: np.ndarray     # (N,) int32 episode id: from 0, never decreasing
@@ -114,19 +117,25 @@ def _state_key(state: menv.EnvState) -> bytes:
     return state.joint_angles.tobytes() + box
 
 
-def _episode_observations(states, obs_spec: ObservationSpec) -> np.ndarray:
-    """local_observations of an episode's first T states, (T, n, W).  The
-    reset row has its own call: as its own previous state it would not get
-    exactly zero a slots.  The rest are one lockstep state of their frames
-    and the frames before them, all that local_observations reads."""
-    theta, pos, quat = (np.stack([getattr(s, key) for s in states])
-                        for key in ("joint_angles", "positions", "orientations"))
-    moving = menv.EnvState(graph=states[0].graph, task=states[0].task,
-                           joint_angles=theta[1:], goals=(), positions=pos[1:],
-                           orientations=quat[1:], prev_joint_angles=theta[:-1],
-                           prev_positions=pos[:-1], prev_orientations=quat[:-1])
-    return np.concatenate([local_observations(states[0], obs_spec)[None],
-                           local_observations(moving, obs_spec)])
+def _observations(graph, joint_angles: np.ndarray, episodes: np.ndarray,
+                  obs_spec: ObservationSpec) -> np.ndarray:
+    """float32 local_observations (N, n, W) of a dataset's rows: one array FK
+    of their joint angles, then lockstep calls on blocks of episode starts,
+    reset states with no previous frame (as their own they would not get
+    exactly zero a slots), and of other rows, the row before as previous."""
+    pos, quat = menv.forward_kinematics(graph, joint_angles)
+    start = np.r_[True, episodes[1:] != episodes[:-1]]
+    rows = np.empty(pos.shape[:2] + (obs_spec.width,), dtype=np.float32)
+    for at in (np.flatnonzero(start), np.flatnonzero(~start)):
+        for k in range(0, len(at), OBSERVATION_BLOCK):
+            i = at[k: k + OBSERVATION_BLOCK]
+            before = {} if start[i[0]] else dict(
+                prev_joint_angles=joint_angles[i - 1], prev_positions=pos[i - 1],
+                prev_orientations=quat[i - 1])
+            rows[i] = local_observations(menv.EnvState(
+                graph=graph, task=None, joint_angles=joint_angles[i], goals=(),
+                positions=pos[i], orientations=quat[i], **before), obs_spec)
+    return rows
 
 
 def generate_dataset(env_specs, expert_gain: float = 1.0,
@@ -142,8 +151,8 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
     the attempted episodes must be kept: DataQualityError is raised as soon
     as no later outcome can bring the keep rate to 50%, and its message
     gives the kept/attempted counts at that moment.  Observations are built
-    only for the rows that reach the dataset, in one call per kept episode
-    (_episode_observations).  A rejected episode ends at
+    only for the rows that reach the dataset, once per env (_observations).
+    A rejected episode ends at
     its first repeated state (same joint angles and box, no goal set
     satisfied yet): from there it can only cycle through states already
     found unsatisfied, so stopping gives the same data as the full horizon.
@@ -158,7 +167,7 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
         attempts = 0
         kept = 0
         finals: list[float] = []
-        rows: list[tuple] = []     # per kept episode: (features, actions, goals, episode ids)
+        rows: list[tuple] = []     # per kept episode: (angles, actions, goals, episode ids)
         n_rows = 0
         max_attempts = 20 + 4 * (n_transitions // max(task.episode_length // 4, 1) + 1)
         while n_rows < n_transitions and attempts < max_attempts:
@@ -168,13 +177,13 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
             attempts += 1
             distances = menv.goal_distances(state)
             room = n_transitions - n_rows
-            episode: list[tuple] = []  # (pre-step state, expert action) of storable rows
+            episode: list[tuple] = []  # (pre-step angles, expert action) of storable rows
             satisfied_at = None
             seen = {_state_key(state)}  # states of this episode before satisfaction
             for t in range(task.episode_length):
                 action = menv.scripted_expert(state, expert_gain, distances)
                 if t < room:
-                    episode.append((state, action))
+                    episode.append((state.joint_angles, action))
                 state = step(state, action)
                 distances = menv.goal_distances(state)
                 if satisfied_at is None and all(
@@ -196,11 +205,10 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
             finals.append(sum(
                 (d - d_min) / (d_max - d_min)
                 for d, d_min, d_max in zip(distances, task.d_min, task.d_max)))
-            states, actions = zip(*episode)
-            T = len(states)
+            angles, actions = zip(*episode)
+            T = len(angles)
             goal_flat = np.concatenate(state.goals).astype(np.float32)
-            rows.append((_episode_observations(states, obs_spec).astype(np.float32),
-                         np.stack(actions).astype(np.float32),
+            rows.append((np.stack(angles), np.stack(actions).astype(np.float32),
                          np.tile(goal_flat, (T, 1)), np.full(T, kept, dtype=np.int32)))
             n_rows += T
             kept += 1
@@ -213,9 +221,10 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
             raise DataQualityError(
                 f"could not accumulate {n_transitions} transitions for "
                 f"env {spec.env_id!r}")
-        morph_text, task_text = menv.serialize_env(spec)
-        envs.append(EnvDataset(spec.env_id, morph_text, task_text, obs_spec,
-                               *(np.concatenate(arrays) for arrays in zip(*rows))))
+        theta, actions, goals, episodes = (np.concatenate(arrays) for arrays in zip(*rows))
+        envs.append(EnvDataset(spec.env_id, *menv.serialize_env(spec), obs_spec, theta,
+                               _observations(spec.graph, theta, episodes, obs_spec),
+                               actions, goals, episodes))
         reports.append(GenReport(
             env_id=spec.env_id, attempts=attempts, episodes_kept=kept,
             transitions=n_rows, success_rate=rate,
@@ -225,15 +234,15 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
 
 # --- dataset file ---------------------------------------------------------------
 
-_DATASET_TAG = "dataset"
+_DATASET_TAG = "states"
 _ENV_KEYS = ("env_id", "morphology", "task", "obs_flags")
-_ENV_ARRAYS = (("features", np.float32), ("actions", np.float32),
+_ENV_ARRAYS = (("joint_angles", np.float64), ("actions", np.float32),
                ("goals", np.float32), ("episodes", np.int32))
 
 
 def _dataset_table(ds: TransitionDataset):
     """(JSON header, tensors) of a dataset: per env i the arrays
-    ``<i>/features``, ``<i>/actions``, ``<i>/goals`` and ``<i>/episodes``.
+    ``<i>/joint_angles``, ``<i>/actions``, ``<i>/goals`` and ``<i>/episodes``.
     Each environment passes the checks read_dataset makes, so no file is
     written that it would reject."""
     meta = {"environments": [
@@ -243,7 +252,7 @@ def _dataset_table(ds: TransitionDataset):
     tensors = []
     for i, (header, e) in enumerate(zip(meta["environments"], ds.environments)):
         arrays = {key: np.asarray(getattr(e, key), dtype) for key, dtype in _ENV_ARRAYS}
-        _env_dataset(header, arrays)
+        _checked_env(header, arrays)
         tensors += [(f"{i}/{key}", data) for key, data in arrays.items()]
     return meta, tensors
 
@@ -256,11 +265,12 @@ def write_dataset(ds: TransitionDataset, path) -> None:
     artifacts.save(path, DATASET_MAGIC, _DATASET_TAG, *_dataset_table(ds))
 
 
-def _env_dataset(header, arrays: dict[str, np.ndarray]) -> EnvDataset:
-    """One environment of a dataset; CorruptionError unless the header is
-    well formed, every goal names a node of its body, and every array has
-    the dtype and shape it implies, with at least one row and episode ids
-    that start at 0 and never decrease."""
+def _checked_env(header, arrays: dict[str, np.ndarray]) -> tuple[EnvSpec, ObservationSpec]:
+    """Body and task, and observation flags, of one environment of a dataset;
+    CorruptionError unless its header is well formed, its goals name nodes of
+    its body, its arrays have the dtypes and shapes it implies and a row, its
+    joint angles lie in their joint ranges, and its episode ids start at 0
+    and never decrease."""
     if not (isinstance(header, dict) and set(header) == set(_ENV_KEYS)
             and all(isinstance(header[k], str) for k in _ENV_KEYS[:3])
             and isinstance(header["obs_flags"], list)
@@ -276,7 +286,7 @@ def _env_dataset(header, arrays: dict[str, np.ndarray]) -> EnvDataset:
     if list(obs_spec.flags) != flags:
         raise CorruptionError(f"observation flags of env {env_id!r} are not canonical")
     n = arrays["episodes"].size
-    shapes = {"features": (n, spec.graph.n_nodes, obs_spec.width),
+    shapes = {"joint_angles": (n, spec.graph.action_dimension()),
               "actions": (n, spec.graph.action_dimension()),
               "goals": (n, 3 * len(spec.task.goals)), "episodes": (n,)}
     for key, dtype in _ENV_ARRAYS:
@@ -287,24 +297,38 @@ def _env_dataset(header, arrays: dict[str, np.ndarray]) -> EnvDataset:
     episodes = arrays["episodes"]
     if n == 0:
         raise CorruptionError(f"env {env_id!r} holds no transitions")
+    lo, hi = menv.joint_ranges(spec.graph)
+    if not np.all((arrays["joint_angles"] >= lo) & (arrays["joint_angles"] <= hi)):
+        raise CorruptionError(
+            f"joint angles of env {env_id!r} must be finite and inside the joint ranges")
     if episodes[0] != 0 or np.any(episodes[1:] < episodes[:-1]):
         raise CorruptionError(
             f"episode ids of env {env_id!r} must start at 0 and never decrease")
-    return EnvDataset(env_id=env_id, morphology_text=morph_text,
-                      task_text=task_text, obs_spec=obs_spec, **arrays)
+    return spec, obs_spec
 
 
 def read_dataset(path) -> TransitionDataset:
-    """The dataset in a version-2 ``CGDS`` file.  Version-1 datasets are not
-    read: ``gen-data`` remakes one from its ``resolved_config.txt``."""
+    """The dataset in a version-2 ``CGDS`` file, its observations rebuilt from
+    the joint angles at the header's flags.  Version-1 datasets, and those
+    that store observations (tag ``dataset``), are not read: ``gen-data``
+    remakes one from its ``resolved_config.txt``."""
     tag, meta, tensors = artifacts.load(path, DATASET_MAGIC)
+    if tag == "dataset":
+        raise CorruptionError("dataset stores observations (the schema before joint "
+                              "angles): re-run gen-data to remake it")
     headers = meta.get("environments") if isinstance(meta, dict) and len(meta) == 1 else None
     if tag != _DATASET_TAG or not isinstance(headers, list) or list(tensors) != [
             f"{i}/{key}" for i in range(len(headers)) for key, _ in _ENV_ARRAYS]:
         raise CorruptionError("dataset header and tensors do not match")
-    return TransitionDataset(environments=[
-        _env_dataset(h, {key: tensors[f"{i}/{key}"] for key, _ in _ENV_ARRAYS})
-        for i, h in enumerate(headers)])
+    envs = []
+    for i, header in enumerate(headers):
+        arrays = {key: tensors[f"{i}/{key}"] for key, _ in _ENV_ARRAYS}
+        spec, obs_spec = _checked_env(header, arrays)
+        envs.append(EnvDataset(
+            header["env_id"], header["morphology"], header["task"], obs_spec,
+            features=_observations(spec.graph, arrays["joint_angles"], arrays["episodes"],
+                                   obs_spec), **arrays))
+    return TransitionDataset(environments=envs)
 
 
 # --- control-graph preparation -------------------------------------------------
@@ -354,22 +378,21 @@ def prepare_training_data(ds: TransitionDataset,
                           config: PolicyConfig) -> list[_EnvArrays]:
     """Build per-environment tensors for the configured architecture.
 
-    One control graph holds every row of an environment, laid out with
-    array ops, and the mask, actuator map and edges the rows share.
+    Observations at flags other than the dataset's are rebuilt from its joint
+    angles.  One control graph holds every row of an environment, laid out
+    with array ops, and the mask, actuator map and edges the rows share.
     """
+    obs_spec = build_observation_spec(config.obs_flags)
+    expect = cg_feature_width(obs_spec, config.cg_variant, config.history)
+    if expect != config.feature_width:
+        raise ConfigError(f"control-graph width {expect} does not match policy "
+                          f"feature width {config.feature_width}")
     out = []
     for envd in ds.environments:
         spec = envd.env_spec()
-        if tuple(envd.obs_spec.flags) != tuple(config.obs_flags):
-            raise ConfigError(
-                f"dataset observation flags {envd.obs_spec.flags} do not match "
-                f"policy config {config.obs_flags}")
-        expect = cg_feature_width(envd.obs_spec, config.cg_variant, config.history)
-        if expect != config.feature_width:
-            raise ConfigError(
-                f"control-graph width {expect} does not match policy feature "
-                f"width {config.feature_width}")
-        cg = build_cg(spec, envd.features, envd.goals, config.cg_variant)
+        obs = envd.features if envd.obs_spec == obs_spec else _observations(
+            spec.graph, envd.joint_angles, envd.episodes, obs_spec)
+        cg = build_cg(spec, obs, envd.goals, config.cg_variant)
         feats = cg.node_features
         if config.history > 1:
             feats = _history_features(feats, envd.episodes, config.history)

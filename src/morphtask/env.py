@@ -320,6 +320,11 @@ def _body_table(graph: MorphologyGraph) -> _BodyTable:
     return _BodyTable(graph)
 
 
+def joint_ranges(graph: MorphologyGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Per dof, the lowest and highest angle its joint takes (read-only)."""
+    return _body_table(graph).lo, _body_table(graph).hi
+
+
 # --- forward kinematics -------------------------------------------------------
 
 def forward_kinematics(graph: MorphologyGraph, joint_angles) -> tuple[np.ndarray, np.ndarray]:

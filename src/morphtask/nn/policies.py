@@ -427,7 +427,7 @@ def mlp_vector(params: PolicyParams, flat: np.ndarray) -> Tensor:
 
 # --- tokenized variants ------------------------------------------------------------
 
-def tokenize_actions(actions_grid: np.ndarray, n_bins: int = 1024) -> np.ndarray:
+def tokenize_actions(actions_grid: np.ndarray, n_bins: int) -> np.ndarray:
     """Expert action grid -> target bins for the discretized heads."""
     return quantize(mu_law(actions_grid), n_bins)
 

@@ -1,11 +1,13 @@
 """The shared artifact container: v2 layout, v1 rejection, atomic writes.
 
-The files in tests/data were written by the version-1 writers, which no
+The v1 files in tests/data were written by the version-1 writers, which no
 reader takes any more: v1_checkpoint.cgck holds _small_params(),
 v1_attention.cgck an attention export of two steps, one
 layer and two heads, and v1_dataset.cgds generate_dataset(
 [make_env("ant_reach_2")], n_transitions=3, seed=0) with the
-p,v,q,a,ja,jr,m observation flags.
+p,v,q,a,ja,jr,m observation flags.  v2_features_dataset.cgds holds that
+dataset as version 2 wrote it before datasets stored joint angles: tag
+``dataset`` and per env ``features``, ``actions``, ``goals`` and ``episodes``.
 """
 import struct
 import zlib
@@ -86,6 +88,13 @@ def test_v1_fixture_checksum_is_fnv():
 def test_v1_dataset_fixture_is_rejected_naming_version_1():
     with pytest.raises(CorruptionError, match="version 1"):
         distill.read_dataset(DATA / "v1_dataset.cgds")
+
+
+def test_dataset_of_stored_observations_is_rejected_naming_gen_data():
+    tag, _, tensors = artifacts.load(DATA / "v2_features_dataset.cgds", distill.DATASET_MAGIC)
+    assert (tag, list(tensors)[0]) == ("dataset", "0/features")
+    with pytest.raises(CorruptionError, match="stores observations.*re-run gen-data"):
+        distill.read_dataset(DATA / "v2_features_dataset.cgds")
 
 
 def _fail_replace(*args):

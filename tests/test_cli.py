@@ -21,6 +21,7 @@ from morphtask.cli import (
     main,
     resolve_config,
 )
+from morphtask.control_graph import DEFAULT_OBS_FLAGS
 from morphtask.distill import (
     CHECKPOINT_MAGIC,
     DATASET_MAGIC,
@@ -531,6 +532,34 @@ def test_ablate_cross_product(workspace, tmp_path):
     assert [c[4] for c in cells] == ["0"] * 4
 
 
+def test_ablate_obs_sets_beyond_dataset_flags_trains_each_cell(workspace, tmp_path):
+    # the dataset holds the default flags, without rp: each cell's
+    # observations are rebuilt from its joint angles
+    root, cfg, gen_dir = workspace
+    assert read_dataset(gen_dir / "dataset.cgds").environments[0].obs_spec.flags == \
+        DEFAULT_OBS_FLAGS
+    abl_cfg = tmp_path / "ablate.txt"
+    abl_cfg.write_text("envs = ant_reach_2\nsteps = 2\nbatch_size = 4\nembed = 16\n"
+                       "attn_hidden = 16\nlayers = 1\neval_seeds = 1\neval_horizon = 3\n"
+                       "ablate_obs_sets = p;p,rp\n")
+    out = tmp_path / "abl"
+    assert run(["ablate", "--config", str(abl_cfg), "--dataset",
+                str(gen_dir / "dataset.cgds"), "--out", str(out)]) == 0
+    cells = [r.split(",") for r in (out / "ablation.csv").read_text().splitlines()[1:]]
+    assert [c[0] for c in cells] == ["p", "p+rp"]
+    assert all(np.isfinite(float(c[-1])) for c in cells)
+
+
+def test_distill_dataset_of_stored_observations_is_data_error(workspace, tmp_path, capsys):
+    root, cfg, _ = workspace
+    old = Path(__file__).parent / "data" / "v2_features_dataset.cgds"
+    rc = run(["distill", "--config", str(cfg), "--dataset", str(old),
+              "--out", str(tmp_path / "d")])
+    assert rc == 2
+    assert "re-run gen-data" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_ablate_empty_axes_is_usage_error(workspace, tmp_path):
     root, cfg, gen_dir = workspace
     assert run(["ablate", "--config", str(cfg), "--dataset",
@@ -546,8 +575,6 @@ def test_ablate_empty_axes_is_usage_error(workspace, tmp_path):
      "config key 'ablate_token' must be one of none, d, da, c, got 'xyz'"),
     ("ablate_obs_sets = p;zz",
      "config key 'ablate_obs_sets': unknown observation flags: ['zz']"),
-    ("ablate_obs_sets = p;p,rp",
-     "dataset lacks observation flags ['rp'] needed for ablation cell 'p,rp'"),
     ("arch = gnn\nablate_token = none,d",
      "config key 'ablate_token' value 'd' needs config key 'arch' = transformer, "
      "got 'gnn'"),

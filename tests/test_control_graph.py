@@ -24,6 +24,7 @@ from morphtask.env import local_observations, make_env, reset, resolve_target
 from morphtask.morphology import generate_morphology, parse_morphology
 
 from test_distill import stack_history
+from test_env import slot
 
 BASE = ["p", "v", "q", "a", "ja", "jr"]
 
@@ -121,9 +122,9 @@ def test_v2_goal_row_carries_value_in_p_slots():
     cg = build_cg_v2(obs, bindings, graph)
     target, value = bindings[0]
     row = cg.node_features[graph.n_nodes]
-    np.testing.assert_array_equal(row[ospec.slot("p")], value)
+    np.testing.assert_array_equal(row[slot(ospec, "p")], value)
     rest = row.copy()
-    rest[ospec.slot("p")] = 0.0
+    rest[slot(ospec, "p")] = 0.0
     rest[obs.shape[1]] = 0.0  # its indicator column
     np.testing.assert_array_equal(rest, 0.0)
 
@@ -190,7 +191,7 @@ def test_padding_positions_exactly_zero():
     cg = build_cg_v2(obs, bindings, graph)
     goal_row = cg.node_features[graph.n_nodes]
     zero_cols = np.ones(cg.width, dtype=bool)
-    zero_cols[ospec.slot("p")] = False
+    zero_cols[slot(ospec, "p")] = False
     zero_cols[obs.shape[1]] = False
     assert np.all(goal_row[zero_cols] == 0.0)
 

@@ -12,6 +12,7 @@ from morphtask import artifacts, distill
 from morphtask import env as menv
 from morphtask.artifacts import seal
 from morphtask.control_graph import (
+    FLAG_ORDER,
     ControlGraph,
     build_observation_spec,
     detokenize,
@@ -51,7 +52,7 @@ from morphtask.nn.policies import (
 )
 from morphtask.nn import policies
 
-from test_env import reference_expert
+from test_env import reference_expert, slot
 from test_morphology import with_node_field
 
 
@@ -172,11 +173,11 @@ def test_dataset_quality_through_metric():
     assert reports[0].mean_normalized_final <= 0.1
 
 
-def _eager_generate(env_specs, n_transitions, seed, expert_gain=1.0):
+def _eager_generate(env_specs, n_transitions, seed, expert_gain=1.0, obs_spec=OBS):
     """Reference: the generator that rolls every attempt to its horizon (or
-    hold tail) and builds observations, expert actions and goal distances
-    at every step, its actions from a fresh np.cross Jacobian per goal
-    (test_env.reference_expert).  It stops an env's attempts once the keep
+    hold tail) and builds observations (one local_observations call per
+    state), expert actions and goal distances at every step, its actions
+    from a fresh np.cross Jacobian per goal (test_env.reference_expert).  It stops an env's attempts once the keep
     rate cannot reach 50%, as the generator does, and raises its
     DataQualityError.  Also returns per env whether its last stored episode
     was cut."""
@@ -194,10 +195,10 @@ def _eager_generate(env_specs, n_transitions, seed, expert_gain=1.0):
             episode, satisfied_at = [], None
             goal_flat = np.concatenate(state.goals).astype(np.float32)
             for t in range(task.episode_length):
-                obs = menv.local_observations(state, OBS)
+                obs = menv.local_observations(state, obs_spec)
                 action = reference_expert(state, expert_gain)
-                episode.append((obs.astype(np.float32), action.astype(np.float32),
-                                goal_flat, kept))
+                episode.append((state.joint_angles, obs.astype(np.float32),
+                                action.astype(np.float32), goal_flat, kept))
                 state = menv.step(state, action)
                 done = all(menv.goal_distance(state, g) <= task.d_min[g]
                            for g in range(len(task.goals)))
@@ -221,11 +222,12 @@ def _eager_generate(env_specs, n_transitions, seed, expert_gain=1.0):
         assert len(rows) == n_transitions
         cut.append(last_cut)
         morph_text, task_text = menv.serialize_env(spec)
-        feats, acts, goals, episodes = zip(*rows)
+        angles, feats, acts, goals, episodes = zip(*rows)
         envs.append(distill.EnvDataset(
             env_id=spec.env_id, morphology_text=morph_text, task_text=task_text,
-            obs_spec=OBS, features=np.stack(feats), actions=np.stack(acts),
-            goals=np.stack(goals), episodes=np.array(episodes, dtype=np.int32)))
+            obs_spec=obs_spec, joint_angles=np.stack(angles), features=np.stack(feats),
+            actions=np.stack(acts), goals=np.stack(goals),
+            episodes=np.array(episodes, dtype=np.int32)))
         reports.append(distill.GenReport(
             env_id=spec.env_id, attempts=attempts, episodes_kept=kept,
             transitions=len(rows), success_rate=rate,
@@ -244,11 +246,51 @@ def test_generator_equals_eager_reference(env_ids, seed):
     ds, reports = generate_dataset(specs, n_transitions=250, seed=seed, obs_spec=OBS)
     ref_ds, ref_reports, cut = _eager_generate(specs, 250, seed)
     assert dataset_bytes(ds) == dataset_bytes(ref_ds)
+    for got, want in zip(ds.environments, ref_ds.environments):
+        assert got.features.tobytes() == want.features.tobytes()
     assert reports == ref_reports
     assert any(cut)
     if len(specs) == 1:
         # partially proficient: rejected episodes sit between kept ones
         assert (reports[0].episodes_kept, reports[0].attempts) == (5, 8)
+
+
+@pytest.mark.parametrize("flags", [OBS.flags, FLAG_ORDER], ids=["default", "all"])
+def test_read_rebuilds_features_of_per_row_oracle(tmp_path, flags):
+    # the file holds joint angles, not observations: reading rebuilds every
+    # row, each episode's reset row included, equal to each state's own call
+    obs_spec = build_observation_spec(flags)
+    specs = [make_env(e) for e in GENERATOR_ENVS]
+    ds, _ = generate_dataset(specs, n_transitions=250, seed=5, obs_spec=obs_spec)
+    write_dataset(ds, tmp_path / "d.cgds")
+    back = read_dataset(tmp_path / "d.cgds")
+    ref, _, _ = _eager_generate(specs, 250, 5, obs_spec=obs_spec)
+    for got, want in zip(back.environments, ref.environments):
+        assert got.obs_spec == obs_spec and got.features.dtype == np.float32
+        assert got.features.tobytes() == want.features.tobytes()
+
+
+@pytest.mark.parametrize("flags", [("p",), ("p", "rp"), ("v", "a", "ja", "jv", "id", "rr")])
+def test_training_data_at_other_flags_equals_sliced_columns(flags):
+    # a default-flag dataset trains at any flags: the observations rebuilt
+    # from its joint angles equal the columns of those flags in an all-flag
+    # dataset of the same rows
+    envs = ("ant_reach_2", "worm_touch_2")
+    ds, _ = small_dataset(envs=envs, n=120, seed=2)
+    full, _ = generate_dataset([make_env(e) for e in envs], n_transitions=120, seed=2,
+                               obs_spec=build_observation_spec(FLAG_ORDER))
+    want = build_observation_spec(flags)
+    have = full.environments[0].obs_spec
+    cols = np.concatenate([np.arange(slot(have, f).start, slot(have, f).stop)
+                           for f in want.flags])
+    sliced = TransitionDataset([dataclasses.replace(e, obs_spec=want, features=e.features[:, :, cols])
+                                for e in full.environments])
+    config = PolicyConfig(arch="transformer", feature_width=distill.cg_feature_width(want, "v2"),
+                          obs_flags=want.flags)
+    for got, expect in zip(prepare_training_data(ds, config),
+                           prepare_training_data(sliced, config)):
+        assert got.feats.tobytes() == expect.feats.tobytes()
+        assert got.target_grid.tobytes() == expect.target_grid.tobytes()
 
 
 @pytest.mark.parametrize("env_id, seed, counts", [
@@ -856,8 +898,14 @@ def _body(field, value):
 
 
 _MALFORMED = {
-    "features width": lambda tag, m, t: (tag, m, {**t, "0/features": t["0/features"][:, :, :-1]}),
-    "node count": lambda tag, m, t: (tag, m, {**t, "0/features": t["0/features"][:, :-1]}),
+    "joint_angles width": lambda tag, m, t: (tag, m, {
+        **t, "0/joint_angles": t["0/joint_angles"][:, :-1]}),
+    "nan joint angle": lambda tag, m, t: (tag, m, {
+        **t, "0/joint_angles": np.where(np.arange(len(t["0/episodes"]))[:, None] == 5,
+                                        np.nan, t["0/joint_angles"])}),
+    "joint angle out of range": lambda tag, m, t: (tag, m, {
+        **t, "0/joint_angles": t["0/joint_angles"] + np.r_[0.0, 10.0, np.zeros(
+            t["0/joint_angles"].shape[1] - 2)]}),
     "action width": lambda tag, m, t: (tag, m, {**t, "0/actions": t["0/actions"][:, :-1]}),
     "goal width": lambda tag, m, t: (tag, m, {**t, "0/goals": t["0/goals"][:, :-1]}),
     "row count": lambda tag, m, t: (tag, m, {**t, "0/actions": t["0/actions"][:-1]}),
@@ -865,7 +913,8 @@ _MALFORMED = {
         **t, "0/episodes": np.r_[0, 1, 0, np.ones(len(t["0/episodes"]) - 3)].astype(np.int32)}),
     "ids from 1": lambda tag, m, t: (tag, m, {**t, "0/episodes": t["0/episodes"] + 1}),
     "no rows": lambda tag, m, t: (tag, m, {k: v[:0] for k, v in t.items()}),
-    "f8 features": lambda tag, m, t: (tag, m, {**t, "0/features": t["0/features"].astype(np.float64)}),
+    "f4 joint_angles": lambda tag, m, t: (tag, m, {
+        **t, "0/joint_angles": t["0/joint_angles"].astype(np.float32)}),
     "missing tensor": lambda tag, m, t: (tag, m, {k: v for k, v in t.items() if k != "0/episodes"}),
     "reordered": lambda tag, m, t: (tag, m, dict(reversed(list(t.items())))),
     "tag": lambda tag, m, t: ("checkpoint", m, t),
@@ -898,7 +947,7 @@ def test_sealed_malformed_dataset_raises_corruption(tmp_path, dataset_raw, case)
 
 _UNWRITABLE = {
     "no rows": lambda e: dataclasses.replace(
-        e, features=e.features[:0], actions=e.actions[:0], goals=e.goals[:0],
+        e, joint_angles=e.joint_angles[:0], actions=e.actions[:0], goals=e.goals[:0],
         episodes=e.episodes[:0]),
     "shape": lambda e: dataclasses.replace(e, actions=e.actions[:, :-1]),
     "decreasing ids": lambda e: dataclasses.replace(
@@ -923,8 +972,8 @@ def test_sealed_malformed_dataset_bytes_raise_corruption(tmp_path, dataset_raw, 
     if edit == "utf8":
         raw[raw.index(b"ant_reach_2")] = 0xFF
     else:
-        code = raw.index(b"0/features") + len(b"0/features")
-        assert raw[code] == ord("f")
+        code = raw.index(b"0/joint_angles") + len(b"0/joint_angles")
+        assert raw[code] == ord("d")
         raw[code] = ord("q") if edit == "dtype code" else ord("i")
     path = tmp_path / "m.cgds"
     path.write_bytes(seal(bytes(raw)))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from morphtask import artifacts, distill, nn
 from morphtask import env as menv
-from morphtask.control_graph import build_observation_spec
+from morphtask.control_graph import FLAG_WIDTHS, build_observation_spec
 from morphtask.distill import (
     DATASET_MAGIC,
     CorruptionError,
@@ -715,6 +715,13 @@ def test_jacobian_matches_finite_differences():
 
 # --- observations --------------------------------------------------------------------
 
+def slot(spec, flag: str) -> slice:
+    """Column range of a flag within spec's per-node feature row."""
+    start = spec.flags.index(flag)
+    return slice(sum(FLAG_WIDTHS[f] for f in spec.flags[:start]),
+                 sum(FLAG_WIDTHS[f] for f in spec.flags[:start + 1]))
+
+
 def test_base_set_width():
     spec = build_observation_spec(["p", "v", "q", "a", "ja", "jr"])
     assert spec.width == 22
@@ -732,20 +739,20 @@ def test_reset_velocities_exactly_zero():
     spec = build_observation_spec(["p", "v", "q", "a", "ja", "jr", "jv", "m"])
     s = _toy_state()
     obs = local_observations(s, spec)
-    assert np.all(obs[:, spec.slot("v")] == 0.0)
-    assert np.all(obs[:, spec.slot("a")] == 0.0)
-    assert np.all(obs[:, spec.slot("jv")] == 0.0)
+    assert np.all(obs[:, slot(spec, "v")] == 0.0)
+    assert np.all(obs[:, slot(spec, "a")] == 0.0)
+    assert np.all(obs[:, slot(spec, "jv")] == 0.0)
     s1 = step(s, np.full(2, 0.5))
     obs1 = local_observations(s1, spec)
-    assert np.any(obs1[:, spec.slot("jv")] != 0.0)
+    assert np.any(obs1[:, slot(spec, "jv")] != 0.0)
 
 
 def test_root_joint_slots_zero():
     spec = build_observation_spec(["ja", "jr", "m"])
     s = _toy_state()
     obs = local_observations(s, spec)
-    assert np.all(obs[0, spec.slot("ja")] == 0.0)
-    assert np.all(obs[0, spec.slot("jr")] == 0.0)
+    assert np.all(obs[0, slot(spec, "ja")] == 0.0)
+    assert np.all(obs[0, slot(spec, "jr")] == 0.0)
 
 
 # --- task text format ------------------------------------------------------------------
@@ -1076,18 +1083,23 @@ def test_observations_equal_per_node_reference(env_id):
 
 
 @pytest.mark.parametrize("env_id", EQUIVALENCE_ENVS + ("ant_push_3",))
-def test_episode_observations_equal_per_state_rows(env_id):
-    # the generator's one call for an episode's rows after its reset equals
-    # each state's own call bit for bit, -0.0/+0.0 included; so does the
-    # reset row, whose v, a and jv are +0.0
-    for seed in (0, 3):
-        states = _expert_states(env_id, seed, n_steps=12)
-        for n in (1, 2, len(states)):
-            rows = distill._episode_observations(states[:n], ALL_FLAGS)
-            assert rows.tobytes() == np.stack(
-                [local_observations(s, ALL_FLAGS) for s in states[:n]]).tobytes()
-        rows = distill._episode_observations(states, build_observation_spec(["v", "a", "jv"]))
-        assert rows[0].tobytes() == np.zeros_like(rows[0]).tobytes()
+def test_episode_observations_equal_per_state_rows(env_id, monkeypatch):
+    # rows rebuilt from stored joint angles (one array FK, calls on blocks of
+    # episode starts and of the other rows) equal each state's own call cast
+    # to float32, bit for bit and -0.0/+0.0 included, whatever the block
+    # size; the reset rows' v, a and jv are +0.0
+    graph = make_env(env_id).graph
+    episodes = [_expert_states(env_id, seed, n_steps=12) for seed in (0, 3)]
+    for n, block in ((1, 2048), (2, 2048), (13, 2048), (13, 1), (13, 5)):
+        monkeypatch.setattr(distill, "OBSERVATION_BLOCK", block)
+        states = [s for episode in episodes for s in episode[:n]]
+        ids = np.repeat(np.arange(2, dtype=np.int32), n)
+        theta = np.stack([s.joint_angles for s in states])
+        rows = distill._observations(graph, theta, ids, ALL_FLAGS)
+        assert rows.tobytes() == np.stack(
+            [local_observations(s, ALL_FLAGS) for s in states]).astype(np.float32).tobytes()
+    rows = distill._observations(graph, theta, ids, build_observation_spec(["v", "a", "jv"]))
+    assert rows[[0, 13]].tobytes() == np.zeros_like(rows[[0, 13]]).tobytes()
 
 
 @pytest.mark.parametrize("env_id", EQUIVALENCE_ENVS + ("ant_push_3",
