@@ -11,6 +11,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -118,6 +119,8 @@ class EnvState:
     prev_orientations: np.ndarray | None = None
     # Per-dof world rotation axes and anchors (A, 3) from the FK pass that
     # produced ``positions``; the expert builds its Jacobians from them.
+    # A state that has them holds fk_frames of its own joint_angles: step
+    # recomputes only the rows below the dofs that moved and reuses the rest.
     dof_axes: np.ndarray | None = None
     dof_anchors: np.ndarray | None = None
 
@@ -199,13 +202,20 @@ class _BodyTable:
         self.radii = np.array([node.radius for node in graph.nodes])
         # The same recipe for the array FK: edges grouped by (depth, actuator
         # count), so a group's parents are placed and its rotations align.
+        # And per dof, the edges that move with it: its own edge and every edge
+        # below it, in recipe order, which are all that step's FK recomputes.
         groups: dict[tuple[int, int], list] = {}
-        depth = {}
-        for edge in self.edges:
+        depth, above = {}, {}                    # above: node -> its root path's dofs
+        moves = [[] for _ in range(A)]
+        for i, edge in enumerate(self.edges):
             parent_id, child_id, _, turns, _ = edge
             depth[child_id] = depth.get(parent_id, 0) + 1
             groups.setdefault((depth[child_id], len(turns)), []).append(edge)
+            above[child_id] = above.get(parent_id, ()) + tuple(d for d, _ in turns)
+            for d in above[child_id]:
+                moves[d].append(i)
         self.levels = tuple(_fk_level(group) for _, group in sorted(groups.items()))
+        self.moves = tuple(map(tuple, moves))
 
         # Per node, from one walk of its root path: the path's dofs, the
         # expert's stable gain, the chain length and pitch reach the task
@@ -277,13 +287,29 @@ class _BodyTable:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-    def frames(self, angles: list[float]):
-        """fk_frames of A plain floats, without the shape check."""
-        pos = [(0.0, 0.0, 0.0)] * self.n
-        quat = [(1.0, 0.0, 0.0, 0.0)] * self.n
+    def frames(self, angles: list[float], base=None, moved=()):
+        """fk_frames of A plain floats, without the shape check.
+
+        base, if given, is fk_frames of angles that differ from these only at
+        the dofs in moved.  An edge reads only its parent's frame and its own
+        angles, so only the edges that move with those dofs are recomputed and
+        every other row is copied from base; if no edge moves, base itself is
+        returned.  The copy writes its rows one at a time, so past two thirds
+        of the edges a full pass, converted at once, is cheaper and runs."""
+        edges = self.edges
+        dirty = {i for d in moved for i in self.moves[d]}
+        full = base is None or 3 * len(dirty) > 2 * len(edges)
+        if full:
+            pos = [(0.0, 0.0, 0.0)] * self.n
+            quat = [(1.0, 0.0, 0.0, 0.0)] * self.n
+        elif not dirty:
+            return base
+        else:
+            pos, quat = base[0].tolist(), base[1].tolist()
+            edges = [edges[i] for i in sorted(dirty)]
         axes = [None] * self.A
         anchors = [None] * self.A
-        for parent, child, offset, turns, length in self.edges:
+        for parent, child, offset, turns, length in edges:
             px, py, pz = pos[parent]
             q = quat[parent]
             ox, oy, oz = _qrot_s(q, offset)
@@ -298,8 +324,21 @@ class _BodyTable:
             tx, ty, tz = _qrot_s(q, (length, 0.0, 0.0))
             pos[child] = (anchor[0] + tx, anchor[1] + ty, anchor[2] + tz)
             quat[child] = q
-        return (np.array(pos), np.array(quat),
-                np.array(axes).reshape(-1, 3), np.array(anchors).reshape(-1, 3))
+        if full:
+            # fromiter over the flattened rows: half the cost of np.array's
+            # nested-sequence conversion, and the same bytes.
+            return tuple(np.fromiter(chain.from_iterable(rows), np.float64, width * len(rows))
+                         .reshape(-1, width)
+                         for rows, width in ((pos, 3), (quat, 4), (axes, 3), (anchors, 3)))
+        # Copies of base with the recomputed rows written in.
+        out_pos, out_quat, out_axes, out_anchors = (a.copy() for a in base)
+        for _, child, _, turns, _ in edges:
+            out_pos[child] = pos[child]
+            out_quat[child] = quat[child]
+            for dof, _ in turns:
+                out_axes[dof] = axes[dof]
+                out_anchors[dof] = anchors[dof]
+        return out_pos, out_quat, out_axes, out_anchors
 
 
 def _fk_level(edges):
@@ -544,14 +583,16 @@ def step(state: EnvState, actions) -> EnvState:
         if box is not None:
             box = np.array([resolve_box_push(p, table.radii, b) for p, b in zip(pos, box)])
     else:
-        # At rest the frames are those of the same angles: reuse them.  Bytes,
+        # Only the edges below a dof whose angle moved are recomputed.  Bytes,
         # not ==: -0.0 == 0.0, but sin(-0.0) is -0.0, so their frames may
         # differ in a zero's sign.
-        if state.dof_axes is not None and theta.tobytes() == state.joint_angles.tobytes():
-            pos, quat, axes, anchors = (state.positions, state.orientations,
-                                        state.dof_axes, state.dof_anchors)
-        else:
+        if state.dof_axes is None:
             pos, quat, axes, anchors = table.frames(theta.tolist())
+        else:
+            moved, = (theta.view(np.int64) != state.joint_angles.view(np.int64)).nonzero()
+            pos, quat, axes, anchors = table.frames(
+                theta.tolist(), (state.positions, state.orientations, state.dof_axes,
+                                 state.dof_anchors), moved.tolist())
         if box is not None:
             box = resolve_box_push(pos, table.radii, box)
     # Built field by field, which is cheaper than dataclasses.replace; a new
@@ -569,21 +610,22 @@ def resolve_box_push(node_positions: np.ndarray, node_radii: np.ndarray,
                      box_pos: np.ndarray, box_radius: float = BOX_RADIUS) -> np.ndarray:
     """Quasi-static sphere push: any overlapping node translates the box along
     the horizontal contact normal by the overlap depth.  Nodes are processed
-    in id order so the result is deterministic."""
-    box = np.asarray(box_pos, dtype=np.float64).copy()
-    # Clearances from the unmoved box in one array op.  Each push moves the
+    in id order so the result is deterministic.  A box that no node touches
+    is returned as given, not copied."""
+    box = np.asarray(box_pos, dtype=np.float64)
+    # Clearances from the unmoved box, on plain floats.  Each push moves the
     # box by its overlap, so a node whose clearance exceeds the pushes so far
     # plus a margin (far above the rounding gap between this norm and _norm)
     # cannot overlap the box and is skipped: it would not move it.
-    delta = box - node_positions
-    gaps = np.sqrt(np.einsum("ij,ij->i", delta, delta)) - node_radii - box_radius
+    bx, by, bz = box.tolist()
     moved = 0.0
-    for i, gap in enumerate(gaps.tolist()):
-        if gap > moved + _CONTACT_MARGIN:
+    for i, ((x, y, z), r) in enumerate(zip(node_positions.tolist(), node_radii.tolist())):
+        dx, dy, dz = bx - x, by - y, bz - z
+        if math.sqrt(dx * dx + dy * dy + dz * dz) - r - box_radius > moved + _CONTACT_MARGIN:
             continue
         delta = box - node_positions[i]
         dist = _norm(delta)
-        overlap = float(node_radii[i]) + box_radius - dist
+        overlap = r + box_radius - dist
         if overlap > 0.0:
             normal = np.array([delta[0], delta[1], 0.0])
             norm = _norm(normal)

@@ -437,21 +437,32 @@ _SIXTY_FOURTHS = st.integers(-64, 64).map(lambda k: k / 64)
 def _box_layouts(draw):
     """Nodes around a box: anywhere close, within 1e-12 of touching it, just
     clear of it (so that an earlier node's push can bring it into contact),
-    or touching it exactly.  With box radius 1/8 and coordinates in 1/64ths
-    an axis-aligned touch has exactly zero overlap in floating point."""
+    touching it exactly, overlapping it by a known depth in the plane, or
+    with a clearance within 1e-12 of resolve_box_push's skip bound: the
+    depths so far plus its margin.  With box radius 1/8 and coordinates in
+    1/64ths an axis-aligned touch has exactly zero overlap in floating point."""
     box_radius = draw(st.sampled_from([menv.BOX_RADIUS, 0.125]))
     box = np.array(draw(st.tuples(*[_SIXTY_FOURTHS] * 3)))
     radii, positions = [], []
+    pushed = 0.0
+    tiny = st.sampled_from([0.0, 1e-12, -1e-12]) | st.floats(-1e-12, 1e-12)
     for _ in range(draw(st.integers(1, 8))):
         r = draw(st.integers(1, 16)) / 64
-        kind = draw(st.sampled_from(["free", "near", "clear", "touch"]))
+        kind = draw(st.sampled_from(["free", "near", "clear", "touch", "deep", "bound"]))
         if kind == "free":
             offset = np.array(draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3)))
-        elif kind in ("near", "clear"):
+        elif kind != "touch":
             a = draw(st.floats(0.0, 2.0 * math.pi))
-            b = draw(st.floats(-0.5 * math.pi, 0.5 * math.pi))
-            gap = draw(st.floats(1e-9, 0.05)) if kind == "clear" else draw(
-                st.sampled_from([0.0, 1e-12, -1e-12]) | st.floats(-1e-12, 1e-12))
+            b = 0.0 if kind == "deep" else draw(st.floats(-0.5 * math.pi, 0.5 * math.pi))
+            if kind == "clear":
+                gap = draw(st.floats(1e-9, 0.05))
+            elif kind == "near":
+                gap = draw(tiny)
+            elif kind == "deep":
+                gap = -draw(st.integers(1, 4)) / 64
+                pushed -= gap
+            else:
+                gap = pushed + menv._CONTACT_MARGIN + draw(tiny)
             offset = (r + box_radius + gap) * np.array(
                 [math.cos(a) * math.cos(b), math.sin(a) * math.cos(b), math.sin(b)])
         else:
@@ -525,6 +536,59 @@ def test_step_from_negative_zero_angle_runs_fk():
     for got, ref in zip((new.positions, new.orientations, new.dof_axes,
                          new.dof_anchors), menv.fk_frames(g, new.joint_angles)):
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("env_id", ["ant_reach_5", "claw_reach_4", "centipede_touch_3",
+                                    "worm_touch_4", "ant_push_3"])
+def test_step_recomputes_only_frames_below_moved_dofs(env_id):
+    """Sparse actions: most dofs get exactly 0, the last is driven into its
+    limit and held there, and dof 0 starts at -0.0, which an action of -0.0
+    keeps and one of +0.0 turns into +0.0.  Every step's frames equal fresh
+    FK bit for bit.  A twin state, whose rows that no recomputed edge reads
+    are nan, shows which rows step reused: only rows below no moved dof, and
+    some of them."""
+    spec = make_env(env_id)
+    g = spec.graph
+    A = g.action_dimension()
+    _, hi = menv.joint_ranges(g)
+    theta = reset(spec, 5).joint_angles.copy()
+    theta[0], theta[-1] = -0.0, hi[-1] - 0.05
+    pos, quat, axes, anchors = menv.fk_frames(g, theta)
+    s = dataclasses.replace(reset(spec, 5), joint_angles=theta, positions=pos,
+                            orientations=quat, dof_axes=axes, dof_anchors=anchors)
+    rng = np.random.Generator(np.random.PCG64(17))
+    reused = moves = 0
+    for t in range(60):
+        a = np.where(rng.random(A) < 0.8, 0.0, rng.uniform(-1.0, 1.0, A))
+        a[0] = -0.0 if t < 3 else 0.0 if t == 3 else a[0]
+        a[-1] = 1.0
+        new = step(s, a)
+        fresh = menv.fk_frames(g, new.joint_angles)
+        frames = (new.positions, new.orientations, new.dof_axes, new.dof_anchors)
+        for got, ref in zip(frames, fresh):
+            assert got.tobytes() == ref.tobytes()
+        moved = {d for d in range(A)
+                 if new.joint_angles[d:d + 1].tobytes() != s.joint_angles[d:d + 1].tobytes()}
+        assert (0 in moved) == (t == 3 or a[0] != 0.0)
+        moves += bool(moved)
+        below = [bool(moved & set(_root_path_dofs(g, i))) for i in range(g.n_nodes)]
+        read = {e.parent_id for e in g.edges if below[e.child_id]}
+        rows = [i for i in range(1, g.n_nodes) if not below[i] and i not in read]
+        dofs = [d for d in range(A) if not below[g.dof_cells[d][0]]]
+        twin = [x.copy() for x in (s.positions, s.orientations, s.dof_axes, s.dof_anchors)]
+        for x, index in zip(twin, (rows, rows, dofs, dofs)):
+            x[index] = np.nan
+        got = step(dataclasses.replace(s, positions=twin[0], orientations=twin[1],
+                                       dof_axes=twin[2], dof_anchors=twin[3]), a)
+        for x, ref, index in zip((got.positions, got.orientations, got.dof_axes,
+                                  got.dof_anchors), fresh, (rows, rows, dofs, dofs)):
+            nan = np.isnan(x).all(axis=1)        # reused poisoned rows
+            assert set(np.flatnonzero(nan).tolist()) <= set(index)
+            assert x[~nan].tobytes() == ref[~nan].tobytes()
+            reused += int(nan.sum()) if moved else 0
+        s = new
+    assert s.joint_angles[-1] == hi[-1]
+    assert moves > 10 and reused > 0
 
 
 def test_one_shape_error_class():

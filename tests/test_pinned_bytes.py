@@ -1,10 +1,11 @@
-"""Pinned artifact bytes of a tiny gen-data -> distill -> eval pipeline.
+"""Pinned artifact bytes of a tiny gen-data -> distill -> eval pipeline,
+and of the generator on 3-goal, reach and push bodies.
 
 Criterion 9 compares two runs of the same code, and the op-level oracles
 share the kernels they check, so a change that moves one rounding inside
-a shared kernel (attention, layer norm, Adam) passes both.  This test pins
-the sha256 of a checkpoint and of a report.csv instead: any moved bit in
-data, training or evaluation changes them.
+a shared kernel (attention, layer norm, Adam) passes both.  These tests pin
+the sha256 of a checkpoint, of a report.csv and of a dataset instead: any
+moved bit in data, training or evaluation changes them.
 
 GEMMs and libm may round differently on another CPU or BLAS build, so the
 pins are compared only where a float fingerprint of those primitives, on
@@ -18,6 +19,7 @@ import pytest
 
 from morphtask import distill, evaluation
 from morphtask.control_graph import DEFAULT_OBS_FLAGS, build_observation_spec, cg_feature_width
+from morphtask.distill import DataQualityError, GenReport
 from morphtask.env import make_env
 from morphtask.nn.policies import PolicyConfig, init_params
 
@@ -25,6 +27,15 @@ ENVS = ("ant_reach_2", "worm_touch_2")
 FINGERPRINT = "e7cdcf4033f71ae166de81f3c85f87e4dc33d68464c526ec09e1d4d613a5a7aa"
 PINS = {"checkpoint": "d88c1b7e65b05de6e846c2a41a893ded2fabf2a57debf3311df1b5e6654259ce",
         "report.csv": "f842a34c1a3332daf5fc4529d9e42037882bf1f08af21db9eb014bb506a4ede2"}
+# generate_dataset of GEN_ENVS at 120 transitions, seed 3: the dataset_bytes
+# digest and the reports; and ant_push_3's refusal at the same size and seed.
+GEN_ENVS = ("ant_reach_5", "claw_reach_4", "centipede_reach_handsup2_4")
+GEN_DATASET = "9429747ed8f0afb9a681024e3f0d5cdcf63d83775d6d1f1c475acb5fa553efa7"
+GEN_REPORTS = [
+    GenReport("ant_reach_5", 1, 1, 120, 1.0, -0.0006648166967543289),
+    GenReport("claw_reach_4", 1, 1, 120, 1.0, -0.001089621841433284),
+    GenReport("centipede_reach_handsup2_4", 2, 2, 120, 1.0, -0.00879983876339556)]
+PUSH_ERROR = "scripted expert proficient on only 0/13 episodes for env 'ant_push_3'"
 
 
 def float_fingerprint() -> str:
@@ -68,9 +79,24 @@ def pipeline_digests(tmp_path) -> dict[str, str]:
                 evaluation.metric_report_csv(result, [0, 1]).encode()).hexdigest()}
 
 
-def test_pipeline_bytes_equal_their_pins(tmp_path):
+def skip_unless_pinned_rounding():
     fingerprint = float_fingerprint()
     if fingerprint != FINGERPRINT:
         pytest.skip(f"float fingerprint {fingerprint} differs from the pinned "
                     f"{FINGERPRINT}: this machine may round GEMMs or libm differently")
+
+
+def test_pipeline_bytes_equal_their_pins(tmp_path):
+    skip_unless_pinned_rounding()
     assert pipeline_digests(tmp_path) == PINS
+
+
+def test_generator_bytes_equal_their_pins():
+    skip_unless_pinned_rounding()
+    ds, reports = distill.generate_dataset([make_env(e) for e in GEN_ENVS],
+                                           n_transitions=120, seed=3)
+    assert hashlib.sha256(distill.dataset_bytes(ds)).hexdigest() == GEN_DATASET
+    assert reports == GEN_REPORTS
+    with pytest.raises(DataQualityError) as failure:
+        distill.generate_dataset([make_env("ant_push_3")], n_transitions=120, seed=3)
+    assert str(failure.value) == PUSH_ERROR
