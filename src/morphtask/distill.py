@@ -2,15 +2,16 @@
 checkpointing.
 
 Datasets (magic ``CGDS``) store what the expert did: joint angles, expert
-actions, goal values and episode ids per transition.  Per-node observations
-follow from those and the body, so they are rebuilt on reading, at any
-observation flags, for any control-graph variant or architecture.  Checkpoints
+actions, goal values and episode ids per transition, as does an EnvDataset.
+Observations follow from those and the body: a dataset derives them at its
+own flags on their first read, and training at any other flags.  Checkpoints
 (``CGCK``) carry the architecture tag, the full config and every parameter
 tensor.  Both are tables of the ``artifacts`` container.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -54,14 +55,13 @@ class DataQualityError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvDataset:
     env_id: str
     morphology_text: str
     task_text: str
     obs_spec: ObservationSpec
     joint_angles: np.ndarray  # (N, A) float64 state before each action
-    features: np.ndarray     # (N, n, W) float32 observations at obs_spec
     actions: np.ndarray      # (N, A) float32 expert actions
     goals: np.ndarray        # (N, 3G) float32 goal values
     episodes: np.ndarray     # (N,) int32 episode id: from 0, never decreasing
@@ -69,6 +69,12 @@ class EnvDataset:
     def env_spec(self) -> EnvSpec:
         return menv.env_from_texts(self.env_id, self.morphology_text,
                                    self.task_text)
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """(N, n, W) float32 observations at obs_spec, built on the first read."""
+        return _observations(self.env_spec().graph, self.joint_angles,
+                             self.episodes, self.obs_spec)
 
 
 @dataclass
@@ -150,12 +156,11 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
     satisfied so the data includes hold-at-goal behavior.  At least half of
     the attempted episodes must be kept: DataQualityError is raised as soon
     as no later outcome can bring the keep rate to 50%, and its message
-    gives the kept/attempted counts at that moment.  Observations are built
-    only for the rows that reach the dataset, once per env (_observations).
-    A rejected episode ends at
-    its first repeated state (same joint angles and box, no goal set
-    satisfied yet): from there it can only cycle through states already
-    found unsatisfied, so stopping gives the same data as the full horizon.
+    gives the kept/attempted counts at that moment.  obs_spec only sets the
+    datasets' flags (see EnvDataset.features).  A rejected episode ends at its
+    first repeated state (same joint angles and box, no goal set satisfied
+    yet): from there it can only cycle through states already found
+    unsatisfied, so stopping gives the same data as the full horizon.
     """
     check_field("expert_gain", expert_gain, float)
     check_field("n_transitions", n_transitions, 1)
@@ -223,7 +228,6 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
                 f"env {spec.env_id!r}")
         theta, actions, goals, episodes = (np.concatenate(arrays) for arrays in zip(*rows))
         envs.append(EnvDataset(spec.env_id, *menv.serialize_env(spec), obs_spec, theta,
-                               _observations(spec.graph, theta, episodes, obs_spec),
                                actions, goals, episodes))
         reports.append(GenReport(
             env_id=spec.env_id, attempts=attempts, episodes_kept=kept,
@@ -265,12 +269,12 @@ def write_dataset(ds: TransitionDataset, path) -> None:
     artifacts.save(path, DATASET_MAGIC, _DATASET_TAG, *_dataset_table(ds))
 
 
-def _checked_env(header, arrays: dict[str, np.ndarray]) -> tuple[EnvSpec, ObservationSpec]:
-    """Body and task, and observation flags, of one environment of a dataset;
-    CorruptionError unless its header is well formed, its goals name nodes of
-    its body, its arrays have the dtypes and shapes it implies and a row, its
-    joint angles lie in their joint ranges, and its episode ids start at 0
-    and never decrease."""
+def _checked_env(header, arrays: dict[str, np.ndarray]) -> EnvDataset:
+    """One environment of a dataset, from its header and arrays; CorruptionError
+    unless its header is well formed, its goals name nodes of its body, its
+    arrays have the dtypes and shapes it implies and a row, its joint angles
+    lie in their joint ranges, its actions in [-1, 1], its goals are finite,
+    and its episode ids start at 0 and never decrease."""
     if not (isinstance(header, dict) and set(header) == set(_ENV_KEYS)
             and all(isinstance(header[k], str) for k in _ENV_KEYS[:3])
             and isinstance(header["obs_flags"], list)
@@ -301,17 +305,21 @@ def _checked_env(header, arrays: dict[str, np.ndarray]) -> tuple[EnvSpec, Observ
     if not np.all((arrays["joint_angles"] >= lo) & (arrays["joint_angles"] <= hi)):
         raise CorruptionError(
             f"joint angles of env {env_id!r} must be finite and inside the joint ranges")
+    if not np.all(np.abs(arrays["actions"]) <= 1.0):
+        raise CorruptionError(f"actions of env {env_id!r} must lie in [-1, 1]")
+    if not np.all(np.isfinite(arrays["goals"])):
+        raise CorruptionError(f"goals of env {env_id!r} must be finite")
     if episodes[0] != 0 or np.any(episodes[1:] < episodes[:-1]):
         raise CorruptionError(
             f"episode ids of env {env_id!r} must start at 0 and never decrease")
-    return spec, obs_spec
+    return EnvDataset(env_id, morph_text, task_text, obs_spec, **arrays)
 
 
 def read_dataset(path) -> TransitionDataset:
-    """The dataset in a version-2 ``CGDS`` file, its observations rebuilt from
-    the joint angles at the header's flags.  Version-1 datasets, and those
-    that store observations (tag ``dataset``), are not read: ``gen-data``
-    remakes one from its ``resolved_config.txt``."""
+    """The checked arrays of a version-2 ``CGDS`` file, no observation built
+    (EnvDataset.features).  Version-1 datasets, and those that store
+    observations (tag ``dataset``), are not read: ``gen-data`` remakes one
+    from its ``resolved_config.txt``."""
     tag, meta, tensors = artifacts.load(path, DATASET_MAGIC)
     if tag == "dataset":
         raise CorruptionError("dataset stores observations (the schema before joint "
@@ -320,15 +328,9 @@ def read_dataset(path) -> TransitionDataset:
     if tag != _DATASET_TAG or not isinstance(headers, list) or list(tensors) != [
             f"{i}/{key}" for i in range(len(headers)) for key, _ in _ENV_ARRAYS]:
         raise CorruptionError("dataset header and tensors do not match")
-    envs = []
-    for i, header in enumerate(headers):
-        arrays = {key: tensors[f"{i}/{key}"] for key, _ in _ENV_ARRAYS}
-        spec, obs_spec = _checked_env(header, arrays)
-        envs.append(EnvDataset(
-            header["env_id"], header["morphology"], header["task"], obs_spec,
-            features=_observations(spec.graph, arrays["joint_angles"], arrays["episodes"],
-                                   obs_spec), **arrays))
-    return TransitionDataset(environments=envs)
+    return TransitionDataset(environments=[
+        _checked_env(header, {key: tensors[f"{i}/{key}"] for key, _ in _ENV_ARRAYS})
+        for i, header in enumerate(headers)])
 
 
 # --- control-graph preparation -------------------------------------------------
@@ -378,9 +380,9 @@ def prepare_training_data(ds: TransitionDataset,
                           config: PolicyConfig) -> list[_EnvArrays]:
     """Build per-environment tensors for the configured architecture.
 
-    Observations at flags other than the dataset's are rebuilt from its joint
-    angles.  One control graph holds every row of an environment, laid out
-    with array ops, and the mask, actuator map and edges the rows share.
+    Observations are the dataset's features at its flags, else rebuilt from
+    its joint angles.  One control graph holds every row of an environment,
+    laid out with array ops, and the mask, actuator map and edges they share.
     """
     obs_spec = build_observation_spec(config.obs_flags)
     expect = cg_feature_width(obs_spec, config.cg_variant, config.history)
@@ -651,7 +653,7 @@ def save_checkpoint(params: PolicyParams, path) -> None:
 
 def load_checkpoint(path, expect_arch: str | None = None) -> PolicyParams:
     """Parameters of a checkpoint whose config and tensors are exactly those
-    init_params would build; anything else raises CorruptionError."""
+    init_params would build, holding parse's arrays; else CorruptionError."""
     arch, values, tensors = artifacts.load(path, CHECKPOINT_MAGIC)
     if expect_arch is not None and arch != expect_arch:
         raise ConfigError(
@@ -669,7 +671,7 @@ def load_checkpoint(path, expect_arch: str | None = None) -> PolicyParams:
         raise CorruptionError(
             "checkpoint tensors differ from what its config builds")
     return PolicyParams(arch=arch, config=config, tensors={
-        name: ad.parameter(data) for name, data in tensors.items()})
+        name: Tensor(data, requires_grad=True) for name, data in tensors.items()})
 
 
 def fnv1a64(data) -> int:

@@ -451,6 +451,27 @@ def test_distill_dataset_with_nan_radius_is_data_error(workspace, tmp_path, caps
     assert "radius must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("0/actions", np.nan, "actions of env 'ant_reach_2' must lie in [-1, 1]"),
+    ("0/actions", 5.0, "actions of env 'ant_reach_2' must lie in [-1, 1]"),
+    ("0/goals", np.inf, "goals of env 'ant_reach_2' must be finite"),
+], ids=["nan action", "action 5", "inf goal"])
+def test_distill_dataset_with_bad_action_or_goal_is_data_error(workspace, tmp_path, capsys,
+                                                               key, value, message):
+    # sealed, so only the reader's value checks stand between it and training
+    root, cfg, gen_dir = workspace
+    tag, meta, tensors = artifacts.parse((gen_dir / "dataset.cgds").read_bytes(),
+                                         DATASET_MAGIC)
+    tensors[key][5, 0] = value
+    bad = tmp_path / "bad.cgds"
+    bad.write_bytes(artifacts.to_bytes(DATASET_MAGIC, tag, meta, list(tensors.items())))
+    out = tmp_path / "d"
+    rc = run(["distill", "--config", str(cfg), "--dataset", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_distill_goal_on_missing_end_effector_is_data_error(workspace, tmp_path, capsys):
     root, cfg, gen_dir = workspace
     tag, meta, tensors = artifacts.parse((gen_dir / "dataset.cgds").read_bytes(),

@@ -156,6 +156,34 @@ def test_dataset_round_trip(tmp_path):
     assert env.features[0].shape[1] == OBS.width
 
 
+def test_observations_built_once_where_features_are_read(tmp_path, monkeypatch):
+    # neither the generator nor the reader builds observations; a dataset
+    # builds them on its first .features, and training at other flags rebuilds
+    calls = []
+    build = distill._observations
+    monkeypatch.setattr(distill, "_observations",
+                        lambda *args: calls.append(args[-1]) or build(*args))
+    ds, _ = small_dataset(envs=("ant_reach_2", "worm_touch_2"), n=30)
+    write_dataset(ds, tmp_path / "d.cgds")
+    back = read_dataset(tmp_path / "d.cgds")
+    assert calls == []
+    for made, read in zip(ds.environments, back.environments):
+        first = read.features
+        assert calls == [OBS]
+        assert read.features is first and calls == [OBS]
+        assert first.tobytes() == made.features.tobytes()
+        calls.clear()
+    prepare_training_data(back, PolicyConfig(
+        arch="transformer", feature_width=distill.cg_feature_width(OBS, "v2"),
+        obs_flags=OBS.flags))
+    assert calls == []
+    other = build_observation_spec(["p"])
+    prepare_training_data(back, PolicyConfig(
+        arch="transformer", feature_width=distill.cg_feature_width(other, "v2"),
+        obs_flags=other.flags))
+    assert calls == [other, other]
+
+
 def _far_goal_spec():
     """ant_reach_2 with goals far outside the workspace: never satisfied."""
     spec = make_env("ant_reach_2")
@@ -179,9 +207,9 @@ def _eager_generate(env_specs, n_transitions, seed, expert_gain=1.0, obs_spec=OB
     state), expert actions and goal distances at every step, its actions
     from a fresh np.cross Jacobian per goal (test_env.reference_expert).  It stops an env's attempts once the keep
     rate cannot reach 50%, as the generator does, and raises its
-    DataQualityError.  Also returns per env whether its last stored episode
-    was cut."""
-    envs, reports, cut = [], [], []
+    DataQualityError.  Returns the dataset, per env its observations, the
+    reports, and per env whether its last stored episode was cut."""
+    envs, observations, reports, cut = [], [], [], []
     for env_index, spec in enumerate(env_specs):
         task = spec.task
         attempts = kept = 0
@@ -225,14 +253,15 @@ def _eager_generate(env_specs, n_transitions, seed, expert_gain=1.0, obs_spec=OB
         angles, feats, acts, goals, episodes = zip(*rows)
         envs.append(distill.EnvDataset(
             env_id=spec.env_id, morphology_text=morph_text, task_text=task_text,
-            obs_spec=obs_spec, joint_angles=np.stack(angles), features=np.stack(feats),
+            obs_spec=obs_spec, joint_angles=np.stack(angles),
             actions=np.stack(acts), goals=np.stack(goals),
             episodes=np.array(episodes, dtype=np.int32)))
+        observations.append(np.stack(feats))
         reports.append(distill.GenReport(
             env_id=spec.env_id, attempts=attempts, episodes_kept=kept,
             transitions=len(rows), success_rate=rate,
             mean_normalized_final=float(np.mean(finals))))
-    return TransitionDataset(environments=envs), reports, cut
+    return TransitionDataset(environments=envs), observations, reports, cut
 
 
 GENERATOR_ENVS = ("ant_reach_2", "worm_touch_2", "claw_touch_handsup_3",
@@ -244,10 +273,10 @@ GENERATOR_ENVS = ("ant_reach_2", "worm_touch_2", "claw_touch_handsup_3",
 def test_generator_equals_eager_reference(env_ids, seed):
     specs = [make_env(e) for e in env_ids]
     ds, reports = generate_dataset(specs, n_transitions=250, seed=seed, obs_spec=OBS)
-    ref_ds, ref_reports, cut = _eager_generate(specs, 250, seed)
+    ref_ds, ref_obs, ref_reports, cut = _eager_generate(specs, 250, seed)
     assert dataset_bytes(ds) == dataset_bytes(ref_ds)
-    for got, want in zip(ds.environments, ref_ds.environments):
-        assert got.features.tobytes() == want.features.tobytes()
+    for got, want in zip(ds.environments, ref_obs):
+        assert got.features.tobytes() == want.tobytes()
     assert reports == ref_reports
     assert any(cut)
     if len(specs) == 1:
@@ -257,38 +286,40 @@ def test_generator_equals_eager_reference(env_ids, seed):
 
 @pytest.mark.parametrize("flags", [OBS.flags, FLAG_ORDER], ids=["default", "all"])
 def test_read_rebuilds_features_of_per_row_oracle(tmp_path, flags):
-    # the file holds joint angles, not observations: reading rebuilds every
-    # row, each episode's reset row included, equal to each state's own call
+    # the file holds joint angles, not observations: the read dataset
+    # derives every row, each episode's reset row included, equal to each
+    # state's own call
     obs_spec = build_observation_spec(flags)
     specs = [make_env(e) for e in GENERATOR_ENVS]
     ds, _ = generate_dataset(specs, n_transitions=250, seed=5, obs_spec=obs_spec)
     write_dataset(ds, tmp_path / "d.cgds")
     back = read_dataset(tmp_path / "d.cgds")
-    ref, _, _ = _eager_generate(specs, 250, 5, obs_spec=obs_spec)
-    for got, want in zip(back.environments, ref.environments):
+    _, ref_obs, _, _ = _eager_generate(specs, 250, 5, obs_spec=obs_spec)
+    for got, want in zip(back.environments, ref_obs):
         assert got.obs_spec == obs_spec and got.features.dtype == np.float32
-        assert got.features.tobytes() == want.features.tobytes()
+        assert got.features.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("flags", [("p",), ("p", "rp"), ("v", "a", "ja", "jv", "id", "rr")])
 def test_training_data_at_other_flags_equals_sliced_columns(flags):
-    # a default-flag dataset trains at any flags: the observations rebuilt
-    # from its joint angles equal the columns of those flags in an all-flag
-    # dataset of the same rows
-    envs = ("ant_reach_2", "worm_touch_2")
-    ds, _ = small_dataset(envs=envs, n=120, seed=2)
-    full, _ = generate_dataset([make_env(e) for e in envs], n_transitions=120, seed=2,
-                               obs_spec=build_observation_spec(FLAG_ORDER))
-    want = build_observation_spec(flags)
-    have = full.environments[0].obs_spec
-    cols = np.concatenate([np.arange(slot(have, f).start, slot(have, f).stop)
+    # a dataset trains at any flags: the observations rebuilt from its joint
+    # angles equal the columns of those flags in an all-flag rebuild of the
+    # same rows, and train as a dataset of those flags does
+    ds, _ = small_dataset(envs=("ant_reach_2", "worm_touch_2"), n=120, seed=2)
+    want, full = build_observation_spec(flags), build_observation_spec(FLAG_ORDER)
+    cols = np.concatenate([np.arange(slot(full, f).start, slot(full, f).stop)
                            for f in want.flags])
-    sliced = TransitionDataset([dataclasses.replace(e, obs_spec=want, features=e.features[:, :, cols])
-                                for e in full.environments])
+    for e in ds.environments:
+        graph = e.env_spec().graph
+        got = distill._observations(graph, e.joint_angles, e.episodes, want)
+        every = distill._observations(graph, e.joint_angles, e.episodes, full)
+        assert got.tobytes() == np.ascontiguousarray(every[:, :, cols]).tobytes()
+    at_want = TransitionDataset([dataclasses.replace(e, obs_spec=want)
+                                 for e in ds.environments])
     config = PolicyConfig(arch="transformer", feature_width=distill.cg_feature_width(want, "v2"),
                           obs_flags=want.flags)
     for got, expect in zip(prepare_training_data(ds, config),
-                           prepare_training_data(sliced, config)):
+                           prepare_training_data(at_want, config)):
         assert got.feats.tobytes() == expect.feats.tobytes()
         assert got.target_grid.tobytes() == expect.target_grid.tobytes()
 
@@ -387,7 +418,8 @@ def test_observations_built_only_for_stored_rows(monkeypatch, env_id, seed):
         state.positions[..., 0, 0].size) or menv.local_observations(state, spec))
     ds, _ = generate_dataset([make_env(env_id)], n_transitions=250, seed=seed,
                              obs_spec=OBS)
-    assert sum(rows) == ds.n_transitions() == 250
+    assert rows == []          # the generator builds none; the first read builds them
+    assert ds.environments[0].features.shape[0] == sum(rows) == ds.n_transitions() == 250
 
 
 # --- bc loss ----------------------------------------------------------------
@@ -945,6 +977,31 @@ def test_sealed_malformed_dataset_raises_corruption(tmp_path, dataset_raw, case)
         read_dataset(path)
 
 
+def _with_entry(key, value):
+    """Edit: row 5, column 0 of tensor ``key`` becomes ``value``."""
+    def edit(tag, m, t):
+        data = t[key].copy()
+        data[5, 0] = value
+        return tag, m, {**t, key: data}
+    return edit
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("0/actions", np.nan, "actions of env 'ant_reach_2' must lie in [-1, 1]"),
+    ("0/actions", 5.0, "actions of env 'ant_reach_2' must lie in [-1, 1]"),
+    ("0/goals", np.inf, "goals of env 'ant_reach_2' must be finite"),
+], ids=["nan action", "action 5", "inf goal"])
+def test_read_rejects_actions_outside_unit_box_and_non_finite_goals(
+        tmp_path, dataset_raw, key, value, message):
+    path = tmp_path / "m.cgds"
+    for edge in (1.0, -1.0):      # the generator clips actions onto these bounds
+        path.write_bytes(_rewritten(dataset_raw, _with_entry("0/actions", edge)))
+        assert read_dataset(path).environments[0].actions[5, 0] == edge
+    path.write_bytes(_rewritten(dataset_raw, _with_entry(key, value)))
+    with pytest.raises(CorruptionError, match=re.escape(message)):
+        read_dataset(path)
+
+
 _UNWRITABLE = {
     "no rows": lambda e: dataclasses.replace(
         e, joint_angles=e.joint_angles[:0], actions=e.actions[:0], goals=e.goals[:0],
@@ -952,6 +1009,8 @@ _UNWRITABLE = {
     "shape": lambda e: dataclasses.replace(e, actions=e.actions[:, :-1]),
     "decreasing ids": lambda e: dataclasses.replace(
         e, episodes=np.r_[0, 1, 0, np.ones(len(e.episodes) - 3)].astype(np.int32)),
+    "action out of range": lambda e: dataclasses.replace(e, actions=e.actions * 5),
+    "inf goal": lambda e: dataclasses.replace(e, goals=e.goals + np.inf),
 }
 
 
@@ -994,6 +1053,20 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(back.tensors[k].data, params.tensors[k].data)
     save_checkpoint(back, tmp_path / "p2.cgck")
     assert (tmp_path / "p.cgck").read_bytes() == (tmp_path / "p2.cgck").read_bytes()
+
+
+def test_loaded_checkpoints_share_no_memory(tmp_path):
+    params = tf_params(_width(), seed=4)
+    save_checkpoint(params, tmp_path / "p.cgck")
+    a, b = load_checkpoint(tmp_path / "p.cgck"), load_checkpoint(tmp_path / "p.cgck")
+    for k, t in a.tensors.items():
+        assert t.requires_grad and t.data.dtype == np.float64 and t.data.flags.writeable
+        assert not np.shares_memory(t.data, b.tensors[k].data)
+        assert not np.shares_memory(t.data, params.tensors[k].data)
+    name = next(iter(a.tensors))
+    a.tensors[name].data += 1.0
+    np.testing.assert_array_equal(b.tensors[name].data, params.tensors[name].data)
+    np.testing.assert_array_equal(a.tensors[name].data, params.tensors[name].data + 1.0)
 
 
 def test_truncated_checkpoint_raises(tmp_path):

@@ -28,13 +28,19 @@ FINGERPRINT = "e7cdcf4033f71ae166de81f3c85f87e4dc33d68464c526ec09e1d4d613a5a7aa"
 PINS = {"checkpoint": "d88c1b7e65b05de6e846c2a41a893ded2fabf2a57debf3311df1b5e6654259ce",
         "report.csv": "f842a34c1a3332daf5fc4529d9e42037882bf1f08af21db9eb014bb506a4ede2"}
 # generate_dataset of GEN_ENVS at 120 transitions, seed 3: the dataset_bytes
-# digest and the reports; and ant_push_3's refusal at the same size and seed.
+# digest, the reports and per env the digest of its features; and ant_push_3's
+# refusal at the same size and seed.
 GEN_ENVS = ("ant_reach_5", "claw_reach_4", "centipede_reach_handsup2_4")
 GEN_DATASET = "9429747ed8f0afb9a681024e3f0d5cdcf63d83775d6d1f1c475acb5fa553efa7"
 GEN_REPORTS = [
     GenReport("ant_reach_5", 1, 1, 120, 1.0, -0.0006648166967543289),
     GenReport("claw_reach_4", 1, 1, 120, 1.0, -0.001089621841433284),
     GenReport("centipede_reach_handsup2_4", 2, 2, 120, 1.0, -0.00879983876339556)]
+GEN_FEATURES = {
+    "ant_reach_5": "3089f2c4120e8cb20ec595515d529786b48594347f0f3c56c95edfc0734fc835",
+    "claw_reach_4": "99bb5c5c3f34f03dfcb272c4149816648fc271f39f79350bb416b6db42ff9100",
+    "centipede_reach_handsup2_4":
+        "f608a05e4c3204bcc4bf406420a7c02ce871305d7a6d27a2316b7ff3efc7b212"}
 PUSH_ERROR = "scripted expert proficient on only 0/13 episodes for env 'ant_push_3'"
 
 
@@ -97,6 +103,8 @@ def test_generator_bytes_equal_their_pins():
                                            n_transitions=120, seed=3)
     assert hashlib.sha256(distill.dataset_bytes(ds)).hexdigest() == GEN_DATASET
     assert reports == GEN_REPORTS
+    assert {e.env_id: hashlib.sha256(e.features.tobytes()).hexdigest()
+            for e in ds.environments} == GEN_FEATURES
     with pytest.raises(DataQualityError) as failure:
         distill.generate_dataset([make_env("ant_push_3")], n_transitions=120, seed=3)
     assert str(failure.value) == PUSH_ERROR
