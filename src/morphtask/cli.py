@@ -297,7 +297,7 @@ def cmd_eval(cfg: dict, checkpoint_path: str, compare: str | None) -> int:
 
 
 def _read_report_aggregate(path: Path) -> float:
-    """The finite aggregate_env_mean of a baseline report.csv."""
+    """The aggregate_env_mean of a baseline report.csv, finite and positive."""
     if not path.exists():
         raise UsageError(f"baseline report {path} does not exist")
     for line in path.read_text().splitlines():
@@ -307,9 +307,9 @@ def _read_report_aggregate(path: Path) -> float:
                 value = float(text)
             except ValueError:
                 value = np.nan
-            if not np.isfinite(value):
+            if not 0.0 < value < np.inf:     # the improvement's divisor; nan fails
                 raise DataQualityError(f"baseline report {path} has aggregate_env_mean "
-                                       f"{text!r}, not a finite number")
+                                       f"{text!r}, not a finite positive number")
             return value
     raise UsageError(f"{path} carries no aggregate_env_mean line")
 

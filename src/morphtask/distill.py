@@ -180,19 +180,19 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
                 break              # keep rate below 0.5 whatever comes next
             state = reset(spec, _episode_seed(seed, env_index, attempts))
             attempts += 1
-            distances = menv.goal_distances(state)
+            terms = menv.goal_terms(state)
             room = n_transitions - n_rows
             episode: list[tuple] = []  # (pre-step angles, expert action) of storable rows
             satisfied_at = None
             seen = {_state_key(state)}  # states of this episode before satisfaction
             for t in range(task.episode_length):
-                action = menv.scripted_expert(state, expert_gain, distances)
+                action = menv.scripted_expert(state, expert_gain, terms)
                 if t < room:
                     episode.append((state.joint_angles, action))
                 state = step(state, action)
-                distances = menv.goal_distances(state)
+                terms = menv.goal_terms(state)
                 if satisfied_at is None and all(
-                        d <= d_min for d, d_min in zip(distances, task.d_min)):
+                        d <= d_min for (d, _, _), d_min in zip(terms, task.d_min)):
                     satisfied_at = t
                 if satisfied_at is not None:
                     if t >= satisfied_at + HOLD_TAIL_STEPS:
@@ -209,7 +209,7 @@ def generate_dataset(env_specs, expert_gain: float = 1.0,
                 continue
             finals.append(sum(
                 (d - d_min) / (d_max - d_min)
-                for d, d_min, d_max in zip(distances, task.d_min, task.d_max)))
+                for (d, _, _), d_min, d_max in zip(terms, task.d_min, task.d_max)))
             angles, actions = zip(*episode)
             T = len(angles)
             goal_flat = np.concatenate(state.goals).astype(np.float32)

@@ -635,27 +635,46 @@ def resolve_box_push(node_positions: np.ndarray, node_radii: np.ndarray,
     return box
 
 
+def goal_terms(state: EnvState) -> list[tuple[float, int, np.ndarray]]:
+    """Per goal of a single-episode state, in goal order: its task-dependent
+    distance, target node, and the error vector the expert descends there."""
+    graph, box = state.graph, state.box_pos
+    terms = []
+    for tmpl, value in zip(state.task.goals, state.goals):
+        target = resolve_target(graph, tmpl.target_selector)
+        p = state.positions[target]
+        if tmpl.goal_kind == "xy_position":
+            d = _norm(p[:2] - value[:2])
+            err = np.array([p[0] - value[0], p[1] - value[1], 0.0])
+        elif tmpl.goal_kind == "z_height":
+            d = float(abs(p[2] - value[2]))
+            err = np.array([0.0, 0.0, p[2] - value[2]])
+        elif tmpl.goal_kind == "ball_contact":
+            delta = p - state.ball_pos
+            gap = _norm(delta)
+            d = max(0.0, gap - graph.nodes[target].radius - BALL_RADIUS)
+            err = np.zeros(3) if gap < 1e-12 else delta / gap * d
+        else:
+            # Two-phase push: swing to a staging point behind the box first so
+            # transit cannot shove it off line, then drive through its center
+            # and let overlap resolution translate it toward the goal.
+            to_goal = value[:2] - box[:2]
+            d = _norm(to_goal)
+            if d < 1e-12:
+                err = np.zeros(3)
+            else:
+                u = to_goal / d
+                slack = graph.nodes[target].radius + BOX_RADIUS
+                behind = float((p[:2] - box[:2]) @ u) < -0.5 * slack
+                aim = box[:2] if behind else box[:2] - u * 2.0 * slack
+                err = np.array([p[0] - aim[0], p[1] - aim[1], 0.0])
+        terms.append((d, target, err))
+    return terms
+
+
 def goal_distance(state: EnvState, goal_index: int) -> float:
     """Task-dependent distance from the current state to one goal."""
-    tmpl = state.task.goals[goal_index]
-    value = state.goals[goal_index]
-    target = resolve_target(state.graph, tmpl.target_selector)
-    p = state.positions[target]
-    if tmpl.goal_kind == "xy_position":
-        return _norm(p[:2] - value[:2])
-    if tmpl.goal_kind == "z_height":
-        return float(abs(p[2] - value[2]))
-    if tmpl.goal_kind == "ball_contact":
-        gap = _norm(p - state.ball_pos)
-        return max(0.0, gap - state.graph.nodes[target].radius - BALL_RADIUS)
-    if tmpl.goal_kind == "box_to_target":
-        return _norm(state.box_pos[:2] - value[:2])
-    raise ValueError(f"unknown goal kind {tmpl.goal_kind!r}")
-
-
-def goal_distances(state: EnvState) -> list[float]:
-    """goal_distance of every goal, in goal order."""
-    return [goal_distance(state, g) for g in range(len(state.task.goals))]
+    return goal_terms(state)[goal_index][0]
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -665,8 +684,8 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def batch_goal_distances(state: EnvState) -> np.ndarray:
-    """goal_distances of every episode of a lockstep state, (B, G), with
-    goal_distance's arithmetic over arrays: each value equals it bit for bit."""
+    """Every goal distance of every episode of a lockstep state, (B, G),
+    with goal_terms' arithmetic over arrays: each value equals it bit for bit."""
     graph = state.graph
     distances = np.empty((len(state.joint_angles), len(state.goals)))
     for g, (tmpl, value) in enumerate(zip(state.task.goals, state.goals)):
@@ -684,66 +703,27 @@ def batch_goal_distances(state: EnvState) -> np.ndarray:
     return distances
 
 
-def _goal_error_vector(state: EnvState, goal_index: int,
-                       positions: np.ndarray) -> tuple[int, np.ndarray]:
-    """Target node and the gradient of the squared-distance surrogate."""
-    tmpl = state.task.goals[goal_index]
-    value = state.goals[goal_index]
-    target = resolve_target(state.graph, tmpl.target_selector)
-    p = positions[target]
-    if tmpl.goal_kind == "xy_position":
-        return target, np.array([p[0] - value[0], p[1] - value[1], 0.0])
-    if tmpl.goal_kind == "z_height":
-        return target, np.array([0.0, 0.0, p[2] - value[2]])
-    if tmpl.goal_kind == "ball_contact":
-        delta = p - state.ball_pos
-        gap = _norm(delta)
-        if gap < 1e-12:
-            return target, np.zeros(3)
-        d = max(0.0, gap - state.graph.nodes[target].radius - BALL_RADIUS)
-        return target, delta / gap * d
-    if tmpl.goal_kind == "box_to_target":
-        # Two-phase push: swing to a staging point behind the box first so
-        # transit cannot shove it off line, then drive through its center and
-        # let overlap resolution translate it toward the goal.
-        to_goal = value[:2] - state.box_pos[:2]
-        dist = _norm(to_goal)
-        if dist < 1e-12:
-            return target, np.zeros(3)
-        u = to_goal / dist
-        slack = state.graph.nodes[target].radius + BOX_RADIUS
-        rel = p[:2] - state.box_pos[:2]
-        behind_enough = float(rel @ u) < -0.5 * slack
-        if behind_enough:
-            aim = state.box_pos[:2]
-        else:
-            aim = state.box_pos[:2] - u * 2.0 * slack
-        return target, np.array([p[0] - aim[0], p[1] - aim[1], 0.0])
-    raise ValueError(f"unknown goal kind {tmpl.goal_kind!r}")
-
-
 def scripted_expert(state: EnvState, gain: float = 1.0,
-                    distances: list[float] | None = None) -> np.ndarray:
+                    terms: list[tuple[float, int, np.ndarray]] | None = None) -> np.ndarray:
     """Jacobian-transpose controller over all unsatisfied goals.
 
-    Per goal the error vector is the gradient of the squared goal distance at
-    the target node, scaled by the chain's largest non-overshooting gain;
-    ``gain`` multiplies that base.  Goals already within d_min contribute
-    nothing, so the action is exactly zero once every goal is satisfied.
-    ``distances`` are the state's goal_distances, which a caller that has just
-    checked them for its done test passes on instead of recomputing.
+    Per goal the error vector of goal_terms is mapped through the target's
+    Jacobian, scaled by the chain's largest non-overshooting gain; ``gain``
+    multiplies that base.  Goals already within d_min contribute nothing, so
+    the action is exactly zero once every goal is satisfied.  ``terms`` are
+    the state's goal_terms, which a caller that has just checked their
+    distances for its done test passes on instead of recomputing.
     """
-    if distances is None:
-        distances = goal_distances(state)
+    if terms is None:
+        terms = goal_terms(state)
     table = _body_table(state.graph)
     axes, anchors = state.dof_axes, state.dof_anchors
     if axes is None:
         _, _, axes, anchors = table.frames(state.joint_angles.tolist())
     tau = np.zeros(table.A)
-    for g, d in enumerate(distances):
-        if d <= state.task.d_min[g]:
+    for (d, target, err), d_min in zip(terms, state.task.d_min):
+        if d <= d_min:
             continue
-        target, err = _goal_error_vector(state, g, state.positions)
         J = _jacobian(state.positions[target], axes, anchors,
                       table.path_dofs[target], table.A)
         tau += table.stable_gain[target] * (J.T @ err)

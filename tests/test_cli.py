@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphtask import artifacts
+from morphtask import evaluation as meval
 from morphtask.artifacts import seal
 from morphtask.cli import (
     _CHOICES,
@@ -167,20 +168,23 @@ def test_eval_missing_baseline_is_usage_error(workspace, tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "abc"])
+@pytest.mark.parametrize("value", ["nan", "inf", "abc", "0.0", "-0.25"])
 def test_eval_unusable_baseline_is_data_error(workspace, trained_checkpoint, tmp_path,
-                                              capsys, value):
+                                              capsys, monkeypatch, value):
+    # refused before any rollout: the improvement is a fraction of the baseline
     root, cfg, _ = workspace
     baseline = tmp_path / "report.csv"
     baseline.write_text("env_id,goal_index,seed,final_distance,normalized\n"
                         f"# aggregate_env_mean={value}\n")
+    evaluated = []
+    monkeypatch.setattr(meval, "evaluate_policy", lambda *args: evaluated.append(args))
     out = tmp_path / "e"
     rc = run(["eval", "--config", str(cfg), "--checkpoint", str(trained_checkpoint),
               "--out", str(out), "--compare", str(baseline)])
     assert rc == 2
     assert f"error: baseline report {baseline} has aggregate_env_mean {value!r}, " \
-        "not a finite number" in capsys.readouterr().err
-    assert not out.exists()
+        "not a finite positive number" in capsys.readouterr().err
+    assert not out.exists() and evaluated == []
 
 
 def test_default_config_uses_full_scale_transitions():

@@ -363,8 +363,8 @@ def _full_horizon_rollout(spec, seed):
     cut, satisfied = None, False
     for t in range(spec.task.episode_length):
         state = menv.step(state, menv.scripted_expert(state))
-        satisfied |= all(d <= d_min for d, d_min in
-                         zip(menv.goal_distances(state), spec.task.d_min))
+        satisfied |= all(d <= d_min for (d, _, _), d_min in
+                         zip(menv.goal_terms(state), spec.task.d_min))
         key = state.joint_angles.tobytes() + state.box_pos.tobytes()
         if cut is None and key in seen:
             cut = t + 1
@@ -402,13 +402,34 @@ def test_episode_at_rest_from_reset_ends_after_one_step(monkeypatch):
     steps = []
     monkeypatch.setattr(distill, "step", lambda state, action: steps.append(1)
                         or menv.step(state, action))
-    monkeypatch.setattr(menv, "scripted_expert", lambda state, gain, distances:
+    monkeypatch.setattr(menv, "scripted_expert", lambda state, gain, terms:
                         np.zeros(len(state.joint_angles)))
     with pytest.raises(DataQualityError) as info:
         generate_dataset([_far_goal_spec()], n_transitions=10, seed=0, obs_spec=OBS)
     kept, attempts = re.search(r"proficient on only (\d+)/(\d+) episodes",
                                str(info.value)).groups()
     assert int(kept) == 0 and len(steps) == int(attempts) > 1
+
+
+@pytest.mark.parametrize("env_id, seed", [("claw_touch_3", 3), ("ant_reach_handsup_3", 1),
+                                          ("worm_push_2", 1)])
+def test_goal_terms_computed_once_per_reached_state(monkeypatch, env_id, seed):
+    # each state the generator reaches (every reset and every step's result)
+    # has its goal_terms computed once, for the done test and the next expert
+    # call together; the expert computes none of its own
+    reached, terms_of = [], []
+    monkeypatch.setattr(distill, "reset", lambda spec, s: reached.append(
+        menv.reset(spec, s)) or reached[-1])
+    monkeypatch.setattr(distill, "step", lambda state, action: reached.append(
+        menv.step(state, action)) or reached[-1])
+    goal_terms = menv.goal_terms
+    monkeypatch.setattr(menv, "goal_terms", lambda state: terms_of.append(state)
+                        or goal_terms(state))
+    try:
+        generate_dataset([make_env(env_id)], n_transitions=120, seed=seed, obs_spec=OBS)
+    except DataQualityError:
+        assert env_id == "worm_push_2"
+    assert len(reached) > 120 and [id(s) for s in terms_of] == [id(s) for s in reached]
 
 
 @pytest.mark.parametrize("env_id, seed", [("ant_reach_2", 0), ("claw_reach_4", 5)])

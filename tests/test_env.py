@@ -312,15 +312,15 @@ def test_array_fk_equals_fk_frames_bit_for_bit(env_id):
 
 def _scalar_probed_d_max(graph, task):
     """Reference for the d_max probe: per probe seed the oracle's draws,
-    scalar FK and goal_distances, summed in seed order.  Returns the
+    scalar FK and goal_terms' distances, summed in seed order.  Returns the
     unrounded means and the task with d_max set from them."""
     sums = np.zeros(len(task.goals))
     for seed in PROBE_SEEDS:
         goals, theta, ball, box = _oracle_draws(graph, task, seed)
         pos, quat, _, _ = menv.fk_frames(graph, theta)
-        sums += menv.goal_distances(EnvState(
+        sums += [d for d, _, _ in menv.goal_terms(EnvState(
             graph=graph, task=task, joint_angles=theta, goals=tuple(goals),
-            positions=pos, orientations=quat, ball_pos=ball, box_pos=box))
+            positions=pos, orientations=quat, ball_pos=ball, box_pos=box))]
     means = sums / menv.D_MAX_PROBE_RESETS
     return means, dataclasses.replace(task, d_max=tuple(
         menv.q9(max(float(m), task.d_min[g] * 2.0)) for g, m in enumerate(means)))
@@ -393,10 +393,16 @@ def test_action_clamped_at_range():
     g = chain_graph(1, axes=[(0, 0, 1)])
     act = g.edges[0].actuators[0]
     task = reach_task(0.3, 0.4)
-    state = reset(EnvSpec("toy", g, task), 0)
-    state = EnvState(**{**state.__dict__, "joint_angles": np.array([act.range_hi])})
+    theta = np.array([act.range_hi])
+    pos, quat, axes, anchors = menv.fk_frames(g, theta)
+    state = dataclasses.replace(reset(EnvSpec("toy", g, task), 0), joint_angles=theta,
+                                positions=pos, orientations=quat, dof_axes=axes,
+                                dof_anchors=anchors)
     s1 = step(state, np.array([1.0]))
     assert s1.joint_angles[0] == act.range_hi
+    for got, ref in zip((s1.positions, s1.orientations, s1.dof_axes, s1.dof_anchors),
+                        menv.fk_frames(g, s1.joint_angles)):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_episode_over_raises():
@@ -1084,10 +1090,9 @@ def cross_jacobian(graph, joint_angles, node_id):
 def reference_expert(state, gain=1.0):
     """Jacobian-transpose expert with a fresh np.cross Jacobian per goal."""
     tau = np.zeros(state.graph.action_dimension())
-    for g in range(len(state.task.goals)):
-        if goal_distance(state, g) <= state.task.d_min[g]:
+    for (d, target, err), d_min in zip(menv.goal_terms(state), state.task.d_min):
+        if d <= d_min:
             continue
-        target, err = menv._goal_error_vector(state, g, state.positions)
         J = cross_jacobian(state.graph, state.joint_angles, target)
         tau += menv._body_table(state.graph).stable_gain[target] * (J.T @ err)
     return np.clip(-gain * tau, -1.0, 1.0)
@@ -1191,6 +1196,20 @@ def test_jacobian_from_stored_frames_equals_position_jacobian(env_id):
         assert np.array_equal(scripted_expert(bare), scripted_expert(s))
 
 
+@pytest.mark.parametrize("env_id", EQUIVALENCE_ENVS + ("ant_push_3", "claw_touch_handsup_3"))
+def test_expert_on_passed_terms_equals_its_own(env_id, monkeypatch):
+    # a caller's goal_terms give the expert's own action bytes, and the
+    # expert computes none of its own
+    states = _expert_states(env_id, 2, n_steps=8)
+    terms = [menv.goal_terms(s) for s in states]
+    own = [[scripted_expert(s, gain).tobytes() for s in states] for gain in (1.0, 0.5)]
+    calls = []
+    monkeypatch.setattr(menv, "goal_terms", lambda state: calls.append(state))
+    assert [scripted_expert(s, 1.0, t).tobytes() for s, t in zip(states, terms)] == own[0]
+    assert [scripted_expert(s, 0.5, t).tobytes() for s, t in zip(states, terms)] == own[1]
+    assert calls == []
+
+
 def test_cached_graph_tables_are_read_only():
     g = make_env("ant_reach_3").graph
     arrays = {k: v for k, v in vars(menv._body_table(g)).items() if isinstance(v, np.ndarray)}
@@ -1243,7 +1262,7 @@ def test_lockstep_step_equals_one_episode_steps_over_full_horizon(env_id):
             if rows is not None:
                 assert rows.tobytes() == np.stack(scalar).tobytes(), (t, name)
         assert menv.batch_goal_distances(batch).tobytes() == \
-            np.array([menv.goal_distances(s) for s in states]).tobytes(), t
+            np.array([[d for d, _, _ in menv.goal_terms(s)] for s in states]).tobytes(), t
         if t % 4 == 0:                   # the per-seed calls dominate the cost
             assert local_observations(batch, ALL_FLAGS).tobytes() == \
                 np.stack([local_observations(s, ALL_FLAGS) for s in states]).tobytes(), t

@@ -128,7 +128,7 @@ def test_rollout_batch_history_equals_per_step_oracle():
 def _per_seed_rollouts(params, spec, seeds, T=None, keep_inputs=False):
     """The rollout loop before lockstep env steps, kept as rollout_batch's
     oracle: the policy runs batched, but every seed has its own EnvState,
-    and reset, local_observations, step and goal_distances run per seed.
+    and reset, local_observations, step and goal_terms run per seed.
     Each seed's template is its own step-0 control graph."""
     horizon = spec.task.episode_length if T is None else min(T, spec.task.episode_length)
     cfg = params.config
@@ -159,7 +159,7 @@ def _per_seed_rollouts(params, spec, seeds, T=None, keep_inputs=False):
             acts = batch_grids(params, x, mask, adj)[index]
         states = [step(st, act) for st, act in zip(states, acts)]
         actions.append(acts)
-        distances.append([menv.goal_distances(st) for st in states])
+        distances.append([[d for d, _, _ in menv.goal_terms(st)] for st in states])
     return [Trajectory(env_id=spec.env_id, seed=s,
                        actions=np.array([a[i] for a in actions]),
                        distances=np.array([d[i] for d in distances]),

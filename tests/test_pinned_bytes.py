@@ -1,5 +1,5 @@
 """Pinned artifact bytes of a tiny gen-data -> distill -> eval pipeline,
-and of the generator on 3-goal, reach and push bodies.
+and of the generator on 3-goal, reach, touch and push bodies.
 
 Criterion 9 compares two runs of the same code, and the op-level oracles
 share the kernels they check, so a change that moves one rounding inside
@@ -42,6 +42,13 @@ GEN_FEATURES = {
     "centipede_reach_handsup2_4":
         "f608a05e4c3204bcc4bf406420a7c02ce871305d7a6d27a2316b7ff3efc7b212"}
 PUSH_ERROR = "scripted expert proficient on only 0/13 episodes for env 'ant_push_3'"
+# The same for two ball_contact bodies, at 120 transitions, seed 3; claw_touch_3
+# rejects one of its four attempts.
+TOUCH_ENVS = ("claw_touch_3", "centipede_touch_handsup_4")
+TOUCH_DATASET = "e94047cfc093abac29e3cabdf4aa028225660ab7281a1e7874ffe5b18c5febe8"
+TOUCH_REPORTS = [
+    GenReport("claw_touch_3", 4, 3, 120, 0.75, -0.000828928531060221),
+    GenReport("centipede_touch_handsup_4", 2, 2, 120, 1.0, -0.006986073634485785)]
 
 
 def float_fingerprint() -> str:
@@ -108,3 +115,11 @@ def test_generator_bytes_equal_their_pins():
     with pytest.raises(DataQualityError) as failure:
         distill.generate_dataset([make_env("ant_push_3")], n_transitions=120, seed=3)
     assert str(failure.value) == PUSH_ERROR
+
+
+def test_touch_generator_bytes_equal_their_pins():
+    skip_unless_pinned_rounding()
+    ds, reports = distill.generate_dataset([make_env(e) for e in TOUCH_ENVS],
+                                           n_transitions=120, seed=3)
+    assert hashlib.sha256(distill.dataset_bytes(ds)).hexdigest() == TOUCH_DATASET
+    assert reports == TOUCH_REPORTS
